@@ -1,0 +1,12 @@
+"""Import paths for the benchmark's own tests.
+
+Run from the repository root:  python3 -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for p in (ROOT / "src", ROOT / "perfbench"):
+    if str(p) not in sys.path:
+        sys.path.insert(0, str(p))
