@@ -58,7 +58,8 @@ class IllConditioned(LetfGrowthError):
 
 
 class SingularSystem(LetfGrowthError):
-    """The linear system defining the drift-shift vector is singular."""
+    """A linear system of the Riccati chain (the drift shift, a Newton step,
+    the Lyapunov equation) is singular."""
 
 
 class NotHurwitz(LetfGrowthError):

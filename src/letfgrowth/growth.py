@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .eigen import eigenpair
-from .errors import ConditionUnmet
+from .errors import ConditionUnmet, LetfGrowthError
 from .models import (
     ExtendedCir,
     Garch,
@@ -49,7 +49,7 @@ from .models import (
     ValidatedProblem,
     has_stochastic_rate,
 )
-from .riccati import solve_quadratic_model
+from .riccati import QuadraticSolution, solve_quadratic_grid, solve_quadratic_model
 
 __all__ = [
     "FinitenessCondition",
@@ -140,7 +140,10 @@ def growth_rate(vp: ValidatedProblem) -> GrowthRate:
         # Money-market account: L_t = exp(r t) deterministically.
         return _finite(_ALWAYS, {"rate_term": alpha * r})
 
-    pair = eigenpair(vp) if not isinstance(m, Quadratic) else None
+    if isinstance(m, Quadratic):
+        return _quadratic_growth(vp, beta, solve_quadratic_model(m, alpha, beta))
+
+    pair = eigenpair(vp)
 
     if isinstance(m, Gbm):
         comps = {"rate_term": r * alpha * (1.0 - beta), "eigenvalue_term": -pair.lam}
@@ -225,23 +228,26 @@ def growth_rate(vp: ValidatedProblem) -> GrowthRate:
         }
         return _finite(cond, comps) if cond.satisfied else _infinite(cond, comps)
 
-    if isinstance(m, Quadratic):
-        sol = solve_quadratic_model(m, alpha, beta)
-        a = m.a
-        max_eig = float(sol.convergence.eigs_precision[-1])
-        cond = _condition(
-            "all eigenvalues of V + alpha*beta*I - inv(Sigma_inf)/2 negative "
-            "(lhs = -max eigenvalue)",
-            -max_eig, 0.0)
-        comps = {
-            "rate_term": r * alpha * (1.0 - beta),
-            "half_uau": 0.5 * float(sol.u @ a @ sol.u),
-            "trace_aV": -float(np.trace(a @ sol.V)),
-            "u_b": -float(sol.u @ m.b),
-        }
-        return _finite(cond, comps) if cond.satisfied else _infinite(cond, comps)
-
     raise TypeError(f"unknown model kind {m.kind!r}")
+
+
+def _quadratic_growth(vp: ValidatedProblem, beta: float,
+                      sol: QuadraticSolution) -> GrowthRate:
+    """Quadratic-model growth rate at beta from its solved Riccati chain."""
+    m = vp.model
+    a = m.a
+    max_eig = float(sol.convergence.eigs_precision[-1])
+    cond = _condition(
+        "all eigenvalues of V + alpha*beta*I - inv(Sigma_inf)/2 negative "
+        "(lhs = -max eigenvalue)",
+        -max_eig, 0.0)
+    comps = {
+        "rate_term": vp.r * vp.alpha * (1.0 - beta),
+        "half_uau": 0.5 * float(sol.u @ a @ sol.u),
+        "trace_aV": -float(np.trace(a @ sol.V)),
+        "u_b": -float(sol.u @ m.b),
+    }
+    return _finite(cond, comps) if cond.satisfied else _infinite(cond, comps)
 
 
 @dataclass(frozen=True)
@@ -254,22 +260,44 @@ class GrowthCurvePoint:
 def growth_curve(vp: ValidatedProblem, beta_grid) -> list[GrowthCurvePoint]:
     """Map :func:`growth_rate` over a sorted beta grid.
 
-    Per-point failures (e.g. no stabilizing Riccati solution at some beta)
-    are collected, not fatal; infinite points are flagged, never
-    interpolated.
+    Per-point library errors (e.g. no stabilizing Riccati solution at some
+    beta) are collected, not fatal; infinite points are flagged, never
+    interpolated.  The quadratic model solves its Riccati chain for the
+    whole grid in batches.
     """
     betas = np.asarray(beta_grid, dtype=float)
     if betas.ndim != 1 or betas.size == 0:
         raise ValueError("beta grid must be a nonempty 1-d array")
     if np.any(np.diff(betas) < 0):
         raise ValueError("beta grid must be sorted ascending")
-    out: list[GrowthCurvePoint] = []
-    for b in betas:
-        try:
-            out.append(GrowthCurvePoint(float(b), growth_rate(vp.with_beta(float(b)))))
-        except Exception as exc:  # per-point collection by contract
-            out.append(GrowthCurvePoint(float(b), None, f"{type(exc).__name__}: {exc}"))
+    out = []
+    for b, g in zip(betas.tolist(), _curve_rates(vp, betas)):
+        if isinstance(g, LetfGrowthError):
+            out.append(GrowthCurvePoint(b, None, f"{type(g).__name__}: {g}"))
+        else:
+            out.append(GrowthCurvePoint(b, g))
     return out
+
+
+def _curve_rates(vp: ValidatedProblem, betas: np.ndarray):
+    """growth_rate at each beta, or the library error it raises there."""
+    if isinstance(vp.model, Quadratic):
+        # One batched Riccati chain for the grid; beta = 0 keeps the
+        # money-market short-circuit of growth_rate.
+        moved = betas != 0.0
+        solved = solve_quadratic_grid(vp.model, vp.alpha, betas[moved])
+        for b, solve in zip(betas.tolist(), moved):
+            if not solve:
+                yield growth_rate(vp.with_beta(b))
+                continue
+            sol = next(solved)
+            yield sol if isinstance(sol, LetfGrowthError) else _quadratic_growth(vp, b, sol)
+        return
+    for b in betas.tolist():
+        try:
+            yield growth_rate(vp.with_beta(b))
+        except LetfGrowthError as exc:  # per-point collection by contract
+            yield exc
 
 
 def display_growth_value(vp: ValidatedProblem) -> float:

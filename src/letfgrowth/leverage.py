@@ -31,8 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoFiniteRegion
-from .growth import display_growth_value, growth_rate
+from .errors import LetfGrowthError, NoFiniteRegion
+from .growth import GrowthRate, display_growth_value, growth_curve, growth_rate
 from .models import (
     ExtendedCir,
     Garch,
@@ -106,19 +106,17 @@ def objective_value(vp: ValidatedProblem, beta: float) -> float:
     (restricted to the region where the growth rate is classified finite).
     """
     p = vp.with_beta(beta)
-    if isinstance(vp.model, (GbmVasicek, GbmInverseGarchRate)):
-        try:
-            g = growth_rate(p)
-        except Exception:
-            return -math.inf
-        if not g.is_finite:
-            return -math.inf
-        return display_growth_value(p)
     try:
         g = growth_rate(p)
-    except Exception:
+    except LetfGrowthError:
         return -math.inf
-    return g.rate if g.is_finite else -math.inf
+    if isinstance(vp.model, (GbmVasicek, GbmInverseGarchRate)):
+        return display_growth_value(p) if g.is_finite else -math.inf
+    return _rate_or_minus_inf(g)
+
+
+def _rate_or_minus_inf(g: GrowthRate | None) -> float:
+    return g.rate if g is not None and g.is_finite else -math.inf
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float = GOLDEN_TOL,
@@ -408,23 +406,32 @@ def optimal_beta(vp: ValidatedProblem,
         if cap is None:
             notes.append(f"uncapped search bracketed on [{lo:g}, {hi:g}]")
         n_scan = max(25, int(round((hi - lo) / 0.25)) + 1)
-        best_i, best_v, vals = None, -math.inf, []
         grid = [lo + i * (hi - lo) / (n_scan - 1) for i in range(n_scan)]
-        for i, b in enumerate(grid):
-            v = obj(b)
-            vals.append(v)
-            if v > best_v:
-                best_i, best_v = i, v
-        if best_i is None or best_v == -math.inf:
+        vals = [_rate_or_minus_inf(p.growth) for p in growth_curve(vp, grid)]
+        best_i = max(range(n_scan), key=vals.__getitem__)
+        best_v = vals[best_i]
+        if best_v == -math.inf:
             raise NoFiniteRegion("growth rate infinite or unsolvable on the whole range")
+        tried = {grid[best_i]: best_v}
+
+        def probe(b: float) -> float:
+            tried[b] = obj(b)
+            return tried[b]
+
         blo = grid[max(0, best_i - 1)]
         bhi = grid[min(n_scan - 1, best_i + 1)]
-        beta_star = golden_section_max(obj, blo, bhi)
+        beta_star = golden_section_max(probe, blo, bhi)
+        rate_star = obj(beta_star)
+        if not rate_star >= best_v:
+            # The refinement walked off the scan maximum, e.g. past the end
+            # of the finite region, where the objective drops to -inf.
+            beta_star, rate_star = max(tried.items(), key=lambda kv: kv[1])
+            notes.append("refinement left the scan maximum; best evaluated point returned")
         if cap is not None and (abs(beta_star - lo) < 1e-6 or abs(beta_star - hi) < 1e-6):
             side = "+" if abs(beta_star - hi) < 1e-6 else "-"
             notes.append("scan maximum at the cap edge")
             return _boundary(side, cap, obj, notes)
-        return OptimalLeverage(beta_star, obj(beta_star), "concave_search",
+        return OptimalLeverage(beta_star, rate_star, "concave_search",
                                notes=tuple(notes))
 
     raise TypeError(f"unknown model kind {m.kind!r}")

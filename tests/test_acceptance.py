@@ -142,6 +142,7 @@ def test_criterion_4_martingale_certificates():
     report(4, "runtime under 2 min", elapsed < 120.0, f"{elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_mc_vs_analytic():
     start = time.monotonic()
     for kind, model in BASE_MODELS.items():

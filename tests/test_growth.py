@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from letfgrowth.errors import ConditionUnmet
+from letfgrowth.errors import ConditionUnmet, LetfGrowthError
 from letfgrowth.growth import (
     cir_exponential_moment_growth,
     display_growth_value,
@@ -171,6 +171,44 @@ def test_growth_curve_parabola_and_error_collection():
     pts = growth_curve(vg, np.array([5.0, 9.5, 12.0]))
     finites = [p.growth.is_finite for p in pts]
     assert finites == [True, False, False]
+
+
+def criterion7_quadratic(seed, d):
+    """Quadratic model from the criterion-7 recipe: SPD a, Hurwitz B."""
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(d, d))
+    a = M @ M.T + d * np.eye(d)
+    B = rng.normal(size=(d, d))
+    B = B - (np.max(np.linalg.eigvals(B).real) + 0.5 + rng.uniform(0, 2)) * np.eye(d)
+    return Quadratic(b=rng.normal(scale=0.1, size=d), Bmat=B, sigma=np.linalg.cholesky(a))
+
+
+@pytest.mark.parametrize("model", [BASE_MODELS["quadratic"], criterion7_quadratic(24, 4)],
+                         ids=["catalog", "criterion7_d4"])
+def test_quadratic_curve_matches_pointwise_growth_rate(model):
+    # The curve solves the Riccati chain for the whole grid in batches; each
+    # point must be what growth_rate gives alone, errors included.  The d = 4
+    # model loses its stabilizing branch on part of (0, 1), and at some of
+    # those betas the Schur reordering itself fails.
+    vp = vp_of(model)
+    betas = np.linspace(-1.0, 2.0, 601)
+    assert 0.0 in betas
+    points = growth_curve(vp, betas)
+    errors = 0
+    for p in points:
+        try:
+            g, err = growth_rate(vp.with_beta(p.beta)), None
+        except LetfGrowthError as exc:
+            g, err = None, type(exc).__name__
+        assert (p.error.split(":")[0] if p.error else None) == err
+        if err is not None:
+            errors += 1
+            assert 0.0 < p.beta < 1.0
+            continue
+        assert p.growth.classification == g.classification
+        if g.is_finite:
+            assert p.growth.rate == pytest.approx(g.rate, rel=1e-12, abs=1e-15)
+    assert errors == 0 if model is BASE_MODELS["quadratic"] else errors > 0
 
 
 def test_growth_curve_input_validation():

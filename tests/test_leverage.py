@@ -208,6 +208,23 @@ def test_quadratic_concave_search():
     assert val >= objective_value(vp, b - 1e-3) - 1e-12
 
 
+def test_quadratic_optimum_no_worse_than_cash():
+    # The objective rises until beta ~ 0.047, where it becomes infinite and
+    # then the stabilizing branch ends; a refinement that walks past that
+    # edge must not report the -inf side as the optimum.
+    vp = vp_of(Quadratic(b=[0.0], Bmat=[[-0.3]], sigma=[[1.0]]))
+    cash = objective_value(vp, 0.0)
+    assert cash == pytest.approx(0.005, abs=1e-15)
+    for cap in ((-3.0, 3.0), None):
+        opt = optimal_beta(vp, cap=cap)
+        b = opt.beta_star
+        val = objective_value(vp, b)
+        assert math.isfinite(val) and opt.rate_at_star == val
+        assert val >= cash
+        assert val >= objective_value(vp, b + 1e-3) - 1e-12
+        assert val >= objective_value(vp, b - 1e-3) - 1e-12
+
+
 def test_quadratic_no_finite_region():
     m = Quadratic(b=[0.0], Bmat=[[-0.5]], sigma=[[1.0]])
     vp = vp_of(m, alpha=1.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from letfgrowth import riccati
 from letfgrowth.errors import NoStabilizingSolution, NotHurwitz, SingularSystem
 from letfgrowth.models import Quadratic
 from letfgrowth.riccati import (
@@ -12,6 +13,7 @@ from letfgrowth.riccati import (
     quadratic_eigenvalue,
     riccati_residual,
     scalar_stabilizing_v,
+    solve_quadratic_grid,
     solve_quadratic_model,
     solve_stabilizing_riccati,
     stationary_covariance,
@@ -58,7 +60,9 @@ def test_isotropic_d2_reduces_to_scalar():
 def test_matrix_vs_scalar_sweep():
     for B in (-0.3, -1.0, -2.5, 0.7):
         for a in (0.5, 1.0, 2.0):
-            for q in (0.1, 1.0, 5.0, 12.0):
+            for q in (-0.2, 0.0, 0.1, 1.0, 5.0, 12.0):
+                if B * B + 2.0 * q * a * a <= 0.0:
+                    continue
                 sol = solve_stabilizing_riccati(np.array([[a]]), np.array([[B]]), q)
                 want = scalar_stabilizing_v(a, B, q)
                 assert abs(sol.V[0, 0] - want) <= 1e-12 * max(1.0, abs(want))
@@ -89,6 +93,55 @@ def test_no_stabilizing_solution_for_strongly_negative_killing():
     # axis symmetrically; there is no stable d-dimensional subspace.
     with pytest.raises(NoStabilizingSolution):
         solve_stabilizing_riccati(np.array([[1.0]]), np.array([[-1.0]]), -2.0)
+
+
+def test_schur_reordering_failure_is_no_stabilizing_solution(monkeypatch):
+    # scipy reports a reordering that loses an eigenvalue to the other half
+    # plane as a numpy LinAlgError; the library reports a missing branch.
+    def failing_schur(*args, **kwargs):
+        raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition")
+
+    monkeypatch.setattr(riccati.sla, "schur", failing_schur)
+    with pytest.raises(NoStabilizingSolution, match="Schur reordering failed"):
+        solve_stabilizing_riccati(np.eye(2), -np.eye(2), 1.0)
+
+
+def test_singular_member_of_a_batched_solve_fails_alone():
+    A = np.stack([np.eye(2), np.zeros((2, 2)), 2.0 * np.eye(2)])
+    x, errors = riccati._solve_stack(A, np.ones((3, 2, 1)), "test system")
+    assert errors[0] is None and errors[2] is None
+    assert isinstance(errors[1], SingularSystem)
+    assert np.array_equal(x[0], np.ones((2, 1))) and np.array_equal(x[2], np.full((2, 1), 0.5))
+
+
+def test_grid_matches_single_beta_solves():
+    rng = _rng()
+    d = 4
+    m = Quadratic(b=rng.normal(scale=0.1, size=d), Bmat=random_hurwitz(rng, d),
+                  sigma=np.linalg.cholesky(random_spd(rng, d)))
+    betas = np.linspace(-2.0, 3.0, 2 * riccati._chunk_size(d) + 3)  # three chunks
+    grid = list(solve_quadratic_grid(m, 0.5, betas))
+    assert len(grid) == betas.size
+    n_failed = 0
+    for beta, got in zip(betas, grid):
+        try:
+            want = solve_quadratic_model(m, 0.5, float(beta))
+        except NoStabilizingSolution as exc:
+            assert type(got) is type(exc)
+            n_failed += 1
+            continue
+        assert got.q_coeff == want.q_coeff
+        for x, y in ((got.V, want.V), (got.u, want.u), (got.stationary.covariance,
+                     want.stationary.covariance), (got.convergence.eigs_precision,
+                     want.convergence.eigs_precision)):
+            assert np.allclose(x, y, rtol=1e-12, atol=1e-14)
+        assert got.lam == pytest.approx(want.lam, rel=1e-12, abs=1e-14)
+    assert 0 < n_failed < betas.size
+    # No beta of this grid has a stabilizing branch: the steps after the
+    # Schur seed run on empty stacks.
+    m1 = Quadratic(b=[0.0], Bmat=[[-0.3]], sigma=[[1.0]])
+    assert all(isinstance(s, NoStabilizingSolution)
+               for s in solve_quadratic_grid(m1, 0.5, np.linspace(0.1, 0.9, 5)))
 
 
 def test_compute_u_cases():
