@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .eigen import eigenpair
 from .errors import ConditionUnmet, LetfGrowthError
@@ -234,8 +233,7 @@ def growth_rate(vp: ValidatedProblem) -> GrowthRate:
 def _quadratic_growth(vp: ValidatedProblem, beta: float,
                       sol: QuadraticSolution) -> GrowthRate:
     """Quadratic-model growth rate at beta from its solved Riccati chain."""
-    m = vp.model
-    a = m.a
+    uau, tr_av, ub = sol.lambda_terms
     max_eig = float(sol.convergence.eigs_precision[-1])
     cond = _condition(
         "all eigenvalues of V + alpha*beta*I - inv(Sigma_inf)/2 negative "
@@ -243,9 +241,9 @@ def _quadratic_growth(vp: ValidatedProblem, beta: float,
         -max_eig, 0.0)
     comps = {
         "rate_term": vp.r * vp.alpha * (1.0 - beta),
-        "half_uau": 0.5 * float(sol.u @ a @ sol.u),
-        "trace_aV": -float(np.trace(a @ sol.V)),
-        "u_b": -float(sol.u @ m.b),
+        "half_uau": 0.5 * uau,
+        "trace_aV": -tr_av,
+        "u_b": -ub,
     }
     return _finite(cond, comps) if cond.satisfied else _infinite(cond, comps)
 
@@ -377,6 +375,8 @@ def stationary_power_moment_garch(p: float, theta: float, a: float,
     (2 theta / sigma^2)**p * Gamma(gamma - p) / Gamma(gamma) when gamma > p,
     and +inf otherwise.
     """
+    from scipy.special import gammaln
+
     if theta <= 0.0 or a <= 0.0 or sigma <= 0.0:
         raise ValueError("theta, a, sigma must be positive")
     gamma = 2.0 * a / sigma ** 2 + 1.0

@@ -44,8 +44,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.special import gammaln, ive
 
 from .eigen import Eigenpair
 from .errors import AllPathsDiverged, SchemeUnstable
@@ -461,13 +459,15 @@ def _ou_step_law(Bmat: np.ndarray, a: np.ndarray, b: np.ndarray, dt: float):
     The step covariance int_0^dt exp(Bs) a exp(B^T s) ds comes from the
     block-matrix exponential of [[-B, a], [0, B^T]] (Van Loan).
     """
+    from scipy.linalg import expm
+
     d = Bmat.shape[0]
-    Ad = sla.expm(Bmat * dt)
+    Ad = expm(Bmat * dt)
     blk = np.zeros((2 * d, 2 * d))
     blk[:d, :d] = -Bmat
     blk[:d, d:] = a
     blk[d:, d:] = Bmat.T
-    eb = sla.expm(blk * dt)
+    eb = expm(blk * dt)
     cov = Ad @ eb[:d, d:]
     cov = 0.5 * (cov + cov.T)
     w, q = np.linalg.eigh(cov)
@@ -475,7 +475,7 @@ def _ou_step_law(Bmat: np.ndarray, a: np.ndarray, b: np.ndarray, dt: float):
     aug = np.zeros((d + 1, d + 1))
     aug[:d, :d] = Bmat
     aug[:d, d] = b
-    bd = sla.expm(aug * dt)[:d, d]
+    bd = expm(aug * dt)[:d, d]
     return Ad, bd, Ld
 
 
@@ -811,6 +811,8 @@ def cir_log_density(x, t: float, ell: float, mu: float, sigma: float,
     the exponentially scaled Bessel function, so neither tail can overflow
     or corrupt downstream log-domain integrands.
     """
+    from scipy.special import ive
+
     if t <= 0.0:
         raise ValueError("t must be positive")
     q = 2.0 * ell / sigma ** 2 - 1.0
@@ -853,6 +855,8 @@ def garch_stationary_density(y, theta: float, a: float, sigma: float):
     not the limiting shape, but is kept in the signature for symmetry with
     the transformation.
     """
+    from scipy.special import gammaln
+
     if theta <= 0.0 or a <= 0.0 or sigma <= 0.0:
         raise ValueError("theta, a, sigma must be positive")
     y = np.asarray(y, dtype=float)

@@ -17,30 +17,45 @@ Form the 2d x 2d Hamiltonian-type matrix
     H = [[ B,   -2a ],
          [ -q a, -B^T ]],
 
-take an ordered real Schur decomposition selecting the d-dimensional stable
-invariant subspace spanned by [U; W], and set V = W U^{-1}.  (Eigenvalues of
-H come in +/- pairs; a complementary stable subspace of dimension d exists
-exactly when a stabilizing solution does.)  A Newton step then polishes V to
-full accuracy: with F = B - 2 a V it solves the Sylvester equation
-F^T E + E F = R(V) for the correction E, written as the d^2 x d^2 linear
-system (F^T (x) I + I (x) F^T) vec E = vec R.  A V whose scaled residual
-still fails the gate is polished again, at most three more times.  The
-Lyapunov equation F Sigma + Sigma F^T + a = 0 of the stationary law is
-solved in the same Kronecker form.
+take a basis [U; W] of its d-dimensional stable invariant subspace and set
+V = W U^{-1}.  (Eigenvalues of H come in +/- pairs; a complementary stable
+subspace of dimension d exists exactly when a stabilizing solution does.)
+The basis is seeded by eigenvectors (Potter 1966): one batched
+``np.linalg.eig`` of the stack of Hamiltonians gives each beta's spectrum,
+and the d eigenvectors whose eigenvalues have negative real part span the
+stable subspace.  They are complex where eigenvalues pair up off the real
+axis, but the subspace is closed under conjugation, so V is real up to
+rounding; its real part is kept once its imaginary part and its asymmetry
+are both negligible.  A Newton step then polishes V to full accuracy: with
+F = B - 2 a V it solves the Sylvester equation F^T E + E F = R(V) for the
+correction E, written as the d^2 x d^2 linear system
+(F^T (x) I + I (x) F^T) vec E = vec R.  A V whose scaled residual still
+fails the gate is polished again, at most three more times.  The closed
+loop must then be Hurwitz.  The Lyapunov equation F Sigma + Sigma F^T + a = 0
+of the stationary law is solved in the same Kronecker form.
 
-Only the ordered Schur decomposition runs one beta at a time.  Every step
-after it -- the subspace dimension, conditioning and symmetry checks,
-V = W U^{-1}, the polish and its residual gate, the Hurwitz test, u,
-lambda, the Lyapunov covariance, the mean and the convergence matrices --
-runs once on the stack of all betas of a call, so a beta grid costs a fixed
-number of numpy calls per chunk instead of about fifteen per beta.  The
-betas are taken in chunks of ``_chunk_size(d)``: 64, or fewer where a
-stack of Kronecker matrices would pass 2^16 entries (512 KB), which keeps
-the memory of a call flat in the grid size.  A beta that fails a check leaves
-the stack and keeps its own error; when a batched solve meets a singular
-member it is solved again one member at a time, so the ``SingularSystem``
-lands on that beta alone.  The single-beta functions below are the
-batch-of-one case of the same kernels.
+A beta whose eigenvector seed fails any check -- the spectrum does not
+split d/d, U is ill-conditioned or singular, V is not real symmetric, the
+polish misses the gate, or the closed loop is not Hurwitz -- is solved again
+from an ordered real Schur decomposition (Laub 1979), one beta at a time,
+through the same checks.  That fallback is the only source of errors of the
+stabilizing branch, so every error, its type and its message come from the
+Schur seed.  The anti-stabilizing branch, used by negative tests only, is
+always seeded by Schur.  scipy is imported by the Schur seed alone: a beta
+grid whose eigenvector seeds all pass never loads it.
+
+Every step after the seed -- the subspace dimension, conditioning and
+symmetry checks, V = W U^{-1}, the polish and its residual gate, the
+Hurwitz test, u, lambda, the Lyapunov covariance, the mean and the
+convergence matrices -- runs once on the stack of all betas of a call, so a
+beta grid costs a fixed number of numpy calls per chunk instead of about
+fifteen per beta.  The betas are taken in chunks of ``_chunk_size(d)``: 64,
+or fewer where a stack of Kronecker matrices would pass 2^16 entries
+(512 KB), which keeps the memory of a call flat in the grid size.  A beta
+that fails a check leaves the stack and keeps its own error; when a batched
+solve meets a singular member it is solved again one member at a time, so
+the ``SingularSystem`` lands on that beta alone.  The single-beta functions
+below are the batch-of-one case of the same kernels.
 
 The factor on the lower-left block is -q a, not -2 q a: with it, the scalar
 case a=1, B=-1 gives V = (-1 + sqrt(1 + 2q))/2 and closed loop
@@ -54,7 +69,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     IllConditioned,
@@ -181,7 +195,7 @@ def _solve_stack(A: np.ndarray, rhs: np.ndarray, what: str):
     except np.linalg.LinAlgError:
         pass
     rhs = np.broadcast_to(rhs, A.shape[:-1] + rhs.shape[-1:])
-    x = np.full(rhs.shape, np.nan)
+    x = np.full(rhs.shape, np.nan, dtype=np.result_type(A, rhs))
     errors: list = [None] * len(A)
     for i in range(len(A)):
         try:
@@ -243,19 +257,46 @@ def scalar_stabilizing_v(a: float, B: float, q_coeff: float) -> float:
     return (B + np.sqrt(disc)) / (2.0 * a)
 
 
-def _schur_seeds(a, Bmat, qs, side: str):
-    """Ordered real Schur vectors of each beta's Hamiltonian, one at a time."""
+def _hamiltonians(a, Bmat, qs):
+    """Stack of each beta's Hamiltonian [[B, -2a], [-q a, -B^T]]."""
     n, d = len(qs), Bmat.shape[0]
     H = np.empty((n, 2 * d, 2 * d))
     H[:, :d, :d] = Bmat
     H[:, :d, d:] = -2.0 * a
     H[:, d:, :d] = -qs[:, None, None] * a
     H[:, d:, d:] = -Bmat.T
+    return H
+
+
+def _eig_seeds(H, d: int):
+    """Eigenvectors of each Hamiltonian's d stable eigenvalues, from one
+    batched eig.  A member whose spectrum does not split d/d gets an error,
+    which only sends it to the Schur seed."""
+    n = len(H)
+    try:
+        w, X = np.linalg.eig(H)
+    except np.linalg.LinAlgError as exc:
+        return (np.empty((n, 2 * d, d), dtype=complex),
+                [NoStabilizingSolution(f"eigendecomposition failed: {exc}")] * n)
+    re = w.real
+    sdim = (re < 0.0).sum(axis=-1)
+    stable_first = np.argsort(re, axis=-1)[:, :d]
+    return np.swapaxes(X[np.arange(n)[:, None], :, stable_first], -1, -2), [
+        None if k == d else NoStabilizingSolution(
+            f"stable eigenspace has dimension {k}, expected {d}")
+        for k in sdim.tolist()]
+
+
+def _schur_seeds(H, qs, side: str):
+    """Ordered real Schur vectors of each Hamiltonian, one at a time."""
+    from scipy.linalg import schur
+
+    n, d = len(qs), H.shape[-1] // 2
     Z = np.empty_like(H)
     errors: list = [None] * n
     for i in range(n):
         try:
-            _, Z[i], sdim = sla.schur(H[i], output="real", sort=side)
+            _, Z[i], sdim = schur(H[i], output="real", sort=side)
         except np.linalg.LinAlgError as exc:
             # Rounding during the reordering moved an eigenvalue across the
             # imaginary axis: H has eigenvalues on or next to the axis, where
@@ -271,7 +312,8 @@ def _schur_seeds(a, Bmat, qs, side: str):
 
 
 def _subspace_solutions(Z, d: int, batch: _Batch):
-    """V = W U^{-1} from each Schur basis [U; W], with its checks."""
+    """V = W U^{-1} from each basis [U; W], real Schur or complex
+    eigenvector, with its checks."""
     U, W = Z[:, :d, :d], Z[:, d:, :d]
     cond = np.linalg.cond(U)
     ok = np.isfinite(cond) & (cond <= COND_LIMIT)
@@ -286,6 +328,13 @@ def _subspace_solutions(Z, d: int, batch: _Batch):
     (V,) = batch.drop([None if good else NoStabilizingSolution(
         f"subspace solution not symmetric (skew {s:.3e})")
         for good, s in zip(ok.tolist(), asym.tolist())], V)
+    if np.iscomplexobj(V):
+        imag = _max_abs(V.imag)
+        ok = imag <= 1e-6 * np.maximum(1.0, _max_abs(V))
+        (V,) = batch.drop([None if good else NoStabilizingSolution(
+            f"subspace solution not real (imaginary part {s:.3e})")
+            for good, s in zip(ok.tolist(), imag.tolist())], V)
+        V = V.real
     return _sym(V)
 
 
@@ -323,16 +372,10 @@ def _polish(V, a, Bmat, qs, batch: _Batch):
                        for good, r in zip(ok.tolist(), res.tolist())], V, res)
 
 
-def _riccati_stack(a, Bmat, qs, side: str, batch: _Batch):
-    """V, closed loop, residual and closed-loop max real part for each q.
-
-    ``side`` "lhp" is the stabilizing branch, Newton-polished; "rhp" is the
-    anti-stable branch, unpolished.
-    """
-    d = Bmat.shape[0]
-    Z, errors = _schur_seeds(a, Bmat, qs, side)
-    (Z,) = batch.drop(errors, Z)
-    V = _subspace_solutions(Z, d, batch)
+def _branch(Z, a, Bmat, qs, side: str, batch: _Batch):
+    """V, closed loop, residual and closed-loop max real part from each seed
+    basis; "lhp" V are Newton-polished, "rhp" V are not."""
+    V = _subspace_solutions(Z, Bmat.shape[0], batch)
     if side == "lhp":
         V, res = _polish(V, a, Bmat, qs, batch)
     else:
@@ -340,6 +383,42 @@ def _riccati_stack(a, Bmat, qs, side: str, batch: _Batch):
     F = Bmat - 2.0 * a @ V
     max_re = np.linalg.eigvals(F).real.max(axis=-1)
     return V, F, res, max_re
+
+
+def _schur_branch(H, a, Bmat, qs, side: str, batch: _Batch):
+    Z, errors = _schur_seeds(H, qs, side)
+    (Z,) = batch.drop(errors, Z)
+    return _branch(Z, a, Bmat, qs, side, batch)
+
+
+def _riccati_stack(a, Bmat, qs, side: str, batch: _Batch):
+    """V, closed loop, residual and closed-loop max real part for each q.
+
+    ``side`` "lhp" is the stabilizing branch: eigenvector-seeded, with the
+    Schur seed for the members whose eigenvector seed fails a check (see the
+    module docstring).  "rhp" is the anti-stable branch, Schur-seeded.
+    ``batch`` holds every member of ``qs`` on entry.
+    """
+    H = _hamiltonians(a, Bmat, qs)
+    if side == "rhp":
+        return _schur_branch(H, a, Bmat, qs, side, batch)
+    seeded = _Batch(len(qs))
+    Z, errors = _eig_seeds(H, Bmat.shape[0])
+    (Z,) = seeded.drop(errors, Z)
+    stacks = _branch(Z, a, Bmat, qs, side, seeded)
+    stacks = seeded.drop([None if hurwitz else NotHurwitz("closed loop is not Hurwitz")
+                          for hurwitz in (stacks[3] < 0.0).tolist()], *stacks)
+    redo = np.flatnonzero([exc is not None for exc in seeded.errors])
+    if redo.size == 0:
+        return stacks
+    fallback = _Batch(redo.size)
+    redone = _schur_branch(H[redo], a, Bmat, qs[redo], side, fallback)
+    for i, exc in zip(redo.tolist(), fallback.errors):
+        batch.errors[i] = exc
+    idx = np.concatenate([seeded.idx, redo[fallback.idx]])
+    order = np.argsort(idx)
+    batch.idx = idx[order]
+    return tuple(np.concatenate(pair)[order] for pair in zip(stacks, redone))
 
 
 def _drift_shift(V, a, Bmat, b):
@@ -358,10 +437,11 @@ def _drift_shift(V, a, Bmat, b):
     return u, errors
 
 
-def _eigenvalues(V, u, a, b):
-    """lambda = -u^T a u / 2 + tr(a V) + u^T b for each (V, u)."""
+def _lambda_terms(V, u, a, b):
+    """u^T a u, tr(a V) and u^T b for each (V, u): the terms of
+    lambda = -u^T a u / 2 + tr(a V) + u^T b."""
     uau = (u[:, None, :] @ a @ u[:, :, None])[:, 0, 0]
-    return -0.5 * uau + np.trace(a @ V, axis1=-2, axis2=-1) + u @ b
+    return uau, np.trace(a @ V, axis1=-2, axis2=-1), u @ b
 
 
 def _stationary_stack(F, a, drift):
@@ -465,7 +545,8 @@ def quadratic_eigenvalue(V: np.ndarray, u: np.ndarray, a: np.ndarray,
     """
     V = np.atleast_2d(np.asarray(V, dtype=float))
     u = np.asarray(u, dtype=float)
-    return float(_eigenvalues(V[None], u[None], a, np.asarray(b, dtype=float))[0])
+    uau, tr_av, ub = _lambda_terms(V[None], u[None], a, np.asarray(b, dtype=float))
+    return float(-0.5 * uau[0] + tr_av[0] + ub[0])
 
 
 def stationary_covariance(closed_loop: np.ndarray, a: np.ndarray,
@@ -510,6 +591,7 @@ class QuadraticSolution:
     stationary: StationaryGaussian
     convergence: ConvergenceMatrix
     q_coeff: float
+    lambda_terms: tuple[float, float, float]  # u^T a u, tr(a V), u^T b
 
     @property
     def V(self) -> np.ndarray:
@@ -534,7 +616,8 @@ def _solve_chunk(model: Quadratic, alpha: float, betas: np.ndarray) -> list:
                             for hurwitz in (max_re < 0.0).tolist()], V, F, res)
     u, errors = _drift_shift(V, a, Bmat, b)
     V, F, res, u = batch.drop(errors, V, F, res, u)
-    lam = _eigenvalues(V, u, a, b)
+    uau, tr_av, ub = _lambda_terms(V, u, a, b)
+    lam = -0.5 * uau + tr_av + ub
     sig, lres, mean, stat_errors = _stationary_stack(F, a, b - u @ a.T)
     c_cov, c_prec, e_cov, e_prec, conv_errors = _convergence_stack(
         V, alpha, betas[batch.idx], sig)
@@ -547,7 +630,8 @@ def _solve_chunk(model: Quadratic, alpha: float, betas: np.ndarray) -> list:
             stationary=StationaryGaussian(mean=mean[j], covariance=sig[j],
                                           lyapunov_residual=float(lres[j])),
             convergence=_convergence_matrix(c_cov[j], c_prec[j], e_cov[j], e_prec[j]),
-            q_coeff=float(qs[i]))
+            q_coeff=float(qs[i]),
+            lambda_terms=(float(uau[j]), float(tr_av[j]), float(ub[j])))
     return out
 
 

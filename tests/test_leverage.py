@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from letfgrowth.errors import NoFiniteRegion
 from letfgrowth.growth import growth_rate
 from letfgrowth.leverage import (
+    _finite_interval,
     golden_section_max,
     lambda_derivative,
     objective_value,
@@ -18,6 +21,7 @@ from letfgrowth.models import (
     ExtendedCir,
     Garch,
     Gbm,
+    GbmInverseGarchRate,
     GbmVasicek,
     HestonSV,
     InverseGarch,
@@ -236,3 +240,33 @@ def test_cap_validation():
     vp = vp_of(Gbm(mu=0.05, sigma=0.2))
     with pytest.raises(ValueError):
         optimal_beta(vp, cap=(3.0, -3.0))
+
+
+_POSITIVE = st.floats(0.01, 5.0)
+_HALF_LINE_MODELS = st.one_of(
+    st.builds(Garch, theta=_POSITIVE, a=_POSITIVE, sigma=_POSITIVE),
+    # theta > sigma^2 and theta > delta^2 are drawn as sigma^2 (1 + excess).
+    st.builds(lambda a, sigma, excess: InverseGarch(theta=sigma ** 2 * (1.0 + excess),
+                                                    a=a, sigma=sigma),
+              _POSITIVE, _POSITIVE, _POSITIVE),
+    st.builds(lambda mu, sigma, a, delta, excess, rho: GbmInverseGarchRate(
+                  mu=mu, sigma=sigma, theta=delta ** 2 * (1.0 + excess), a=a,
+                  delta=delta, rho=rho, r0=0.05),
+              _POSITIVE, _POSITIVE, _POSITIVE, _POSITIVE, _POSITIVE,
+              st.floats(-1.0, 1.0)),
+)
+
+
+@given(model=_HALF_LINE_MODELS, alpha=st.floats(0.01, 1.0), beta=st.floats(-20.0, 20.0))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_finite_interval_agrees_with_growth_condition(model, alpha, beta):
+    # The optimizer's finite region and growth_rate's finiteness condition
+    # code the same inequality twice; off the boundary they must agree, at
+    # the drawn beta and just inside and outside each finite edge.
+    lo, hi, _ = _finite_interval(vp_of(model, alpha=alpha))
+    edges = [e + side * 1e-6 * max(1.0, abs(e))
+             for e in (lo, hi) if math.isfinite(e) for side in (-1.0, 1.0)]
+    for b in [beta] + edges:
+        g = growth_rate(vp_of(model, alpha=alpha, beta=b))
+        if not g.condition.near_boundary:
+            assert g.is_finite == (lo < b < hi)

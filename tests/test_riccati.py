@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from letfgrowth import riccati
 from letfgrowth.errors import NoStabilizingSolution, NotHurwitz, SingularSystem
@@ -95,15 +96,70 @@ def test_no_stabilizing_solution_for_strongly_negative_killing():
         solve_stabilizing_riccati(np.array([[1.0]]), np.array([[-1.0]]), -2.0)
 
 
+def _no_split_eig(H):
+    """An eig whose spectra never split d/d, so every member falls back."""
+    return np.ones(H.shape[:-1]), np.broadcast_to(np.eye(H.shape[-1]), H.shape).copy()
+
+
 def test_schur_reordering_failure_is_no_stabilizing_solution(monkeypatch):
     # scipy reports a reordering that loses an eigenvalue to the other half
     # plane as a numpy LinAlgError; the library reports a missing branch.
     def failing_schur(*args, **kwargs):
         raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition")
 
-    monkeypatch.setattr(riccati.sla, "schur", failing_schur)
+    monkeypatch.setattr(np.linalg, "eig", _no_split_eig)
+    monkeypatch.setattr(scipy.linalg, "schur", failing_schur)
     with pytest.raises(NoStabilizingSolution, match="Schur reordering failed"):
         solve_stabilizing_riccati(np.eye(2), -np.eye(2), 1.0)
+
+
+def test_fallback_members_match_a_schur_only_solve(monkeypatch):
+    # Within one chunk, members whose eigenvector seed selects the
+    # anti-stable subspace (caught by the Hurwitz test) or whose spectrum
+    # does not split d/d are solved again from the Schur seed; they must
+    # match a chunk solved from the Schur seed alone, errors included.
+    rng = _rng()
+    d = 3
+    m = Quadratic(b=rng.normal(scale=0.1, size=d), Bmat=random_hurwitz(rng, d),
+                  sigma=np.linalg.cholesky(random_spd(rng, d)))
+    betas = np.linspace(-1.0, 2.0, 31)
+    schur_calls = []
+    schur = scipy.linalg.schur
+
+    def counted_schur(H, *args, **kwargs):
+        schur_calls.append(H)
+        return schur(H, *args, **kwargs)
+
+    eig = np.linalg.eig
+
+    def spoiled_eig(H):
+        w, X = eig(H)
+        w[1::3] = -w[1::3]                  # seeds the anti-stable subspace
+        w[2::3] = np.abs(w[2::3].real)      # no stable eigenvalue at all
+        return w, X
+
+    def broken_eig(H):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+    monkeypatch.setattr(np.linalg, "eig", broken_eig)
+    want = list(solve_quadratic_grid(m, 0.5, betas))
+    assert len(schur_calls) == betas.size
+    monkeypatch.setattr(np.linalg, "eig", spoiled_eig)
+    schur_calls.clear()
+    got = list(solve_quadratic_grid(m, 0.5, betas))
+    assert sum(1 for i in range(betas.size) if i % 3) <= len(schur_calls) < betas.size
+    n_failed = 0
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        if isinstance(w, Exception):
+            assert str(g) == str(w)
+            n_failed += 1
+            continue
+        for x, y in ((g.V, w.V), (g.u, w.u)):
+            assert np.allclose(x, y, rtol=1e-12, atol=1e-14)
+        assert g.lam == pytest.approx(w.lam, rel=1e-12, abs=1e-14)
+    assert 0 < n_failed < betas.size
 
 
 def test_singular_member_of_a_batched_solve_fails_alone():
