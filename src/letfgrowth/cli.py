@@ -33,7 +33,7 @@ from .errors import ConfigError, LetfGrowthError, NoFiniteRegion
 from .eigen import default_grid, eigenpair, generator_residual
 from .growth import display_growth_value, growth_curve, growth_rate
 from .leverage import optimal_beta
-from .mc import SCHEMES, SimConfig, desk_config, simulate_growth, verdict_for
+from .mc import SimConfig, desk_config, simulate_growth, verdict_for
 from .models import (
     ConstantRate,
     GbmVasicek,
@@ -153,7 +153,7 @@ def _parse_sim(spec: str | None, seed: int | None, kind: str) -> SimConfig:
     n_paths = int(fields.get("paths", base.n_paths))
     sim_seed = int(fields.get("seed", base.seed))
     return SimConfig(horizon=horizon, n_steps=n_steps, n_paths=n_paths,
-                     seed=sim_seed, scheme=SCHEMES[kind])
+                     seed=sim_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,18 @@ Schemes per model
 
 Determinism
 -----------
-Paths are laid out in fixed blocks of ``block_size``; block ``j`` draws from
-``Philox(SeedSequence(seed, spawn_key=(j,)))`` regardless of how blocks are
-scheduled, so results are bit-identical for a given SimConfig.  Antithetic
-pairing mirrors the second half of each block against the first; statistics
-treat pair averages as the independent units.
+Paths are laid out in fixed blocks of ``block_size``; block ``j`` draws its
+normals from its own ``Philox(SeedSequence(seed, spawn_key=(j,)))`` stream,
+in the same order and count however blocks are grouped.  Consecutive blocks
+are fused into lanes of at most ``LANE_PATHS`` paths that run the kernel
+body once; every kernel operation acts path by path, so a path's value does
+not depend on its lane.  Utilities are stored checkpoint-major,
+``(checkpoints, paths)``: with antithetic pairing all pair firsts come
+first, in block order, and their mates (the negated draws) follow in the
+same order.  Statistics treat pair averages as the independent units and
+reduce them in that fixed order, so results are bit-identical for a given
+SimConfig.  A call keeps no state outside its own arrays, so calls from
+several threads do not interact.
 
 Utilities are accumulated in log space and exponentiated against a global
 per-checkpoint shift, so heavy tails show up as a collapsing effective
@@ -78,6 +85,9 @@ __all__ = [
 STATE_FLOOR = 1e-12
 TRUNCATION_BUDGET = 0.01  # fraction of (path, step) events
 OVERFLOW_BUDGET = 1e-3    # fraction of paths per checkpoint
+# Paths per fused lane: wide enough to amortize the per-step Python work,
+# narrow enough that a step's temporaries stay in cache.
+LANE_PATHS = 16384
 
 SCHEMES = {
     "gbm": "exact-lognormal",
@@ -108,7 +118,6 @@ class SimConfig:
     n_steps: int
     n_paths: int
     seed: int
-    scheme: str = "default"
     t_checkpoints: tuple[float, ...] = ()
     antithetic: bool = True
     block_size: int = 16384
@@ -153,7 +162,7 @@ def desk_config(vp_or_kind, seed: int = 42, horizon: float = 20.0,
     kind = vp_or_kind if isinstance(vp_or_kind, str) else vp_or_kind.model.kind
     per_year = 50 if kind in EXACT_SCHEME_KINDS else 400
     return SimConfig(horizon=horizon, n_steps=int(round(per_year * horizon)),
-                     n_paths=n_paths, seed=seed, scheme=SCHEMES[kind])
+                     n_paths=n_paths, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -203,40 +212,105 @@ def _blocks(n_paths: int, block_size: int):
     while start < n_paths:
         nb = min(block_size, n_paths - start)
         if nb % 2:
-            nb += 1  # cannot happen with even n_paths and even block size
+            # Only the last block of an odd run without antithetic pairing:
+            # it simulates one extra path, which is dropped.
+            nb += 1
         yield idx, start, nb
         start += nb
         idx += 1
 
 
-class _Draw:
-    """Antithetic normal draws: second half of the block mirrors the first."""
+def _lanes(n_paths: int, block_size: int):
+    """Consecutive blocks fused into lanes of at most LANE_PATHS paths
+    (a single block wider than that is a lane of its own)."""
+    lane, width = [], 0
+    for blk in _blocks(n_paths, block_size):
+        if lane and width + blk[2] > LANE_PATHS:
+            yield lane
+            lane, width = [], 0
+        lane.append(blk)
+        width += blk[2]
+    if lane:
+        yield lane
 
-    def __init__(self, rng: np.random.Generator, nb: int, antithetic: bool):
-        self.rng = rng
-        self.nb = nb
-        self.antithetic = antithetic
+
+class _Draw:
+    """Normals for one lane, laid out pair firsts then mates.
+
+    Each block of the lane draws its share of every request from its own
+    generator, in block order; with antithetic pairing the second half of
+    the lane mirrors the first.
+    """
+
+    def __init__(self, cfg: SimConfig, lane):
+        self.antithetic = cfg.antithetic
+        self._parts = []  # (generator, first column, width)
+        half = 0
+        for bidx, _, nb in lane:
+            width = nb // 2 if self.antithetic else nb
+            self._parts.append((_block_rng(cfg.seed, bidx), half, width))
+            half += width
+        self._half = half
+        self.nb = 2 * half if self.antithetic else half
 
     def normals(self) -> np.ndarray:
+        z = np.empty(self.nb)
+        for rng, col, width in self._parts:
+            rng.standard_normal(out=z[col:col + width])
         if self.antithetic:
-            z = self.rng.standard_normal(self.nb // 2)
-            return np.concatenate([z, -z])
-        return self.rng.standard_normal(self.nb)
+            np.negative(z[:self._half], out=z[self._half:])
+        return z
 
     def normals_matrix(self, d: int) -> np.ndarray:
+        z = np.empty((d, self.nb))
+        for rng, col, width in self._parts:
+            z[:, col:col + width] = rng.standard_normal((d, width))
         if self.antithetic:
-            z = self.rng.standard_normal((d, self.nb // 2))
-            return np.concatenate([z, -z], axis=1)
-        return self.rng.standard_normal((d, self.nb))
+            np.negative(z[:, :self._half], out=z[:, self._half:])
+        return z
+
+
+def _simulate(cfg: SimConfig, rows: int, kernel):
+    """Run ``kernel(draw, out)`` once per lane, ``out`` being (rows, lane
+    paths); return the rows of all paths, pair firsts before mates, and the
+    sum of the kernel's return values."""
+    n = cfg.n_paths
+    half = n // 2 if cfg.antithetic else 0
+    vals = np.empty((rows, n))
+    total = 0
+    done = 0  # pairs (antithetic) or paths stored so far
+    for lane in _lanes(n, cfg.block_size):
+        draw = _Draw(cfg, lane)
+        out = np.empty((rows, draw.nb))
+        total += kernel(draw, out)
+        if cfg.antithetic:
+            h = draw.nb // 2
+            vals[:, done:done + h] = out[:, :h]
+            vals[:, half + done:half + done + h] = out[:, h:]
+            done += h
+        else:
+            w = min(draw.nb, n - done)
+            vals[:, done:done + w] = out[:, :w]
+            done += w
+    return vals, total
+
+
+def _pairs(vals: np.ndarray, cfg: SimConfig):
+    """(firsts, mates) views along the last axis; without antithetic
+    pairing each path is its own pair."""
+    if not cfg.antithetic:
+        return vals, vals
+    h = vals.shape[-1] // 2
+    return vals[..., :h], vals[..., h:]
 
 
 # ---------------------------------------------------------------------------
-# Path kernels: fill (nb, K) with alpha * log L at the checkpoints
+# Path kernels: fill (K, nb) with alpha * log L at the checkpoints
 # ---------------------------------------------------------------------------
 
 def _kernel_growth(vp: ValidatedProblem, cfg: SimConfig, draw: _Draw,
                    out: np.ndarray) -> int:
-    """Simulate one block; returns the count of truncation events."""
+    """Simulate one lane; returns the count of truncation events."""
     m = vp.model
     alpha, beta = vp.alpha, vp.beta
     nb = draw.nb
@@ -257,7 +331,7 @@ def _kernel_growth(vp: ValidatedProblem, cfg: SimConfig, draw: _Draw,
             logx += (mu - 0.5 * sg * sg) * gap + sg * math.sqrt(gap) * draw.normals()
             logl = beta * logx - (beta - 1.0) * r * t \
                 - 0.5 * beta * (beta - 1.0) * sg * sg * t
-            out[:, k] = alpha * logl
+            out[k] = alpha * logl
             t_prev = t
         return 0
 
@@ -272,7 +346,7 @@ def _kernel_growth(vp: ValidatedProblem, cfg: SimConfig, draw: _Draw,
                     + sg * sqdt * draw.normals()
                 k = cp_col.get(step)
                 if k is not None:
-                    out[:, k] = alpha * (beta * z + drift_const * step * dt)
+                    out[k] = alpha * (beta * z + drift_const * step * dt)
         else:
             # Reciprocal is a GARCH diffusion with level a, reversion theta - sigma^2.
             th_g, a_g = m.a, m.theta - sg * sg
@@ -282,7 +356,7 @@ def _kernel_growth(vp: ValidatedProblem, cfg: SimConfig, draw: _Draw,
                     - sg * sqdt * draw.normals()
                 k = cp_col.get(step)
                 if k is not None:
-                    out[:, k] = alpha * (-beta * y + drift_const * step * dt)
+                    out[k] = alpha * (-beta * y + drift_const * step * dt)
         return 0
 
     if isinstance(m, ExtendedCir):
@@ -299,7 +373,7 @@ def _kernel_growth(vp: ValidatedProblem, cfg: SimConfig, draw: _Draw,
                 t = step * dt
                 logl = beta * np.log(np.maximum(x, STATE_FLOOR)) \
                     - (beta - 1.0) * r * t - 0.5 * beta * (beta - 1.0) * volint
-                out[:, k] = alpha * logl
+                out[k] = alpha * logl
         return trunc
 
     if isinstance(m, ThreeHalves):
@@ -316,7 +390,7 @@ def _kernel_growth(vp: ValidatedProblem, cfg: SimConfig, draw: _Draw,
                 t = step * dt
                 logl = -beta * np.log(np.maximum(y, STATE_FLOOR)) \
                     - (beta - 1.0) * r * t - 0.5 * beta * (beta - 1.0) * volint
-                out[:, k] = alpha * logl
+                out[k] = alpha * logl
         return trunc
 
     if isinstance(m, HestonSV):
@@ -338,7 +412,7 @@ def _kernel_growth(vp: ValidatedProblem, cfg: SimConfig, draw: _Draw,
                 t = step * dt
                 logl = beta * logx - (beta - 1.0) * r * t \
                     - 0.5 * beta * (beta - 1.0) * ivar
-                out[:, k] = alpha * logl
+                out[k] = alpha * logl
         return trunc
 
     if isinstance(m, ThreeHalvesSV):
@@ -364,7 +438,7 @@ def _kernel_growth(vp: ValidatedProblem, cfg: SimConfig, draw: _Draw,
                 t = step * dt
                 logl = beta * logx - (beta - 1.0) * r * t \
                     - 0.5 * beta * (beta - 1.0) * ivar
-                out[:, k] = alpha * logl
+                out[k] = alpha * logl
         return trunc
 
     if isinstance(m, GbmVasicek):
@@ -384,7 +458,7 @@ def _kernel_growth(vp: ValidatedProblem, cfg: SimConfig, draw: _Draw,
                 t = step * dt
                 logl = beta * logx - (beta - 1.0) * ri \
                     - 0.5 * beta * (beta - 1.0) * sg * sg * t
-                out[:, k] = alpha * logl
+                out[k] = alpha * logl
         return 0
 
     if isinstance(m, GbmInverseGarchRate):
@@ -407,7 +481,7 @@ def _kernel_growth(vp: ValidatedProblem, cfg: SimConfig, draw: _Draw,
                 t = step * dt
                 logl = beta * logx - (beta - 1.0) * ri \
                     - 0.5 * beta * (beta - 1.0) * sg * sg * t
-                out[:, k] = alpha * logl
+                out[k] = alpha * logl
         return 0
 
     if isinstance(m, Quadratic):
@@ -426,7 +500,7 @@ def _kernel_growth(vp: ValidatedProblem, cfg: SimConfig, draw: _Draw,
                 t = step * dt
                 logl = beta * np.sum(Y * Y, axis=0) - r * (beta - 1.0) * t \
                     - 2.0 * beta * (beta - 1.0) * qint
-                out[:, k] = alpha * logl
+                out[k] = alpha * logl
         return 0
 
     raise TypeError(f"no simulation kernel for model kind {m.kind!r}")
@@ -484,34 +558,15 @@ def _ou_step_law(Bmat: np.ndarray, a: np.ndarray, b: np.ndarray, dt: float):
 # ---------------------------------------------------------------------------
 
 def _collect(vp: ValidatedProblem, cfg: SimConfig):
-    K = len(cfg.t_checkpoints)
-    vals = np.empty((cfg.n_paths, K))
-    trunc_events = 0
-    for bidx, start, nb in _blocks(cfg.n_paths, cfg.block_size):
-        rng = _block_rng(cfg.seed, bidx)
-        draw = _Draw(rng, nb, cfg.antithetic)
-        block = np.empty((nb, K))
-        trunc_events += _kernel_growth(vp, cfg, draw, block)
-        vals[start:start + nb] = block[: cfg.n_paths - start]
+    vals, trunc_events = _simulate(
+        cfg, len(cfg.t_checkpoints),
+        lambda draw, out: _kernel_growth(vp, cfg, draw, out))
     trunc_frac = trunc_events / (cfg.n_paths * cfg.n_steps)
     if trunc_frac > TRUNCATION_BUDGET:
         raise SchemeUnstable(
             f"{100 * trunc_frac:.2f}% of steps truncated a negative state; "
             "refine the grid")
     return vals, trunc_frac
-
-
-def _pair_view(vals: np.ndarray, cfg: SimConfig):
-    """Collapse antithetic mates into pair rows (pairs live inside blocks)."""
-    if not cfg.antithetic:
-        return vals[:, None, :]  # each "pair" is a single path
-    chunks = []
-    for _, start, nb in _blocks(cfg.n_paths, cfg.block_size):
-        nb = min(nb, cfg.n_paths - start)
-        h = nb // 2
-        block = vals[start:start + nb]
-        chunks.append(np.stack([block[:h], block[h:]], axis=1))
-    return np.concatenate(chunks, axis=0)  # (n_pairs, 2, K)
 
 
 def _wls_slope(t: np.ndarray, lm: np.ndarray, cov: np.ndarray):
@@ -544,27 +599,33 @@ def simulate_growth(vp: ValidatedProblem, cfg: SimConfig) -> GrowthEstimate:
     SchemeUnstable
         If full-truncation clamping exceeds its budget.
     """
-    vals, trunc_frac = _collect(vp, cfg)
-    pairs = _pair_view(vals, cfg)          # (P, pair, K)
-    P, _, K = pairs.shape
+    vals, trunc_frac = _collect(vp, cfg)   # (K, paths)
+    firsts, mates = _pairs(vals, cfg)      # (K, P) each
+    K = vals.shape[0]
     t = np.asarray(cfg.t_checkpoints)
 
-    pair_ok = np.all(np.isfinite(pairs), axis=(1, 2))
-    per_cp_bad = np.mean(~np.isfinite(vals), axis=0)
-    overflow_fraction = float(np.max(per_cp_bad))
-    good = pairs[pair_ok]
-    n_good = good.shape[0]
+    finite = np.isfinite(vals)
+    overflow_fraction = float(np.max(np.mean(~finite, axis=1)))
+    ok_first, ok_mate = _pairs(np.all(finite, axis=0), cfg)
+    pair_ok = ok_first & ok_mate
+    n_good = int(np.count_nonzero(pair_ok))
+    all_ok = n_good == pair_ok.size
     if n_good == 0:
         raise AllPathsDiverged("no finite utility path at the checkpoints")
 
+    # The WLS fit and the acceleration test read only the tail checkpoints'
+    # covariance.
+    tail = K // 2
     lm = np.empty(K)
     se = np.empty(K)
     ess = np.empty(K)
-    g_rows = np.empty((n_good, K))
+    g_rows = np.empty((K - tail, n_good))
     for k in range(K):
-        x = good[:, :, k]
-        shift = float(np.max(x))
-        wp = 0.5 * (np.exp(x[:, 0] - shift) + np.exp(x[:, -1] - shift))
+        x1, x2 = firsts[k], mates[k]
+        if not all_ok:
+            x1, x2 = x1[pair_ok], x2[pair_ok]
+        shift = max(float(np.max(x1)), float(np.max(x2)))
+        wp = 0.5 * (np.exp(x1 - shift) + np.exp(x2 - shift))
         mean_w = float(np.mean(wp))
         lm[k] = math.log(mean_w) + shift
         sd = float(np.std(wp, ddof=1)) if n_good > 1 else 0.0
@@ -572,13 +633,11 @@ def simulate_growth(vp: ValidatedProblem, cfg: SimConfig) -> GrowthEstimate:
         s1 = float(np.sum(wp))
         s2 = float(np.sum(wp * wp))
         ess[k] = s1 * s1 / s2 if s2 > 0 else 0.0
-        g_rows[:, k] = wp / mean_w
+        if k >= tail:
+            g_rows[k - tail] = wp / mean_w
 
-    cov = np.cov(g_rows, rowvar=False, ddof=1) / n_good
-    cov = np.atleast_2d(cov)
-
-    tail = K // 2
-    slope, slope_se = _wls_slope(t[tail:], lm[tail:], cov[tail:, tail:])
+    cov = np.atleast_2d(np.cov(g_rows, ddof=1) / n_good)  # tail x tail
+    slope, slope_se = _wls_slope(t[tail:], lm[tail:], cov)
 
     reasons = []
     if overflow_fraction > OVERFLOW_BUDGET:
@@ -592,8 +651,9 @@ def simulate_growth(vp: ValidatedProblem, cfg: SimConfig) -> GrowthEstimate:
     # prefactor, which an affine tail has already shed.
     if K - tail >= 4:
         mid = tail + (K - tail) // 2
-        s1, se1 = _wls_slope(t[tail:mid], lm[tail:mid], cov[tail:mid, tail:mid])
-        s2, se2 = _wls_slope(t[mid:], lm[mid:], cov[mid:, mid:])
+        c = mid - tail
+        s1, se1 = _wls_slope(t[tail:mid], lm[tail:mid], cov[:c, :c])
+        s2, se2 = _wls_slope(t[mid:], lm[mid:], cov[c:, c:])
         gap_se = math.hypot(se1, se2)
         if s2 - s1 > 4.0 * max(gap_se, 1e-12):
             reasons.append(
@@ -631,7 +691,7 @@ def verdict_for(estimate: GrowthEstimate, analytic: GrowthRate,
 
 def _kernel_martingale(vp: ValidatedProblem, pair: Eigenpair, cfg: SimConfig,
                        draw: _Draw) -> np.ndarray:
-    """log M_T per path for one block; the state follows the generator's
+    """log M_T per path for one lane; the state follows the generator's
     own dynamics (the exponentially tilted drift for the stochastic
     volatility / rate variants)."""
     m = vp.model
@@ -776,24 +836,23 @@ def martingale_check(vp: ValidatedProblem, pair: Eigenpair, t: float,
     """
     if cfg is None:
         cfg = SimConfig(horizon=t, n_steps=max(50, int(round(steps_per_year * t))),
-                        n_paths=n_paths, seed=seed,
-                        scheme=SCHEMES[vp.model.kind], t_checkpoints=(t,))
-    logm_all = np.empty(cfg.n_paths)
-    for bidx, start, nb in _blocks(cfg.n_paths, cfg.block_size):
-        rng = _block_rng(cfg.seed, bidx)
-        draw = _Draw(rng, nb, cfg.antithetic)
-        logm_all[start:start + nb] = _kernel_martingale(vp, pair, cfg, draw)[
-            : cfg.n_paths - start]
-    pairs = _pair_view(logm_all[:, None], cfg)[:, :, 0]
-    ok = np.all(np.isfinite(pairs), axis=1)
-    good = pairs[ok]
-    if good.shape[0] == 0:
+                        n_paths=n_paths, seed=seed, t_checkpoints=(t,))
+
+    def kernel(draw, out):
+        out[0] = _kernel_martingale(vp, pair, cfg, draw)
+        return 0
+
+    logm, _ = _simulate(cfg, 1, kernel)
+    firsts, mates = _pairs(logm[0], cfg)
+    ok = np.isfinite(firsts) & np.isfinite(mates)
+    n_good = int(np.count_nonzero(ok))
+    if n_good == 0:
         raise AllPathsDiverged("martingale paths all overflowed")
-    wp = 0.5 * (np.exp(good[:, 0]) + np.exp(good[:, -1]))
+    wp = 0.5 * (np.exp(firsts[ok]) + np.exp(mates[ok]))
     mean = float(np.mean(wp))
-    sd = float(np.std(wp, ddof=1)) if good.shape[0] > 1 else 0.0
+    sd = float(np.std(wp, ddof=1)) if n_good > 1 else 0.0
     return MartingaleEstimate(t=cfg.horizon, mean=mean,
-                              stderr=sd / math.sqrt(good.shape[0]),
+                              stderr=sd / math.sqrt(n_good),
                               n_paths=cfg.n_paths)
 
 

@@ -170,8 +170,7 @@ def test_criterion_5_mc_vs_analytic():
 def test_criterion_6_garch_infinite_branch():
     vp = vp_of(Garch(theta=0.08, a=1.0, sigma=0.5), alpha=1.0, beta=10.0)
     analytic = growth_rate(vp)
-    cfg = SimConfig(horizon=15.0, n_steps=3000, n_paths=100_000, seed=42,
-                    scheme="log-euler")
+    cfg = SimConfig(horizon=15.0, n_steps=3000, n_paths=100_000, seed=42)
     est = simulate_growth(vp, cfg)
     report(6, "alpha*beta >= 2a/sigma^2 + 1 classified infinite",
            not analytic.is_finite,
@@ -219,8 +218,7 @@ def test_criterion_7_riccati_suite():
     assert sol.convergence.all_negative_precision
     assert not sol.convergence.all_negative_covariance
     analytic = growth_rate(vp)
-    cfg = SimConfig(horizon=10.0, n_steps=4000, n_paths=100_000, seed=42,
-                    scheme="exact-ou-quadratic")
+    cfg = SimConfig(horizon=10.0, n_steps=4000, n_paths=100_000, seed=42)
     est = simulate_growth(vp, cfg)
     gap = abs(est.slope - analytic.rate)
     tol = max(0.05 * abs(analytic.rate), 3.0 * est.slope_stderr)

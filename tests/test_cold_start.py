@@ -33,14 +33,17 @@ for vp in (scalar, quadratic):
 eigenpair(quadratic)
 with tempfile.TemporaryDirectory() as tmp:
     cli.run_figures(1, Path(tmp))
-print(" ".join(m for m in ("scipy.linalg", "scipy.special") if m in sys.modules))
+print(" ".join(m for m in ("scipy.linalg", "scipy.special", "concurrent.futures")
+               if m in sys.modules))
 """
 
 
 def test_closed_forms_do_not_load_scipy():
     # A fresh interpreter: scipy is loaded only by the Monte Carlo oracle,
     # the reference densities and the Riccati chain's Schur fallback, none
-    # of which these catalog closed forms reach.
+    # of which these catalog closed forms reach.  Nothing in the library
+    # needs concurrent.futures, so a stray import of it would only add to
+    # every start-up.
     src = str(Path(letfgrowth.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))

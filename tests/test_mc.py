@@ -1,6 +1,11 @@
 """Monte Carlo oracle: determinism, calibration, certificates, densities."""
 
+import json
 import math
+import sys
+import threading
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,11 +43,10 @@ def vp_of(model, alpha=0.5, beta=2.0, r=0.01, relax=False):
 SMALL = dict(n_paths=20000, seed=1234)
 
 
-def cfg_for(kind, horizon=10.0, steps_per_year=400, **kw):
+def cfg_for(horizon=10.0, steps_per_year=400, **kw):
     args = dict(SMALL)
     args.update(kw)
-    return SimConfig(horizon=horizon, n_steps=int(steps_per_year * horizon),
-                     scheme=kind, **args)
+    return SimConfig(horizon=horizon, n_steps=int(steps_per_year * horizon), **args)
 
 
 def test_sim_config_validation():
@@ -60,7 +64,7 @@ def test_sim_config_validation():
 
 def test_seed_determinism_bit_identical():
     vp = vp_of(BASE_MODELS["heston_sv"])
-    cfg = cfg_for("x", horizon=2.0, steps_per_year=100, n_paths=4000, seed=77)
+    cfg = cfg_for(horizon=2.0, steps_per_year=100, n_paths=4000, seed=77)
     a = simulate_growth(vp, cfg)
     b = simulate_growth(vp, cfg)
     assert np.array_equal(a.log_mean_utility, b.log_mean_utility)
@@ -70,7 +74,7 @@ def test_seed_determinism_bit_identical():
 def test_gbm_exact_scheme_calibration():
     # The oracle's own calibration case: log E[L^alpha] is exactly linear.
     vp = vp_of(Gbm(mu=0.05, sigma=0.2))
-    est = simulate_growth(vp, cfg_for("gbm", steps_per_year=50))
+    est = simulate_growth(vp, cfg_for(steps_per_year=50))
     assert not est.diverged
     assert abs(est.slope - 0.025) <= 3.0 * est.slope_stderr
     assert est.slope_stderr < 1e-3
@@ -78,16 +82,16 @@ def test_gbm_exact_scheme_calibration():
 
 def test_money_market_beta_zero_is_deterministic():
     vp = vp_of(BASE_MODELS["garch"], beta=0.0, r=0.03)
-    est = simulate_growth(vp, cfg_for("garch", horizon=4.0, n_paths=2000))
+    est = simulate_growth(vp, cfg_for(horizon=4.0, n_paths=2000))
     assert est.slope == pytest.approx(0.5 * 0.03, abs=1e-12)
     assert est.slope_stderr == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dt_bias_below_stderr_for_heston():
     vp = vp_of(BASE_MODELS["heston_sv"])
-    coarse = simulate_growth(vp, cfg_for("h", horizon=5.0, steps_per_year=200,
+    coarse = simulate_growth(vp, cfg_for(horizon=5.0, steps_per_year=200,
                                          n_paths=40000))
-    fine = simulate_growth(vp, cfg_for("h", horizon=5.0, steps_per_year=400,
+    fine = simulate_growth(vp, cfg_for(horizon=5.0, steps_per_year=400,
                                        n_paths=40000))
     assert abs(coarse.slope - fine.slope) <= 3.0 * math.hypot(
         coarse.slope_stderr, fine.slope_stderr)
@@ -97,7 +101,7 @@ def test_garch_infinite_branch_flags_divergence():
     vp = vp_of(Garch(theta=0.08, a=1.0, sigma=0.5), alpha=1.0, beta=10.0)
     analytic = growth_rate(vp)
     assert not analytic.is_finite
-    est = simulate_growth(vp, cfg_for("garch", horizon=15.0, n_paths=40000,
+    est = simulate_growth(vp, cfg_for(horizon=15.0, n_paths=40000,
                                       steps_per_year=200))
     assert est.diverged
     assert verdict_for(est, analytic) == "DIVERGED"
@@ -106,7 +110,7 @@ def test_garch_infinite_branch_flags_divergence():
 def test_quadratic_divergence_flag():
     m = Quadratic(b=[0.0], Bmat=[[-0.5]], sigma=[[1.0]])
     vp = vp_of(m, alpha=1.0, beta=2.0)
-    est = simulate_growth(vp, cfg_for("q", horizon=4.0, n_paths=20000))
+    est = simulate_growth(vp, cfg_for(horizon=4.0, n_paths=20000))
     assert est.diverged
 
 
@@ -116,7 +120,7 @@ def test_scheme_unstable_raises_on_heavy_truncation():
     m = HestonSV(mu=0.05, theta=0.001, a=0.5, delta=1.0, rho=0.0, v0=0.001)
     vp = vp_of(m, relax=True)
     with pytest.raises(SchemeUnstable):
-        simulate_growth(vp, cfg_for("h", horizon=2.0, n_paths=2000))
+        simulate_growth(vp, cfg_for(horizon=2.0, n_paths=2000))
 
 
 def test_verdict_logic():
@@ -291,4 +295,105 @@ def test_garch_long_run_matches_gamma():
 def test_desk_config_schemes():
     assert desk_config("gbm").n_steps == 1000       # exact scheme, 50/yr
     assert desk_config("heston_sv").n_steps == 8000  # Euler scheme, 400/yr
-    assert desk_config(vp_of(BASE_MODELS["gbm"])).scheme == "exact-lognormal"
+    vp = vp_of(BASE_MODELS["gbm"])
+    tiny = desk_config(vp, horizon=1.0, n_paths=1000)
+    assert simulate_growth(vp, tiny).scheme == "exact-lognormal"
+
+
+# ---------------------------------------------------------------------------
+# Golden streams and the per-call thread pool
+# ---------------------------------------------------------------------------
+
+GOLDEN_FILE = Path(__file__).with_name("mc_golden.json")
+GOLDEN_LAYOUTS = {
+    "two_blocks": dict(n_paths=2048, block_size=1024),
+    "partial_block": dict(n_paths=3000, block_size=1024),
+    "odd_unpaired": dict(n_paths=1001, block_size=512, antithetic=False),
+}
+
+
+def golden_cases():
+    """name -> (problem, SimConfig keywords, whether to run martingale_check)."""
+    garch_inf = vp_of(Garch(theta=0.08, a=1.0, sigma=0.5), alpha=1.0, beta=10.0)
+    cases = {}
+    for layout, kw in GOLDEN_LAYOUTS.items():
+        for kind, model in BASE_MODELS.items():
+            cases[f"{kind}/{layout}"] = (vp_of(model), kw, True)
+        cases[f"garch_infinite/{layout}"] = (garch_inf, kw, False)
+    # Forty 1,024-path blocks: three lanes, each of several blocks.
+    cases["heston_sv/lanes"] = (vp_of(BASE_MODELS["heston_sv"]),
+                                dict(n_paths=40_000, block_size=1024), True)
+    return cases
+
+
+def golden_record(vp, layout: dict, martingale: bool) -> dict:
+    """The seeded outputs of one case, floats as float.hex strings."""
+    cfg = SimConfig(horizon=1.0, n_steps=100, seed=2024, **layout)
+    est = simulate_growth(vp, cfg)
+    rec = {key: [float(v).hex() for v in getattr(est, key)]
+           for key in ("log_mean_utility", "stderr", "ess")}
+    for key in ("overflow_fraction", "truncation_fraction", "slope", "slope_stderr"):
+        rec[key] = float(getattr(est, key)).hex()
+    rec["diverged"] = est.diverged
+    if martingale:
+        mart = martingale_check(vp, eigenpair(vp), 1.0,
+                                cfg=replace(cfg, t_checkpoints=(1.0,)))
+        rec["martingale"] = [mart.mean.hex(), mart.stderr.hex()]
+    return rec
+
+
+@pytest.mark.parametrize("name", sorted(golden_cases()))
+def test_golden_streams(name):
+    # Recorded (``python tests/test_mc.py --record``) from the block-by-block
+    # oracle that preceded the lanes: every per-checkpoint quantity and the
+    # martingale estimate must match bit for bit.  The slope's covariance is
+    # summed in another order, so it gets a tolerance.
+    want = json.loads(GOLDEN_FILE.read_text())[name]
+    got = golden_record(*golden_cases()[name])
+    for key in ("slope", "slope_stderr"):
+        assert float.fromhex(got.pop(key)) == pytest.approx(
+            float.fromhex(want[key]), rel=1e-12, abs=1e-300), key
+    assert got == {k: v for k, v in want.items() if k not in ("slope", "slope_stderr")}
+
+
+def test_concurrent_calls_match_serial():
+    # README: validated problems and eigenpairs may be shared across threads.
+    vp = vp_of(BASE_MODELS["heston_sv"])
+    pair = eigenpair(vp)
+    cfg = SimConfig(horizon=1.0, n_steps=100, n_paths=4096, seed=9, block_size=1024)
+    mcfg = replace(cfg, t_checkpoints=(1.0,))
+    want_g = simulate_growth(vp, cfg)
+    want_m = martingale_check(vp, pair, 1.0, cfg=mcfg)
+
+    results = {}
+    calls = {f"growth{i}": lambda: simulate_growth(vp, cfg) for i in range(2)}
+    calls.update({f"mart{i}": lambda: martingale_check(vp, pair, 1.0, cfg=mcfg)
+                  for i in range(2)})
+    threads = [threading.Thread(target=lambda n=n, f=f: results.update({n: f()}))
+               for n, f in calls.items()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert sorted(results) == sorted(calls)
+    for name, got in results.items():
+        if name.startswith("growth"):
+            assert np.array_equal(got.log_mean_utility, want_g.log_mean_utility)
+            assert np.array_equal(got.stderr, want_g.stderr)
+            assert (got.slope, got.slope_stderr) == (want_g.slope, want_g.slope_stderr)
+        else:
+            assert (got.mean, got.stderr) == (want_m.mean, want_m.stderr)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--record"]:
+        records = {name: golden_record(*case) for name, case in golden_cases().items()}
+        GOLDEN_FILE.write_text("{\n" + ",\n".join(
+            f"{json.dumps(k)}: {json.dumps(records[k], sort_keys=True)}"
+            for k in sorted(records)) + "\n}\n")
