@@ -244,20 +244,20 @@ def _finite_interval(vp: ValidatedProblem) -> tuple[float, float, str | None]:
     return (-math.inf, math.inf, None)
 
 
-def _boundary(side: str, cap, objective, notes) -> OptimalLeverage:
+def _boundary(side: str, cap, objective, notes, profile=None) -> OptimalLeverage:
     if side == "+":
         if cap is None:
-            return OptimalLeverage(None, None, "boundary", "+inf", notes=tuple(notes))
+            return OptimalLeverage(None, None, "boundary", "+inf", profile, tuple(notes))
         b = cap[1]
         val = objective(b)
         return OptimalLeverage(b, None if math.isinf(val) else val, "boundary",
-                               "+cap", notes=tuple(notes))
+                               "+cap", profile, tuple(notes))
     if cap is None:
-        return OptimalLeverage(None, None, "boundary", "-inf", notes=tuple(notes))
+        return OptimalLeverage(None, None, "boundary", "-inf", profile, tuple(notes))
     b = cap[0]
     val = objective(b)
     return OptimalLeverage(b, None if math.isinf(val) else val, "boundary",
-                           "-cap", notes=tuple(notes))
+                           "-cap", profile, tuple(notes))
 
 
 def optimal_beta(vp: ValidatedProblem,
@@ -350,9 +350,7 @@ def optimal_beta(vp: ValidatedProblem,
             return OptimalLeverage(0.0, obj(0.0), "closed_form", profile=prof,
                                    notes=tuple(notes))
         notes.append("rate affine in beta; a boundary leverage is preferred")
-        out = _boundary("+" if slope > 0.0 else "-", cap, obj, notes)
-        return OptimalLeverage(out.beta_star, out.rate_at_star, out.method,
-                               out.boundary_side, prof, out.notes)
+        return _boundary("+" if slope > 0.0 else "-", cap, obj, notes, prof)
 
     if isinstance(m, ThreeHalves):
         ratio = m.theta ** 2 / r ** 2
@@ -376,9 +374,7 @@ def optimal_beta(vp: ValidatedProblem,
                                    notes=tuple(notes))
         notes.append("no interior critical point (C1 <= D^2); "
                      "rate monotone in beta")
-        out = _boundary("+" if dd > 0.0 else "-", cap, obj, notes)
-        return OptimalLeverage(out.beta_star, out.rate_at_star, out.method,
-                               out.boundary_side, prof, out.notes)
+        return _boundary("+" if dd > 0.0 else "-", cap, obj, notes, prof)
 
     if isinstance(m, (GbmVasicek, GbmInverseGarchRate)):
         prof = _quadratic_profile(m, alpha)
@@ -391,15 +387,11 @@ def optimal_beta(vp: ValidatedProblem,
                 return OptimalLeverage(0.0, obj(0.0), "quadratic_vertex",
                                        profile=prof, notes=tuple(notes))
             notes.append("reference curve linear in beta (C1 = 0)")
-            out = _boundary("+" if c2 > 0.0 else "-", cap, obj, notes)
-            return OptimalLeverage(out.beta_star, out.rate_at_star, out.method,
-                                   out.boundary_side, prof, out.notes)
+            return _boundary("+" if c2 > 0.0 else "-", cap, obj, notes, prof)
         # Convex parabola: favored direction is away from the vertex.
         side = "+" if c2 / (2.0 * c1) > 0.0 else "-"
         notes.append("reference curve convex in beta (C1 > 0)")
-        out = _boundary(side, cap, obj, notes)
-        return OptimalLeverage(out.beta_star, out.rate_at_star, out.method,
-                               out.boundary_side, prof, out.notes)
+        return _boundary(side, cap, obj, notes, prof)
 
     if isinstance(m, Quadratic):
         lo, hi = cap if cap is not None else UNCAPPED_BRACKET

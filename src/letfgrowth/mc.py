@@ -10,17 +10,17 @@ fund's log price from its exact path decomposition
 lim (1/t) log E[L_t^alpha] as the tail slope of the per-checkpoint
 log-mean utilities.
 
-Schemes per model
------------------
-* GBM and the Vasicek-rate variant use exact Gaussian transitions (the
-  Vasicek step samples the triple (rate, integrated rate, reference
-  Brownian) from its exact joint law, so there is no discretization bias).
-* GARCH and the inverse-GARCH variants step the log state with Euler, the
-  inverse models through their GARCH reciprocal.
-* Square-root states (extended CIR, Heston variance) use full-truncation
-  Euler; the 3/2 states are simulated through their reciprocal CIR form.
-* The quadratic OU state uses exact Gaussian transitions with trapezoidal
-  accumulation of int |sigma^T Y|^2 du.
+Steppers and schemes
+--------------------
+Each state family has one stepper, which the growth path and the martingale
+path both run: exact lognormal GBM over checkpoint gaps; log-Euler GARCH
+(also the reciprocal of inverse GARCH); full-truncation Euler for
+dx = (c0 + c1 x) dt + s sqrt(x) dZ (extended CIR, the Heston variance and
+the reciprocal CIR states of the 3/2 models, the 3/2-SV one floored at
+RECIP_VARIANCE_FLOOR, which caps v at 1e6); the exact joint Vasicek law of
+(r, int r ds), with the reference's dB for the growth path; log-Euler for
+the inverse-GARCH rate; exact OU steps for the quadratic state.  One table
+maps each kind to its scheme label, desk steps per year and its two paths.
 
 Determinism
 -----------
@@ -48,26 +48,15 @@ the empirical signature of an infinite or borderline utility moment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .eigen import Eigenpair
 from .errors import AllPathsDiverged, SchemeUnstable
 from .growth import GrowthRate
-from .models import (
-    ExtendedCir,
-    Garch,
-    Gbm,
-    GbmInverseGarchRate,
-    GbmVasicek,
-    HestonSV,
-    InverseGarch,
-    Quadratic,
-    ThreeHalves,
-    ThreeHalvesSV,
-    ValidatedProblem,
-)
+from .models import ValidatedProblem
 
 __all__ = [
     "SimConfig",
@@ -83,26 +72,14 @@ __all__ = [
 ]
 
 STATE_FLOOR = 1e-12
+# The 3/2-SV reciprocal variance w is floored here before v = 1/w is formed,
+# which caps the simulated variance at 1e6.
+RECIP_VARIANCE_FLOOR = 1e-6
 TRUNCATION_BUDGET = 0.01  # fraction of (path, step) events
 OVERFLOW_BUDGET = 1e-3    # fraction of paths per checkpoint
 # Paths per fused lane: wide enough to amortize the per-step Python work,
 # narrow enough that a step's temporaries stay in cache.
 LANE_PATHS = 16384
-
-SCHEMES = {
-    "gbm": "exact-lognormal",
-    "garch": "log-euler",
-    "inverse_garch": "log-euler-reciprocal",
-    "extended_cir": "full-truncation",
-    "three_halves": "reciprocal-cir",
-    "heston_sv": "heston-full-truncation",
-    "three_halves_sv": "reciprocal-cir-vol",
-    "gbm_vasicek": "exact-gaussian",
-    "gbm_inverse_garch_rate": "log-euler-rate",
-    "quadratic": "exact-ou-quadratic",
-}
-
-EXACT_SCHEME_KINDS = frozenset({"gbm", "gbm_vasicek"})
 
 
 @dataclass(frozen=True)
@@ -131,8 +108,8 @@ class SimConfig:
             raise ValueError("need at least 1000 paths")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic pairing needs an even path count")
-        if self.block_size % 2:
-            raise ValueError("block size must be even")
+        if self.block_size < 2 or self.block_size % 2:
+            raise ValueError("block size must be even and at least 2")
         if not self.t_checkpoints:
             object.__setattr__(self, "t_checkpoints", tuple(
                 self.horizon * k / 10.0 for k in range(1, 11)))
@@ -160,7 +137,7 @@ def desk_config(vp_or_kind, seed: int = 42, horizon: float = 20.0,
     Exact-transition schemes (GBM, Vasicek rate) only need 50 steps/year.
     """
     kind = vp_or_kind if isinstance(vp_or_kind, str) else vp_or_kind.model.kind
-    per_year = 50 if kind in EXACT_SCHEME_KINDS else 400
+    per_year = _SCHEMES[kind].steps_per_year
     return SimConfig(horizon=horizon, n_steps=int(round(per_year * horizon)),
                      n_paths=n_paths, seed=seed)
 
@@ -305,210 +282,46 @@ def _pairs(vals: np.ndarray, cfg: SimConfig):
 
 
 # ---------------------------------------------------------------------------
-# Path kernels: fill (K, nb) with alpha * log L at the checkpoints
+# Steppers, one per state family: each yields per step (per gap for GBM) what
+# both paths read.  The paths pass their own coefficients and keep their own
+# quadrature, so each keeps the expression order of its recorded values.
 # ---------------------------------------------------------------------------
 
-def _kernel_growth(vp: ValidatedProblem, cfg: SimConfig, draw: _Draw,
-                   out: np.ndarray) -> int:
-    """Simulate one lane; returns the count of truncation events."""
-    m = vp.model
-    alpha, beta = vp.alpha, vp.beta
-    nb = draw.nb
+def _lognormal(draw: _Draw, drift: float, sg: float, gaps):
+    """Exact log X of GBM over each gap, drift = mu - sg^2/2."""
+    logx = np.zeros(draw.nb)
+    for gap in gaps:
+        logx += drift * gap + sg * math.sqrt(gap) * draw.normals()
+        yield logx
+
+
+def _log_garch(draw: _Draw, cfg: SimConfig, th: float, a: float, sg: float):
+    """Log-Euler log X of dX = (th - a X) dt + |sg| X dW (sg < 0: -dW)."""
+    dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
+    z = np.zeros(draw.nb)
+    for _ in range(cfg.n_steps):
+        z += (th * np.exp(-z) - a - 0.5 * sg * sg) * dt + sg * sqdt * draw.normals()
+        yield z
+
+
+def _sqrt_euler(draw: _Draw, cfg: SimConfig, x0: float, c0: float, c1: float, s: float):
+    """Full-truncation Euler for dx = (c0 + c1 x) dt + s sqrt(x) dZ; yields
+    (x, x+ = max(x, 0), sqrt(x+ dt), the step's normal, next x)."""
     dt = cfg.dt
-    sqdt = math.sqrt(dt)
-    cp = cfg.checkpoint_steps()
-    cp_col = {int(s): k for k, s in enumerate(cp)}
-    r = vp.r
-    trunc = 0
-
-    if isinstance(m, Gbm):
-        # Exact in log space: draw only across checkpoint gaps.
-        mu, sg = m.mu, m.sigma
-        logx = np.zeros(nb)
-        t_prev = 0.0
-        for k, t in enumerate(cfg.t_checkpoints):
-            gap = t - t_prev
-            logx += (mu - 0.5 * sg * sg) * gap + sg * math.sqrt(gap) * draw.normals()
-            logl = beta * logx - (beta - 1.0) * r * t \
-                - 0.5 * beta * (beta - 1.0) * sg * sg * t
-            out[k] = alpha * logl
-            t_prev = t
-        return 0
-
-    if isinstance(m, (Garch, InverseGarch)):
-        sg = m.sigma
-        drift_const = -(beta - 1.0) * r - 0.5 * beta * (beta - 1.0) * sg * sg
-        if isinstance(m, Garch):
-            th, a = m.theta, m.a
-            z = np.zeros(nb)  # log X
-            for step in range(1, cfg.n_steps + 1):
-                z += (th * np.exp(-z) - a - 0.5 * sg * sg) * dt \
-                    + sg * sqdt * draw.normals()
-                k = cp_col.get(step)
-                if k is not None:
-                    out[k] = alpha * (beta * z + drift_const * step * dt)
-        else:
-            # Reciprocal is a GARCH diffusion with level a, reversion theta - sigma^2.
-            th_g, a_g = m.a, m.theta - sg * sg
-            y = np.zeros(nb)  # log(1/X)
-            for step in range(1, cfg.n_steps + 1):
-                y += (th_g * np.exp(-y) - a_g - 0.5 * sg * sg) * dt \
-                    - sg * sqdt * draw.normals()
-                k = cp_col.get(step)
-                if k is not None:
-                    out[k] = alpha * (-beta * y + drift_const * step * dt)
-        return 0
-
-    if isinstance(m, ExtendedCir):
-        th, mu, sg = m.theta, m.mu, m.sigma
-        x = np.full(nb, 1.0)
-        volint = np.zeros(nb)
-        for step in range(1, cfg.n_steps + 1):
-            xp = np.maximum(x, 0.0)
-            trunc += int(np.count_nonzero(x < 0.0))
-            volint += sg * sg / np.maximum(xp, STATE_FLOOR) * dt
-            x = x + (th + mu * xp) * dt + sg * np.sqrt(xp * dt) * draw.normals()
-            k = cp_col.get(step)
-            if k is not None:
-                t = step * dt
-                logl = beta * np.log(np.maximum(x, STATE_FLOOR)) \
-                    - (beta - 1.0) * r * t - 0.5 * beta * (beta - 1.0) * volint
-                out[k] = alpha * logl
-        return trunc
-
-    if isinstance(m, ThreeHalves):
-        th, a, sg = m.theta, m.a, m.sigma
-        y = np.full(nb, 1.0)  # reciprocal state, a CIR process
-        volint = np.zeros(nb)
-        for step in range(1, cfg.n_steps + 1):
-            yp = np.maximum(y, 0.0)
-            trunc += int(np.count_nonzero(y < 0.0))
-            volint += sg * sg / np.maximum(yp, STATE_FLOOR) * dt  # |sigma_s|^2 = sg^2 X
-            y = y + (a + sg * sg - th * yp) * dt - sg * np.sqrt(yp * dt) * draw.normals()
-            k = cp_col.get(step)
-            if k is not None:
-                t = step * dt
-                logl = -beta * np.log(np.maximum(y, STATE_FLOOR)) \
-                    - (beta - 1.0) * r * t - 0.5 * beta * (beta - 1.0) * volint
-                out[k] = alpha * logl
-        return trunc
-
-    if isinstance(m, HestonSV):
-        mu, th, a, de, rho = m.mu, m.theta, m.a, m.delta, m.rho
-        rbar = math.sqrt(1.0 - rho * rho)
-        v = np.full(nb, m.v0)
-        logx = np.zeros(nb)
-        ivar = np.zeros(nb)
-        for step in range(1, cfg.n_steps + 1):
-            vp_ = np.maximum(v, 0.0)
-            trunc += int(np.count_nonzero(v < 0.0))
-            zv = draw.normals()
-            zx = draw.normals()
-            ivar += vp_ * dt
-            logx += (mu - 0.5 * vp_) * dt + np.sqrt(vp_ * dt) * (rho * zv + rbar * zx)
-            v = v + (th - a * vp_) * dt + de * np.sqrt(vp_ * dt) * zv
-            k = cp_col.get(step)
-            if k is not None:
-                t = step * dt
-                logl = beta * logx - (beta - 1.0) * r * t \
-                    - 0.5 * beta * (beta - 1.0) * ivar
-                out[k] = alpha * logl
-        return trunc
-
-    if isinstance(m, ThreeHalvesSV):
-        mu, th, a, de, rho = m.mu, m.theta, m.a, m.delta, m.rho
-        rbar = math.sqrt(1.0 - rho * rho)
-        w = np.full(nb, 1.0 / m.v0)  # reciprocal variance, a CIR process
-        logx = np.zeros(nb)
-        ivar = np.zeros(nb)
-        for step in range(1, cfg.n_steps + 1):
-            wp = np.maximum(w, 0.0)
-            trunc += int(np.count_nonzero(w < STATE_FLOOR))
-            v_cur = 1.0 / np.maximum(wp, 1e-6)
-            zw = draw.normals()
-            zx = draw.normals()
-            ivar += v_cur * dt
-            # The reciprocal equation dw = ... - delta sqrt(w) dZ already
-            # carries the minus sign, so zw is the Z increment itself.
-            logx += (mu - 0.5 * v_cur) * dt \
-                + np.sqrt(v_cur * dt) * (rho * zw + rbar * zx)
-            w = w + (a + de * de - th * wp) * dt - de * np.sqrt(wp * dt) * zw
-            k = cp_col.get(step)
-            if k is not None:
-                t = step * dt
-                logl = beta * logx - (beta - 1.0) * r * t \
-                    - 0.5 * beta * (beta - 1.0) * ivar
-                out[k] = alpha * logl
-        return trunc
-
-    if isinstance(m, GbmVasicek):
-        chol, e1, mean_level = _vasicek_step_law(m, dt)
-        mu, sg, a = m.mu, m.sigma, m.a
-        rr = np.full(nb, m.r0)
-        ri = np.zeros(nb)
-        logx = np.zeros(nb)
-        for step in range(1, cfg.n_steps + 1):
-            z = draw.normals_matrix(3)
-            dr_c, di_c, db = chol @ z
-            ri += mean_level * dt + (rr - mean_level) * (1.0 - e1) / a + di_c
-            logx += (mu - 0.5 * sg * sg) * dt + sg * db
-            rr = mean_level + (rr - mean_level) * e1 + dr_c
-            k = cp_col.get(step)
-            if k is not None:
-                t = step * dt
-                logl = beta * logx - (beta - 1.0) * ri \
-                    - 0.5 * beta * (beta - 1.0) * sg * sg * t
-                out[k] = alpha * logl
-        return 0
-
-    if isinstance(m, GbmInverseGarchRate):
-        mu, sg, th, a, de, rho = m.mu, m.sigma, m.theta, m.a, m.delta, m.rho
-        rbar = math.sqrt(1.0 - rho * rho)
-        z = np.full(nb, math.log(m.r0))
-        ri = np.zeros(nb)
-        logx = np.zeros(nb)
-        r_prev = np.exp(z)
-        for step in range(1, cfg.n_steps + 1):
-            zr = draw.normals()
-            zx = draw.normals()
-            z = z + (th - a * r_prev - 0.5 * de * de) * dt + de * sqdt * zr
-            r_new = np.exp(z)
-            ri += 0.5 * (r_prev + r_new) * dt
-            logx += (mu - 0.5 * sg * sg) * dt + sg * sqdt * (rho * zr + rbar * zx)
-            r_prev = r_new
-            k = cp_col.get(step)
-            if k is not None:
-                t = step * dt
-                logl = beta * logx - (beta - 1.0) * ri \
-                    - 0.5 * beta * (beta - 1.0) * sg * sg * t
-                out[k] = alpha * logl
-        return 0
-
-    if isinstance(m, Quadratic):
-        Ad, bd, Ld = _ou_step_law(m.Bmat, m.a, m.b, dt)
-        sigT = m.sigma.T
-        Y = np.zeros((m.d, nb))
-        qint = np.zeros(nb)
-        s_prev = np.zeros(nb)
-        for step in range(1, cfg.n_steps + 1):
-            Y = Ad @ Y + bd[:, None] + Ld @ draw.normals_matrix(m.d)
-            s_new = np.sum((sigT @ Y) ** 2, axis=0)
-            qint += 0.5 * (s_prev + s_new) * dt
-            s_prev = s_new
-            k = cp_col.get(step)
-            if k is not None:
-                t = step * dt
-                logl = beta * np.sum(Y * Y, axis=0) - r * (beta - 1.0) * t \
-                    - 2.0 * beta * (beta - 1.0) * qint
-                out[k] = alpha * logl
-        return 0
-
-    raise TypeError(f"no simulation kernel for model kind {m.kind!r}")
+    x = np.full(draw.nb, x0)
+    for _ in range(cfg.n_steps):
+        xp = np.maximum(x, 0.0)
+        sq = np.sqrt(xp * dt)
+        z = draw.normals()
+        x_next = x + (c0 + c1 * xp) * dt + s * sq * z
+        yield x, xp, sq, z, x_next
+        x = x_next
 
 
-def _vasicek_step_law(m: GbmVasicek, dt: float):
-    """Cholesky of the exact per-step law of (r-innovation, dI, dB)."""
-    a, de, rho = m.a, m.delta, m.rho
+def _vasicek(draw: _Draw, cfg: SimConfig, m, level: float, joint: bool):
+    """Exact step of (r, int r ds) for dr = a (level - r) dt + delta dZ, with
+    the reference's dB when ``joint``; yields (r, int r ds, dB or None)."""
+    dt, a, de, rho = cfg.dt, m.a, m.delta, m.rho
     e1 = math.exp(-a * dt)
     var_r = de * de * (1.0 - e1 * e1) / (2.0 * a)
     var_i = de * de / (a * a) * (dt - 2.0 * (1.0 - e1) / a + (1.0 - e1 * e1) / (2.0 * a))
@@ -520,37 +333,289 @@ def _vasicek_step_law(m: GbmVasicek, dt: float):
         [cov_ri, var_i, cov_ib],
         [cov_rb, cov_ib, dt],
     ])
+    d = 3 if joint else 2
     # Tiny negative eigenvalues from cancellation are lifted before Cholesky.
-    w, q = np.linalg.eigh(cov)
-    w = np.maximum(w, 0.0)
-    chol = q @ np.diag(np.sqrt(w))
-    return chol, e1, m.theta / m.a
+    w, q = np.linalg.eigh(cov[:d, :d])
+    chol = q @ np.diag(np.sqrt(np.maximum(w, 0.0)))
+    rr = np.full(draw.nb, m.r0)
+    ri = np.zeros(draw.nb)
+    for _ in range(cfg.n_steps):
+        inc = chol @ draw.normals_matrix(d)
+        ri += level * dt + (rr - level) * (1.0 - e1) / a + inc[1]
+        rr = level + (rr - level) * e1 + inc[0]
+        yield rr, ri, inc[2] if joint else None
 
 
-def _ou_step_law(Bmat: np.ndarray, a: np.ndarray, b: np.ndarray, dt: float):
-    """Exact OU step: Y' = Ad Y + bd + Ld xi with Ld Ld^T the step covariance.
+def _log_rate(draw: _Draw, cfg: SimConfig, r0: float, th: float, a: float,
+              half_var: float, de: float):
+    """Log-Euler for d log r = (th - a r - half_var) dt + de dZ, half_var =
+    de^2/2 as the caller writes it; yields (r, trapezoid int r ds, normal)."""
+    dt, sqdt = cfg.dt, math.sqrt(cfg.dt)
+    z = np.full(draw.nb, math.log(r0))
+    r = np.exp(z)
+    ri = np.zeros(draw.nb)
+    for _ in range(cfg.n_steps):
+        zr = draw.normals()
+        z = z + (th - a * r - half_var) * dt + de * sqdt * zr
+        r_new = np.exp(z)
+        ri += 0.5 * (r + r_new) * dt
+        r = r_new
+        yield r, ri, zr
+
+
+def _ou(draw: _Draw, cfg: SimConfig, m):
+    """Exact step of the quadratic model's OU state from Y_0 = 0; yields
+    (Y, s before the step, s after it) with s = |sigma^T Y|^2.
 
     The step covariance int_0^dt exp(Bs) a exp(B^T s) ds comes from the
     block-matrix exponential of [[-B, a], [0, B^T]] (Van Loan).
     """
     from scipy.linalg import expm
 
-    d = Bmat.shape[0]
-    Ad = expm(Bmat * dt)
+    d, dt, B = m.d, cfg.dt, m.Bmat
+    Ad = expm(B * dt)
     blk = np.zeros((2 * d, 2 * d))
-    blk[:d, :d] = -Bmat
-    blk[:d, d:] = a
-    blk[d:, d:] = Bmat.T
-    eb = expm(blk * dt)
-    cov = Ad @ eb[:d, d:]
-    cov = 0.5 * (cov + cov.T)
-    w, q = np.linalg.eigh(cov)
+    blk[:d, :d] = -B
+    blk[:d, d:] = m.a
+    blk[d:, d:] = B.T
+    cov = Ad @ expm(blk * dt)[:d, d:]
+    w, q = np.linalg.eigh(0.5 * (cov + cov.T))
     Ld = q @ np.diag(np.sqrt(np.maximum(w, 0.0)))
     aug = np.zeros((d + 1, d + 1))
-    aug[:d, :d] = Bmat
-    aug[:d, d] = b
+    aug[:d, :d] = B
+    aug[:d, d] = m.b
     bd = expm(aug * dt)[:d, d]
-    return Ad, bd, Ld
+    sigT = m.sigma.T
+    Y = np.zeros((d, draw.nb))
+    s = np.zeros(draw.nb)
+    for _ in range(cfg.n_steps):
+        Y = Ad @ Y + bd[:, None] + Ld @ draw.normals_matrix(d)
+        s_prev, s = s, np.sum((sigT @ Y) ** 2, axis=0)
+        yield Y, s_prev, s
+
+
+# ---------------------------------------------------------------------------
+# Growth paths: fill out (K, lane) with alpha log L at the checkpoint steps,
+# cols mapping step -> row, and return the truncation events; int |sigma|^2 ds
+# takes the left point.
+# ---------------------------------------------------------------------------
+
+def _growth_gbm(vp, cfg, cols, draw, out, inverse):
+    m, beta = vp.model, vp.beta
+    sg = m.sigma
+    ts = cfg.t_checkpoints
+    steps = _lognormal(draw, m.mu - 0.5 * sg * sg, sg, np.diff(ts, prepend=0.0))
+    for k, (t, logx) in enumerate(zip(ts, steps)):
+        logl = beta * logx - (beta - 1.0) * vp.r * t \
+            - 0.5 * beta * (beta - 1.0) * sg * sg * t
+        out[k] = vp.alpha * logl
+    return 0
+
+
+def _growth_garch(vp, cfg, cols, draw, out, inverse):
+    m, beta = vp.model, vp.beta
+    sg = m.sigma
+    drift_const = -(beta - 1.0) * vp.r - 0.5 * beta * (beta - 1.0) * sg * sg
+    if inverse:
+        # 1/X is a GARCH diffusion with level a, reversion theta - sigma^2.
+        sign, steps = -1.0, _log_garch(draw, cfg, m.a, m.theta - sg * sg, -sg)
+    else:
+        sign, steps = 1.0, _log_garch(draw, cfg, m.theta, m.a, sg)
+    for step, z in enumerate(steps, 1):
+        if step in cols:
+            out[cols[step]] = vp.alpha * (sign * beta * z + drift_const * step * cfg.dt)
+    return 0
+
+
+def _growth_cir(vp, cfg, cols, draw, out, inverse):
+    m, beta, dt = vp.model, vp.beta, cfg.dt
+    sg = m.sigma
+    if inverse:
+        # The 3/2 state's reciprocal is a CIR process; |sigma_s|^2 = sg^2 X.
+        sign, coeffs = -1.0, (m.a + sg * sg, -m.theta, -sg)
+    else:
+        sign, coeffs = 1.0, (m.theta, m.mu, sg)
+    trunc = 0
+    volint = np.zeros(draw.nb)
+    for step, (x, xp, _, _, x_next) in enumerate(_sqrt_euler(draw, cfg, 1.0, *coeffs), 1):
+        trunc += int(np.count_nonzero(x < 0.0))
+        volint += sg * sg / np.maximum(xp, STATE_FLOOR) * dt
+        if step in cols:
+            t = step * dt
+            logl = sign * beta * np.log(np.maximum(x_next, STATE_FLOOR)) \
+                - (beta - 1.0) * vp.r * t - 0.5 * beta * (beta - 1.0) * volint
+            out[cols[step]] = vp.alpha * logl
+    return trunc
+
+
+def _growth_sv(vp, cfg, cols, draw, out, inverse):
+    m, beta, dt = vp.model, vp.beta, cfg.dt
+    mu, th, a, de, rho = m.mu, m.theta, m.a, m.delta, m.rho
+    rbar = math.sqrt(1.0 - rho * rho)
+    if inverse:
+        # 3/2-SV steps w = 1/v, a CIR process; dw = ... - delta sqrt(w) dZ
+        # carries the minus sign, so its normal is the Z increment itself.
+        floor, x0, coeffs = STATE_FLOOR, 1.0 / m.v0, (a + de * de, -th, -de)
+    else:
+        floor, x0, coeffs = 0.0, m.v0, (th, -a, de)
+    trunc = 0
+    logx = np.zeros(draw.nb)
+    ivar = np.zeros(draw.nb)
+    for step, (x, v, sq, zv, _) in enumerate(_sqrt_euler(draw, cfg, x0, *coeffs), 1):
+        trunc += int(np.count_nonzero(x < floor))
+        if inverse:  # v is max(w, 0) until here
+            v = 1.0 / np.maximum(v, RECIP_VARIANCE_FLOOR)
+            sq = np.sqrt(v * dt)
+        zx = draw.normals()
+        ivar += v * dt
+        logx += (mu - 0.5 * v) * dt + sq * (rho * zv + rbar * zx)
+        if step in cols:
+            t = step * dt
+            logl = beta * logx - (beta - 1.0) * vp.r * t \
+                - 0.5 * beta * (beta - 1.0) * ivar
+            out[cols[step]] = vp.alpha * logl
+    return trunc
+
+
+def _growth_rate(vp, cfg, cols, draw, out, inverse):
+    m, beta, dt = vp.model, vp.beta, cfg.dt
+    sg, rho = m.sigma, m.rho
+    rbar, sqdt = math.sqrt(1.0 - rho * rho), math.sqrt(dt)
+    if inverse:
+        steps = _log_rate(draw, cfg, m.r0, m.theta, m.a, 0.5 * m.delta * m.delta, m.delta)
+    else:
+        steps = _vasicek(draw, cfg, m, m.theta / m.a, joint=True)
+    logx = np.zeros(draw.nb)
+    for step, (_, ri, z) in enumerate(steps, 1):
+        # z is the log rate's normal, or the Vasicek step's exact dB.
+        noise = sg * sqdt * (rho * z + rbar * draw.normals()) if inverse else sg * z
+        logx += (m.mu - 0.5 * sg * sg) * dt + noise
+        if step in cols:
+            t = step * dt
+            logl = beta * logx - (beta - 1.0) * ri \
+                - 0.5 * beta * (beta - 1.0) * sg * sg * t
+            out[cols[step]] = vp.alpha * logl
+    return 0
+
+
+def _growth_ou(vp, cfg, cols, draw, out, inverse):
+    beta, dt = vp.beta, cfg.dt
+    qint = np.zeros(draw.nb)
+    for step, (Y, s_prev, s) in enumerate(_ou(draw, cfg, vp.model), 1):
+        qint += 0.5 * (s_prev + s) * dt
+        if step in cols:
+            t = step * dt
+            logl = beta * np.sum(Y * Y, axis=0) - vp.r * (beta - 1.0) * t \
+                - 2.0 * beta * (beta - 1.0) * qint
+            out[cols[step]] = vp.alpha * logl
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# Martingale paths: log M_T per path under the generator's own (tilted for the
+# SV and rate variants) dynamics; the killing rate takes the trapezoid rule.
+# ---------------------------------------------------------------------------
+
+def _mart_gbm(vp, pair, cfg, draw, inverse):
+    m, T = vp.model, cfg.horizon
+    logx = next(_lognormal(draw, m.mu - 0.5 * m.sigma ** 2, m.sigma, (T,)))
+    k_const = 0.5 * vp.alpha * vp.beta * (vp.beta - 1.0) * m.sigma ** 2
+    # phi = x**(alpha beta): log phi(X_T) = alpha beta log X_T.
+    return pair.lam * T - k_const * T + vp.alpha * vp.beta * logx
+
+
+def _mart_garch(vp, pair, cfg, draw, inverse):
+    # Constant killing cancels lambda exactly and phi = 1: M is 1.
+    return np.zeros(draw.nb)
+
+
+def _mart_sqrt(pair, cfg, draw, x0, coeffs, kill, state, g0):
+    """log M_T on a square-root state from x0 with killing rate ``kill(x)``;
+    phi reads G_T = ``state(x_T)`` and G_0 = g0."""
+    trap = 0.5 * cfg.dt
+    k_prev = kill(x0)
+    kint = 0.0
+    for *_, x in _sqrt_euler(draw, cfg, x0, *coeffs):
+        k_new = kill(x)
+        kint += trap * (k_prev + k_new)
+        k_prev = k_new
+    return (pair.lam * cfg.horizon - kint + pair.phi.log_phi(state(x))
+            - pair.phi.log_phi(np.array([g0])))
+
+
+def _mart_cir(vp, pair, cfg, draw, inverse):
+    m = vp.model
+    kc = 0.5 * vp.alpha * vp.beta * (vp.beta - 1.0) * m.sigma ** 2
+    coeffs = (m.a + m.sigma ** 2, -m.theta, -m.sigma) if inverse else (m.theta, m.mu, m.sigma)
+    return _mart_sqrt(
+        pair, cfg, draw, 1.0, coeffs,
+        lambda x: kc / np.maximum(np.maximum(x, 0.0), STATE_FLOOR),
+        (lambda y: 1.0 / np.maximum(y, STATE_FLOOR)) if inverse
+        else (lambda x: np.maximum(x, STATE_FLOOR)), 1.0)
+
+
+def _mart_sv(vp, pair, cfg, draw, inverse):
+    m, alpha, beta = vp.model, vp.alpha, vp.beta
+    a_t = m.a - alpha * beta * m.delta * m.rho
+    kc = 0.5 * alpha * (1.0 - alpha) * beta * beta
+    if inverse:
+        return _mart_sqrt(
+            pair, cfg, draw, 1.0 / m.v0, (a_t + m.delta ** 2, -m.theta, -m.delta),
+            lambda w: kc / np.maximum(np.maximum(w, 0.0), RECIP_VARIANCE_FLOOR),
+            lambda w: 1.0 / np.maximum(w, RECIP_VARIANCE_FLOOR), m.v0)
+    return _mart_sqrt(pair, cfg, draw, m.v0, (m.theta, -a_t, m.delta),
+                      lambda v: kc * np.maximum(v, 0.0), lambda v: np.maximum(v, 0.0), m.v0)
+
+
+def _mart_rate(vp, pair, cfg, draw, inverse):
+    m = vp.model
+    th_t = m.theta + vp.alpha * vp.beta * m.delta * m.sigma * m.rho
+    if inverse:
+        steps = _log_rate(draw, cfg, m.r0, th_t, m.a, 0.5 * m.delta ** 2, m.delta)
+    else:
+        steps = _vasicek(draw, cfg, m, th_t / m.a, joint=False)
+    for r, ri, _ in steps:
+        pass
+    return (pair.lam * cfg.horizon - vp.alpha * (vp.beta - 1.0) * ri
+            + pair.phi.log_phi(r) - pair.phi.log_phi(np.array([m.r0])))
+
+
+def _mart_ou(vp, pair, cfg, draw, inverse):
+    m = vp.model
+    trap = 0.5 * cfg.dt
+    q_coeff = 2.0 * vp.alpha * vp.beta * (vp.beta - 1.0)
+    kint = np.zeros(draw.nb)
+    for Y, s_prev, s in _ou(draw, cfg, m):
+        kint += trap * q_coeff * (s_prev + s)
+    return (pair.lam * cfg.horizon - kint + pair.phi.log_phi(Y.T)
+            - pair.phi.log_phi(np.zeros((1, m.d))))
+
+
+@dataclass(frozen=True)
+class _Scheme:
+    """How the oracle simulates one catalog kind."""
+
+    label: str             # GrowthEstimate.scheme
+    steps_per_year: int    # desk_config's step density
+    growth: Callable       # (vp, cfg, cols, draw, out, inverse) -> truncations
+    martingale: Callable   # (vp, pair, cfg, draw, inverse) -> log M_T per path
+    # The family's second model: inverse GARCH, the 3/2 models (through the
+    # reciprocal CIR state) or the inverse-GARCH rate.
+    inverse: bool = False
+
+
+_SCHEMES = {
+    "gbm": _Scheme("exact-lognormal", 50, _growth_gbm, _mart_gbm),
+    "garch": _Scheme("log-euler", 400, _growth_garch, _mart_garch),
+    "inverse_garch": _Scheme("log-euler-reciprocal", 400, _growth_garch, _mart_garch, True),
+    "extended_cir": _Scheme("full-truncation", 400, _growth_cir, _mart_cir),
+    "three_halves": _Scheme("reciprocal-cir", 400, _growth_cir, _mart_cir, True),
+    "heston_sv": _Scheme("heston-full-truncation", 400, _growth_sv, _mart_sv),
+    "three_halves_sv": _Scheme("reciprocal-cir-vol", 400, _growth_sv, _mart_sv, True),
+    "gbm_vasicek": _Scheme("exact-gaussian", 50, _growth_rate, _mart_rate),
+    "gbm_inverse_garch_rate": _Scheme("log-euler-rate", 400, _growth_rate, _mart_rate, True),
+    "quadratic": _Scheme("exact-ou-quadratic", 400, _growth_ou, _mart_ou),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +623,11 @@ def _ou_step_law(Bmat: np.ndarray, a: np.ndarray, b: np.ndarray, dt: float):
 # ---------------------------------------------------------------------------
 
 def _collect(vp: ValidatedProblem, cfg: SimConfig):
+    scheme = _SCHEMES[vp.model.kind]
+    cols = {int(s): k for k, s in enumerate(cfg.checkpoint_steps())}
     vals, trunc_events = _simulate(
         cfg, len(cfg.t_checkpoints),
-        lambda draw, out: _kernel_growth(vp, cfg, draw, out))
+        lambda draw, out: scheme.growth(vp, cfg, cols, draw, out, scheme.inverse))
     trunc_frac = trunc_events / (cfg.n_paths * cfg.n_steps)
     if trunc_frac > TRUNCATION_BUDGET:
         raise SchemeUnstable(
@@ -664,7 +731,7 @@ def simulate_growth(vp: ValidatedProblem, cfg: SimConfig) -> GrowthEstimate:
         slope=slope, slope_stderr=slope_se,
         diverged=bool(reasons), overflow_fraction=overflow_fraction,
         truncation_fraction=trunc_frac, n_paths=cfg.n_paths,
-        scheme=SCHEMES[vp.model.kind], divergence_reasons=tuple(reasons),
+        scheme=_SCHEMES[vp.model.kind].label, divergence_reasons=tuple(reasons),
     )
 
 
@@ -689,157 +756,24 @@ def verdict_for(estimate: GrowthEstimate, analytic: GrowthRate,
 # Martingale certificates
 # ---------------------------------------------------------------------------
 
-def _kernel_martingale(vp: ValidatedProblem, pair: Eigenpair, cfg: SimConfig,
-                       draw: _Draw) -> np.ndarray:
-    """log M_T per path for one lane; the state follows the generator's
-    own dynamics (the exponentially tilted drift for the stochastic
-    volatility / rate variants)."""
-    m = vp.model
-    alpha, beta = vp.alpha, vp.beta
-    nb = draw.nb
-    dt = cfg.dt
-    sqdt = math.sqrt(dt)
-    T = cfg.horizon
-    lam = pair.lam
-    trap = 0.5 * dt
-
-    if isinstance(m, Gbm):
-        logx = (m.mu - 0.5 * m.sigma ** 2) * T + m.sigma * math.sqrt(T) * draw.normals()
-        k_const = 0.5 * alpha * beta * (beta - 1.0) * m.sigma ** 2
-        # phi = x**(alpha beta): log phi(X_T) = alpha beta log X_T.
-        return lam * T - k_const * T + alpha * beta * logx
-
-    if isinstance(m, (Garch, InverseGarch)):
-        # Constant killing cancels lambda exactly and phi = 1: M is 1.
-        return np.zeros(nb)
-
-    if isinstance(m, ExtendedCir):
-        x = np.full(nb, 1.0)
-        kint = np.zeros(nb)
-        kc = 0.5 * alpha * beta * (beta - 1.0) * m.sigma ** 2
-        k_prev = kc / np.maximum(x, STATE_FLOOR)
-        for _ in range(cfg.n_steps):
-            xp = np.maximum(x, 0.0)
-            x = x + (m.theta + m.mu * xp) * dt \
-                + m.sigma * np.sqrt(xp * dt) * draw.normals()
-            k_new = kc / np.maximum(np.maximum(x, 0.0), STATE_FLOOR)
-            kint += trap * (k_prev + k_new)
-            k_prev = k_new
-        xT = np.maximum(x, STATE_FLOOR)
-        return lam * T - kint + pair.phi.log_phi(xT) - pair.phi.log_phi(np.array([1.0]))
-
-    if isinstance(m, ThreeHalves):
-        y = np.full(nb, 1.0)
-        kint = np.zeros(nb)
-        kc = 0.5 * alpha * beta * (beta - 1.0) * m.sigma ** 2
-        k_prev = kc / np.maximum(y, STATE_FLOOR)
-        for _ in range(cfg.n_steps):
-            yp = np.maximum(y, 0.0)
-            y = y + (m.a + m.sigma ** 2 - m.theta * yp) * dt \
-                - m.sigma * np.sqrt(yp * dt) * draw.normals()
-            k_new = kc / np.maximum(np.maximum(y, 0.0), STATE_FLOOR)
-            kint += trap * (k_prev + k_new)
-            k_prev = k_new
-        xT = 1.0 / np.maximum(y, STATE_FLOOR)
-        return lam * T - kint + pair.phi.log_phi(xT) - pair.phi.log_phi(np.array([1.0]))
-
-    if isinstance(m, HestonSV):
-        a_t = m.a - alpha * beta * m.delta * m.rho
-        kc = 0.5 * alpha * (1.0 - alpha) * beta * beta
-        v = np.full(nb, m.v0)
-        kint = np.zeros(nb)
-        k_prev = kc * v
-        for _ in range(cfg.n_steps):
-            vp_ = np.maximum(v, 0.0)
-            v = v + (m.theta - a_t * vp_) * dt + m.delta * np.sqrt(vp_ * dt) * draw.normals()
-            k_new = kc * np.maximum(v, 0.0)
-            kint += trap * (k_prev + k_new)
-            k_prev = k_new
-        vT = np.maximum(v, 0.0)
-        return lam * T - kint + pair.phi.log_phi(vT) - pair.phi.log_phi(np.array([m.v0]))
-
-    if isinstance(m, ThreeHalvesSV):
-        a_t = m.a - alpha * beta * m.delta * m.rho
-        kc = 0.5 * alpha * (1.0 - alpha) * beta * beta
-        w = np.full(nb, 1.0 / m.v0)
-        kint = np.zeros(nb)
-        k_prev = kc / np.maximum(w, 1e-6)
-        for _ in range(cfg.n_steps):
-            wp = np.maximum(w, 0.0)
-            w = w + (a_t + m.delta ** 2 - m.theta * wp) * dt \
-                - m.delta * np.sqrt(wp * dt) * draw.normals()
-            k_new = kc / np.maximum(np.maximum(w, 0.0), 1e-6)
-            kint += trap * (k_prev + k_new)
-            k_prev = k_new
-        vT = 1.0 / np.maximum(w, 1e-6)
-        return lam * T - kint + pair.phi.log_phi(vT) - pair.phi.log_phi(np.array([m.v0]))
-
-    if isinstance(m, GbmVasicek):
-        th_t = m.theta + alpha * beta * m.delta * m.sigma * m.rho
-        c = alpha * (beta - 1.0)
-        a, de = m.a, m.delta
-        e1 = math.exp(-a * dt)
-        var_r = de * de * (1.0 - e1 * e1) / (2.0 * a)
-        var_i = de * de / (a * a) * (dt - 2.0 * (1.0 - e1) / a + (1.0 - e1 * e1) / (2.0 * a))
-        cov_ri = de * de / (2.0 * a * a) * (1.0 - e1) ** 2
-        cov = np.array([[var_r, cov_ri], [cov_ri, var_i]])
-        w, q = np.linalg.eigh(cov)
-        chol = q @ np.diag(np.sqrt(np.maximum(w, 0.0)))
-        level = th_t / a
-        rr = np.full(nb, m.r0)
-        ri = np.zeros(nb)
-        for _ in range(cfg.n_steps):
-            z = draw.normals_matrix(2)
-            dr_c, di_c = chol @ z
-            ri += level * dt + (rr - level) * (1.0 - e1) / a + di_c
-            rr = level + (rr - level) * e1 + dr_c
-        return lam * T - c * ri + pair.phi.log_phi(rr) - pair.phi.log_phi(np.array([m.r0]))
-
-    if isinstance(m, GbmInverseGarchRate):
-        th_t = m.theta + alpha * beta * m.delta * m.sigma * m.rho
-        c = alpha * (beta - 1.0)
-        z = np.full(nb, math.log(m.r0))
-        ri = np.zeros(nb)
-        r_prev = np.exp(z)
-        for _ in range(cfg.n_steps):
-            z = z + (th_t - m.a * r_prev - 0.5 * m.delta ** 2) * dt \
-                + m.delta * sqdt * draw.normals()
-            r_new = np.exp(z)
-            ri += 0.5 * (r_prev + r_new) * dt
-            r_prev = r_new
-        return lam * T - c * ri + pair.phi.log_phi(r_prev) - pair.phi.log_phi(np.array([m.r0]))
-
-    if isinstance(m, Quadratic):
-        q_coeff = 2.0 * alpha * beta * (beta - 1.0)
-        Ad, bd, Ld = _ou_step_law(m.Bmat, m.a, m.b, dt)
-        sigT = m.sigma.T
-        Y = np.zeros((m.d, nb))
-        kint = np.zeros(nb)
-        s_prev = np.zeros(nb)
-        for _ in range(cfg.n_steps):
-            Y = Ad @ Y + bd[:, None] + Ld @ draw.normals_matrix(m.d)
-            s_new = np.sum((sigT @ Y) ** 2, axis=0)
-            kint += trap * q_coeff * (s_prev + s_new)
-            s_prev = s_new
-        return lam * T - kint + pair.phi.log_phi(Y.T) - pair.phi.log_phi(np.zeros((1, m.d)))
-
-    raise TypeError(f"no martingale kernel for model kind {m.kind!r}")
-
-
 def martingale_check(vp: ValidatedProblem, pair: Eigenpair, t: float,
                      cfg: SimConfig | None = None, n_paths: int = 200_000,
                      steps_per_year: int = 400, seed: int = 42) -> MartingaleEstimate:
     """Estimate E[M_t] for M_t = exp(lambda t - int k) phi(G_t)/phi(G_0).
 
     The pair is admissible exactly when M is a true martingale, i.e.
-    E[M_t] = 1; the certificate is |mean - 1| <= 3 stderr.
+    E[M_t] = 1; the certificate is |mean - 1| <= 3 stderr.  A given
+    ``cfg`` must have ``horizon == t``.
     """
     if cfg is None:
         cfg = SimConfig(horizon=t, n_steps=max(50, int(round(steps_per_year * t))),
                         n_paths=n_paths, seed=seed, t_checkpoints=(t,))
+    elif cfg.horizon != t:
+        raise ValueError(f"cfg.horizon {cfg.horizon} differs from t {t}")
+    scheme = _SCHEMES[vp.model.kind]
 
     def kernel(draw, out):
-        out[0] = _kernel_martingale(vp, pair, cfg, draw)
+        out[0] = scheme.martingale(vp, pair, cfg, draw, scheme.inverse)
         return 0
 
     logm, _ = _simulate(cfg, 1, kernel)

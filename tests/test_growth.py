@@ -16,6 +16,7 @@ from letfgrowth.growth import (
     stationary_power_moment_garch,
 )
 from letfgrowth.eigen import eigenpair
+from letfgrowth.leverage import _quadratic_profile
 from letfgrowth.models import (
     ExtendedCir,
     Garch,
@@ -127,6 +128,20 @@ def test_vasicek_rate_is_eigenvalue_consistent():
     th_t = m.theta + alpha * beta * m.delta * m.sigma * m.rho
     gap = display_growth_value(vp) - g.rate
     assert gap == pytest.approx(-2.0 * alpha * (1 - beta) * th_t / m.a, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["gbm_vasicek", "gbm_inverse_garch_rate"])
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0])
+def test_display_curve_matches_leverage_profile(kind, alpha):
+    # The published curve is written out twice: as display_growth_value and
+    # as the C1 b^2 + C2 b + const profile that optimal_beta maximizes.
+    m = BASE_MODELS[kind]
+    prof = _quadratic_profile(m, alpha)
+    vp = vp_of(m, alpha=alpha)
+    for b in np.linspace(-3.0, 3.0, 61):
+        b = float(b)
+        want = prof.C1 * b * b + prof.C2 * b + prof.const
+        assert display_growth_value(vp.with_beta(b)) == pytest.approx(want, rel=1e-12)
 
 
 def test_inverse_garch_rate_condition_flips():

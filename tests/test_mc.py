@@ -15,6 +15,7 @@ from letfgrowth.eigen import eigenpair
 from letfgrowth.errors import SchemeUnstable
 from letfgrowth.growth import GrowthRate, FinitenessCondition, growth_rate
 from letfgrowth.mc import (
+    _SCHEMES,
     SimConfig,
     cir_density,
     cir_transition_mean,
@@ -29,6 +30,7 @@ from letfgrowth.models import (
     Gbm,
     GbmVasicek,
     HestonSV,
+    MODEL_KINDS,
     Quadratic,
     validate,
 )
@@ -58,6 +60,9 @@ def test_sim_config_validation():
         SimConfig(horizon=1.0, n_steps=100, n_paths=500, seed=1)
     with pytest.raises(ValueError):
         SimConfig(horizon=1.0, n_steps=100, n_paths=2001, seed=1)  # odd + antithetic
+    for block_size in (1, 0, -2):  # 0 and below would fuse lanes without end
+        with pytest.raises(ValueError):
+            SimConfig(horizon=1.0, n_steps=100, n_paths=2000, seed=1, block_size=block_size)
     cfg = SimConfig(horizon=10.0, n_steps=500, n_paths=2000, seed=1)
     assert cfg.t_checkpoints[-1] == 10.0 and len(cfg.t_checkpoints) == 10
 
@@ -145,6 +150,14 @@ def test_verdict_logic():
 # ---------------------------------------------------------------------------
 # Martingale certificates (module scale; the full sweep is in acceptance)
 # ---------------------------------------------------------------------------
+
+def test_martingale_config_must_match_horizon():
+    vp = vp_of(BASE_MODELS["gbm"])
+    cfg = SimConfig(horizon=2.0, n_steps=100, n_paths=1000, seed=1, t_checkpoints=(2.0,))
+    with pytest.raises(ValueError):
+        martingale_check(vp, eigenpair(vp), 1.0, cfg=cfg)
+    assert martingale_check(vp, eigenpair(vp), 2.0, cfg=cfg).t == 2.0
+
 
 def test_garch_martingale_is_identically_one():
     vp = vp_of(BASE_MODELS["garch"])
@@ -292,12 +305,31 @@ def test_garch_long_run_matches_gamma():
     assert abs(y.mean() - gamma) <= 3 * se
 
 
-def test_desk_config_schemes():
-    assert desk_config("gbm").n_steps == 1000       # exact scheme, 50/yr
-    assert desk_config("heston_sv").n_steps == 8000  # Euler scheme, 400/yr
-    vp = vp_of(BASE_MODELS["gbm"])
+SCHEME_LABELS = {
+    "gbm": "exact-lognormal",
+    "garch": "log-euler",
+    "inverse_garch": "log-euler-reciprocal",
+    "extended_cir": "full-truncation",
+    "three_halves": "reciprocal-cir",
+    "heston_sv": "heston-full-truncation",
+    "three_halves_sv": "reciprocal-cir-vol",
+    "gbm_vasicek": "exact-gaussian",
+    "gbm_inverse_garch_rate": "log-euler-rate",
+    "quadratic": "exact-ou-quadratic",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
+def test_desk_config_schemes(kind):
+    # Exact-transition schemes run 50 steps/yr at desk scale, Euler ones 400.
+    per_year = 50 if kind in ("gbm", "gbm_vasicek") else 400
+    scheme = _SCHEMES[kind]
+    assert (scheme.label, scheme.steps_per_year) == (SCHEME_LABELS[kind], per_year)
+    assert desk_config(kind).n_steps == 20 * per_year
+    vp = vp_of(BASE_MODELS[kind])
     tiny = desk_config(vp, horizon=1.0, n_paths=1000)
-    assert simulate_growth(vp, tiny).scheme == "exact-lognormal"
+    assert tiny.n_steps == per_year
+    assert simulate_growth(vp, tiny).scheme == SCHEME_LABELS[kind]
 
 
 # ---------------------------------------------------------------------------
