@@ -117,8 +117,8 @@ def _parse_beta_grid(spec: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(f"--beta-grid expects lo:hi:step, got {spec!r}") from exc
-    if step <= 0 or hi < lo:
-        raise ConfigError("--beta-grid needs step > 0 and hi >= lo")
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+        raise ConfigError("--beta-grid needs finite values with step > 0 and hi >= lo")
     n = int(math.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(n)
 
@@ -128,6 +128,8 @@ def _parse_cap(spec: str) -> tuple[float, float]:
         lo, hi = (float(p) for p in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(f"--cap expects lo:hi, got {spec!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ConfigError(f"--cap needs finite bounds with lo <= hi, got {spec!r}")
     return (lo, hi)
 
 
@@ -148,12 +150,15 @@ def _parse_sim(spec: str | None, seed: int | None, kind: str) -> SimConfig:
     unknown = set(fields) - known
     if unknown:
         raise ConfigError(f"unknown --sim keys: {sorted(unknown)}")
-    horizon = float(fields.get("t", base.horizon))
-    n_steps = int(fields.get("steps", round(base.n_steps * horizon / base.horizon)))
-    n_paths = int(fields.get("paths", base.n_paths))
-    sim_seed = int(fields.get("seed", base.seed))
-    return SimConfig(horizon=horizon, n_steps=n_steps, n_paths=n_paths,
-                     seed=sim_seed)
+    try:
+        horizon = float(fields.get("t", base.horizon))
+        n_steps = int(fields.get("steps", round(base.n_steps * horizon / base.horizon)))
+        n_paths = int(fields.get("paths", base.n_paths))
+        sim_seed = int(fields.get("seed", base.seed))
+        return SimConfig(horizon=horizon, n_steps=n_steps, n_paths=n_paths,
+                         seed=sim_seed)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"--sim {spec!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +342,7 @@ def run_figures(figure_id: int, out_dir: Path, args=None) -> dict:
         rows = []
         for b in betas:
             pb = vp.with_beta(float(b))
-            if isinstance(vp.model, GbmVasicek):
+            if vp.model.stochastic_rate:
                 rate = display_growth_value(pb)
             else:
                 g = growth_rate(pb)

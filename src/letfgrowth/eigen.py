@@ -10,49 +10,26 @@ generator residual with exact derivatives of the family (finite differences
 are available as an independent cross-check mode).
 
 The state G and the measure under which its generator is taken vary by
-variant: for scalar reference models it is the reference itself; for the
-stochastic-volatility and stochastic-rate models it is the driver (variance
-or rate) after the reference Brownian has been absorbed by an exponential
-tilt, which shifts the driver's drift by alpha*beta*delta*sigma-type
-correlation terms.  The coefficient tables below encode exactly the
-generator each pair is certified against; the Monte Carlo module simulates
-the same dynamics for the martingale certificates.
-
-One deliberate deviation from the usual write-up of the Vasicek-rate case:
-solving the generator equation for phi(r) = exp(s r) with killing
-alpha*(beta-1)*r forces s = alpha*(1-beta)/a and
-
-    lambda = -delta^2 s^2 / 2 - (theta + alpha*beta*delta*sigma*rho) s,
-
-i.e. the rate-level term enters the eigenvalue with a minus sign.  The
-residual certificate and the Monte Carlo oracle both confirm this branch;
-see the optimal-leverage module for the published-curve variant kept for
-figure reproduction.
+variant (the reference itself, or the variance or rate driver after an
+exponential tilt has absorbed the reference Brownian).  Each model class in
+``models`` states its own generator coefficients, eigenpair and default
+grid; this module is model-agnostic: it calls those methods, and its
+residual and transformed-measure code is keyed on the eigenfunction family
+(scalar, or the d-dimensional exponential-quadratic one).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
 from .errors import ComplexKappa, GridOutsideDomain
-from .models import (
-    ExtendedCir,
-    Garch,
-    Gbm,
-    GbmInverseGarchRate,
-    GbmVasicek,
-    HestonSV,
-    InverseGarch,
-    Quadratic,
-    ThreeHalves,
-    ThreeHalvesSV,
-    ValidatedProblem,
-)
-from .riccati import solve_quadratic_model
+
+if TYPE_CHECKING:
+    from .models import ValidatedProblem
 
 __all__ = [
     "Constant",
@@ -246,92 +223,15 @@ def _stable_root_minus(h: float, q: float, context: str) -> float:
 
 
 def generator_coefficients(vp: ValidatedProblem) -> GeneratorCoefficients:
-    """Coefficients of the generator-with-killing the eigenpair satisfies."""
-    m = vp.model
-    alpha, beta = vp.alpha, vp.beta
-    if isinstance(m, Gbm):
-        s2, mu = m.sigma ** 2, m.mu
-        k = 0.5 * alpha * beta * (beta - 1.0) * s2
-        return GeneratorCoefficients(
-            variance=lambda x: s2 * x * x,
-            drift=lambda x: mu * x,
-            killing=lambda x: np.full_like(np.asarray(x, float), k),
-            domain="positive")
-    if isinstance(m, Garch):
-        s2, th, a = m.sigma ** 2, m.theta, m.a
-        k = 0.5 * alpha * beta * (beta - 1.0) * s2
-        return GeneratorCoefficients(
-            variance=lambda x: s2 * x * x,
-            drift=lambda x: th - a * x,
-            killing=lambda x: np.full_like(np.asarray(x, float), k),
-            domain="positive")
-    if isinstance(m, InverseGarch):
-        s2, th, a = m.sigma ** 2, m.theta, m.a
-        k = 0.5 * alpha * beta * (beta - 1.0) * s2
-        return GeneratorCoefficients(
-            variance=lambda x: s2 * x * x,
-            drift=lambda x: (th - a * x) * x,
-            killing=lambda x: np.full_like(np.asarray(x, float), k),
-            domain="positive")
-    if isinstance(m, ExtendedCir):
-        s2, th, mu = m.sigma ** 2, m.theta, m.mu
-        kc = 0.5 * alpha * beta * (beta - 1.0) * s2
-        return GeneratorCoefficients(
-            variance=lambda x: s2 * x,
-            drift=lambda x: th + mu * x,
-            killing=lambda x: kc / np.asarray(x, float),
-            domain="positive")
-    if isinstance(m, ThreeHalves):
-        s2, th, a = m.sigma ** 2, m.theta, m.a
-        kc = 0.5 * alpha * beta * (beta - 1.0) * s2
-        return GeneratorCoefficients(
-            variance=lambda x: s2 * x ** 3,
-            drift=lambda x: (th - a * x) * x,
-            killing=lambda x: kc * np.asarray(x, float),
-            domain="positive")
-    if isinstance(m, HestonSV):
-        d2, th = m.delta ** 2, m.theta
-        a_t = m.a - alpha * beta * m.delta * m.rho  # tilted reversion speed
-        kc = 0.5 * alpha * (1.0 - alpha) * beta * beta
-        return GeneratorCoefficients(
-            variance=lambda v: d2 * v,
-            drift=lambda v: th - a_t * v,
-            killing=lambda v: kc * np.asarray(v, float),
-            domain="positive")
-    if isinstance(m, ThreeHalvesSV):
-        d2, th = m.delta ** 2, m.theta
-        a_t = m.a - alpha * beta * m.delta * m.rho
-        kc = 0.5 * alpha * (1.0 - alpha) * beta * beta
-        return GeneratorCoefficients(
-            variance=lambda v: d2 * v ** 3,
-            drift=lambda v: (th - a_t * v) * v,
-            killing=lambda v: kc * np.asarray(v, float),
-            domain="positive")
-    if isinstance(m, GbmVasicek):
-        d2 = m.delta ** 2
-        th_t = m.theta + alpha * beta * m.delta * m.sigma * m.rho
-        a = m.a
-        c = alpha * (beta - 1.0)
-        return GeneratorCoefficients(
-            variance=lambda r: np.full_like(np.asarray(r, float), d2),
-            drift=lambda r: th_t - a * r,
-            killing=lambda r: c * np.asarray(r, float),
-            domain="real")
-    if isinstance(m, GbmInverseGarchRate):
-        d2 = m.delta ** 2
-        th_t = m.theta + alpha * beta * m.delta * m.sigma * m.rho
-        a = m.a
-        c = alpha * (beta - 1.0)
-        return GeneratorCoefficients(
-            variance=lambda r: d2 * r * r,
-            drift=lambda r: (th_t - a * r) * r,
-            killing=lambda r: c * np.asarray(r, float),
-            domain="real")  # state is positive; killing is linear either way
-    raise TypeError(f"no scalar generator for model kind {m.kind!r}")
+    """Coefficients of the generator-with-killing the eigenpair satisfies.
+
+    Raises TypeError for the quadratic model, whose state is not scalar.
+    """
+    return vp.model.generator(vp.alpha, vp.beta)
 
 
 # ---------------------------------------------------------------------------
-# Eigenpair dispatch
+# Eigenpairs
 # ---------------------------------------------------------------------------
 
 def eigenpair(vp: ValidatedProblem) -> Eigenpair:
@@ -347,64 +247,7 @@ def eigenpair(vp: ValidatedProblem) -> Eigenpair:
         If the square-root argument of the exponent is negative (can only
         happen for beta inside (0, 1) at extreme parameters).
     """
-    m = vp.model
-    alpha, beta = vp.alpha, vp.beta
-    bb1 = beta * (beta - 1.0)
-
-    if isinstance(m, Gbm):
-        lam = -alpha * beta * m.mu + 0.5 * alpha * (1.0 - alpha) * beta ** 2 * m.sigma ** 2
-        return Eigenpair(lam=lam, phi=Power(alpha * beta), kappa=None)
-
-    if isinstance(m, (Garch, InverseGarch)):
-        lam = 0.5 * alpha * bb1 * m.sigma ** 2
-        return Eigenpair(lam=lam, phi=Constant(), kappa=None)
-
-    if isinstance(m, ExtendedCir):
-        half_less = 0.5 - m.theta / m.sigma ** 2
-        # half_less <= -1/2, so compute sqrt(...) + half_less stably.
-        kappa = _stable_root_minus(-half_less, alpha * bb1, "extended CIR exponent")
-        lam = m.mu * kappa + 2.0 * m.theta * m.mu / m.sigma ** 2
-        return Eigenpair(lam=lam,
-                         phi=ExpLinearPower(c=2.0 * m.mu / m.sigma ** 2, p=kappa),
-                         kappa=kappa)
-
-    if isinstance(m, ThreeHalves):
-        half_plus = 0.5 + m.a / m.sigma ** 2
-        kappa = _stable_root_minus(half_plus, alpha * bb1, "3/2 exponent")
-        return Eigenpair(lam=m.theta * kappa, phi=Power(-kappa), kappa=kappa)
-
-    if isinstance(m, HestonSV):
-        a_t = m.a - alpha * beta * m.delta * m.rho
-        q = alpha * (1.0 - alpha) * beta ** 2 * m.delta ** 2
-        kappa = _stable_root_minus(a_t, q, "Heston exponent") / m.delta ** 2
-        return Eigenpair(lam=m.theta * kappa, phi=ExpLinear(kappa), kappa=kappa)
-
-    if isinstance(m, ThreeHalvesSV):
-        shifted = m.a - alpha * beta * m.delta * m.rho + 0.5 * m.delta ** 2
-        q = alpha * (1.0 - alpha) * beta ** 2 * m.delta ** 2
-        kappa = _stable_root_minus(shifted, q, "3/2 volatility exponent") / m.delta ** 2
-        return Eigenpair(lam=m.theta * kappa, phi=Power(-kappa), kappa=kappa)
-
-    if isinstance(m, GbmVasicek):
-        # phi(r) = exp(s r); the killing term forces s = alpha (1-beta)/a,
-        # then lambda = -delta^2 s^2/2 - (theta + alpha beta delta sigma rho) s.
-        s = alpha * (1.0 - beta) / m.a
-        th_t = m.theta + alpha * beta * m.delta * m.sigma * m.rho
-        lam = -0.5 * m.delta ** 2 * s * s - th_t * s
-        return Eigenpair(lam=lam, phi=ExpLinear(-s), kappa=None)
-
-    if isinstance(m, GbmInverseGarchRate):
-        # phi(r) = r**e with e = alpha (1-beta)/a = -kappa.
-        e = alpha * (1.0 - beta) / m.a
-        th_t = m.theta + alpha * beta * m.delta * m.sigma * m.rho
-        lam = -0.5 * m.delta ** 2 * e * (e - 1.0) - th_t * e
-        return Eigenpair(lam=lam, phi=Power(e), kappa=-e)
-
-    if isinstance(m, Quadratic):
-        sol = solve_quadratic_model(m, alpha, beta)
-        return Eigenpair(lam=sol.lam, phi=ExpQuadratic(sol.u, sol.V), kappa=None)
-
-    raise TypeError(f"unknown model kind {m.kind!r}")
+    return vp.model.eigenpair(vp.alpha, vp.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +274,7 @@ def default_grid(vp: ValidatedProblem, n: int = 50) -> np.ndarray:
     For the quadratic model the grid is a lattice over [-5, 5]^d with about
     ``n`` points in total.
     """
-    m = vp.model
-    if isinstance(m, Quadratic):
-        per_axis = max(2, int(round(n ** (1.0 / m.d))))
-        axes = [np.linspace(-5.0, 5.0, per_axis)] * m.d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=-1)
-    if isinstance(m, GbmVasicek):
-        return np.linspace(-5.0, 5.0, n)
-    return np.geomspace(0.01, 100.0, n)
+    return vp.model.grid(n)
 
 
 def _scalar_ratios_fd(phi, x, h_rel=1e-5):
@@ -510,16 +345,15 @@ def generator_residual(vp: ValidatedProblem, pair: Eigenpair,
     if grid is None:
         grid = default_grid(vp)
 
-    if isinstance(m, Quadratic):
+    if isinstance(pair.phi, ExpQuadratic):
         y = np.atleast_2d(np.asarray(grid, dtype=float))
         if y.shape[1] != m.d:
             raise GridOutsideDomain(f"grid dimension {y.shape[1]} != d={m.d}")
-        phi: ExpQuadratic = pair.phi  # type: ignore[assignment]
         if mode == "exact":
-            g = phi.grad_ratio(y)
-            Hr = phi.hess_ratio(y)
+            g = pair.phi.grad_ratio(y)
+            Hr = pair.phi.hess_ratio(y)
         elif mode == "fd":
-            g, Hr = _quadratic_ratios_fd(phi, y)
+            g, Hr = _quadratic_ratios_fd(pair.phi, y)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         a = m.a
@@ -536,8 +370,6 @@ def generator_residual(vp: ValidatedProblem, pair: Eigenpair,
     coeffs = generator_coefficients(vp)
     if coeffs.domain == "positive" and np.any(x <= 0.0):
         raise GridOutsideDomain("grid contains non-positive points for a positive-state model")
-    if isinstance(m, GbmInverseGarchRate) and np.any(x <= 0.0):
-        raise GridOutsideDomain("inverse-GARCH rate state must stay positive")
     if mode == "exact":
         d1 = pair.phi.d1_ratio(x)
         d2 = pair.phi.d2_ratio(x)
@@ -569,12 +401,10 @@ class QDrift:
 def q_dynamics(vp: ValidatedProblem, pair: Eigenpair) -> QDrift:
     """Drift of the state under the eigenfunction-transformed measure."""
     m = vp.model
-    if isinstance(m, Quadratic):
-        sol_u = pair.phi.u  # type: ignore[union-attr]
-        sol_V = pair.phi.V  # type: ignore[union-attr]
+    if isinstance(pair.phi, ExpQuadratic):
         a = m.a
-        const = m.b - a @ sol_u
-        Fmat = m.Bmat - 2.0 * a @ sol_V
+        const = m.b - a @ pair.phi.u
+        Fmat = m.Bmat - 2.0 * a @ pair.phi.V
 
         def drift(y):
             y = np.atleast_2d(np.asarray(y, dtype=float))

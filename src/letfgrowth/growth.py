@@ -1,13 +1,17 @@
-"""Long-term growth rate of expected power utility, per model.
+"""Long-term growth rate of expected power utility.
 
-For each catalog variant this module evaluates
+For a validated problem this module evaluates
 
     Lambda(beta) = lim_{t->inf} (1/t) log E[L_t^alpha]
 
 in closed form together with the inequality that decides whether the limit
-is finite, plus two standalone growth results used by the oracle suite
-(exponential moments of a mean-reverting square-root process, and the
-discounting rate under an inverse-GARCH short rate).
+is finite, plus standalone growth results used by the oracle suite
+(exponential moments of a mean-reverting square-root process, the
+discounting rate under an inverse-GARCH short rate, and GARCH stationary
+power moments).  The module is model-agnostic: each model class in
+``models`` supplies its finiteness condition and rate components, and the
+code here classifies them, collects per-point errors along a curve and
+formats the result.
 
 Classification conventions
 --------------------------
@@ -29,26 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .eigen import eigenpair
 from .errors import ConditionUnmet, LetfGrowthError
-from .models import (
-    ExtendedCir,
-    Garch,
-    Gbm,
-    GbmInverseGarchRate,
-    GbmVasicek,
-    HestonSV,
-    InverseGarch,
-    Quadratic,
-    ThreeHalves,
-    ThreeHalvesSV,
-    ValidatedProblem,
-    has_stochastic_rate,
-)
-from .riccati import QuadraticSolution, solve_quadratic_grid, solve_quadratic_model
+
+if TYPE_CHECKING:
+    from .models import ValidatedProblem
 
 __all__ = [
     "FinitenessCondition",
@@ -114,7 +106,10 @@ def _finite(condition: FinitenessCondition, components: dict[str, float]) -> Gro
                       dict(components))
 
 
-def _infinite(condition: FinitenessCondition, components: dict[str, float]) -> GrowthRate:
+def _classified(condition: FinitenessCondition,
+                components: dict[str, float]) -> GrowthRate:
+    if condition.satisfied:
+        return _finite(condition, components)
     return GrowthRate("infinite", None, condition, dict(components))
 
 
@@ -131,121 +126,7 @@ def growth_rate(vp: ValidatedProblem) -> GrowthRate:
     ComplexKappa
         Propagated from the eigenpair evaluation.
     """
-    m = vp.model
-    alpha, beta = vp.alpha, vp.beta
-    r = vp.r
-
-    if not has_stochastic_rate(m) and beta == 0.0:
-        # Money-market account: L_t = exp(r t) deterministically.
-        return _finite(_ALWAYS, {"rate_term": alpha * r})
-
-    if isinstance(m, Quadratic):
-        return _quadratic_growth(vp, beta, solve_quadratic_model(m, alpha, beta))
-
-    pair = eigenpair(vp)
-
-    if isinstance(m, Gbm):
-        comps = {"rate_term": r * alpha * (1.0 - beta), "eigenvalue_term": -pair.lam}
-        return _finite(_ALWAYS, comps)
-
-    if isinstance(m, Garch):
-        cond = _condition("2a/sigma^2 + 1 > alpha*beta",
-                          2.0 * m.a / m.sigma ** 2 + 1.0, alpha * beta)
-        comps = {"rate_term": r * alpha * (1.0 - beta), "eigenvalue_term": -pair.lam}
-        return _finite(cond, comps) if cond.satisfied else _infinite(cond, comps)
-
-    if isinstance(m, InverseGarch):
-        cond = _condition("alpha*beta + 2*theta/sigma^2 > 1",
-                          alpha * beta + 2.0 * m.theta / m.sigma ** 2, 1.0)
-        comps = {"rate_term": r * alpha * (1.0 - beta), "eigenvalue_term": -pair.lam}
-        return _finite(cond, comps) if cond.satisfied else _infinite(cond, comps)
-
-    if isinstance(m, ExtendedCir):
-        kappa = pair.kappa
-        lhs = alpha * beta + 2.0 * m.theta / m.sigma ** 2 + kappa
-        cond = _condition("alpha*beta + 2*theta/sigma^2 + kappa > 0", lhs, 0.0)
-        comps = {
-            "rate_term": r * alpha * (1.0 - beta),
-            "eigenvalue_term": -pair.lam,
-            "moment_growth_term": lhs * m.mu,
-        }
-        return _finite(cond, comps) if cond.satisfied else _infinite(cond, comps)
-
-    if isinstance(m, ThreeHalves):
-        lhs = 2.0 * m.a / m.sigma ** 2 + pair.kappa - alpha * beta + 2.0
-        cond = _condition("2*a/sigma^2 + kappa - alpha*beta + 2 > 0", lhs, 0.0)
-        comps = {"rate_term": r * alpha * (1.0 - beta), "eigenvalue_term": -pair.lam}
-        return _finite(cond, comps) if cond.satisfied else _infinite(cond, comps)
-
-    if isinstance(m, HestonSV):
-        # Convergence of the exp-moment of the transformed variance process:
-        # sqrt((a - ab*d*r)^2 + a(1-a)b^2 d^2) + (a - ab*d*r) > 0.  Holds
-        # everywhere except the degenerate alpha = 1 corner with
-        # a <= beta*delta*rho.
-        a_t = m.a - alpha * beta * m.delta * m.rho
-        root = math.sqrt(a_t ** 2 + alpha * (1.0 - alpha) * beta ** 2 * m.delta ** 2)
-        cond = _condition("exp-moment convergence: sqrt(...) + (a - alpha*beta*delta*rho) > 0",
-                          root + a_t, 0.0)
-        comps = {
-            "rate_term": r * alpha * (1.0 - beta),
-            "reference_drift_term": alpha * beta * m.mu,
-            "eigenvalue_term": -pair.lam,
-        }
-        return _finite(cond, comps) if cond.satisfied else _infinite(cond, comps)
-
-    if isinstance(m, ThreeHalvesSV):
-        shifted = m.a - alpha * beta * m.delta * m.rho + 0.5 * m.delta ** 2
-        root = math.sqrt(shifted ** 2 + alpha * (1.0 - alpha) * beta ** 2 * m.delta ** 2)
-        lhs = (root + shifted) / m.delta ** 2 + 1.0
-        cond = _condition("(sqrt(...) + (a - alpha*beta*delta*rho + delta^2/2))/delta^2 + 1 > 0",
-                          lhs, 0.0)
-        comps = {
-            "rate_term": r * alpha * (1.0 - beta),
-            "reference_drift_term": alpha * beta * m.mu,
-            "eigenvalue_term": -pair.lam,
-        }
-        return _finite(cond, comps) if cond.satisfied else _infinite(cond, comps)
-
-    if isinstance(m, GbmVasicek):
-        comps = {
-            "reference_drift_term": alpha * beta * m.mu,
-            "volatility_drag_term": -0.5 * alpha * (1.0 - alpha) * beta ** 2 * m.sigma ** 2,
-            "eigenvalue_term": -pair.lam,
-        }
-        return _finite(_ALWAYS, comps)
-
-    if isinstance(m, GbmInverseGarchRate):
-        th_t = m.theta + alpha * beta * m.delta * m.sigma * m.rho
-        lhs = alpha * (1.0 - beta) / m.a + (2.0 / m.delta ** 2) * th_t
-        cond = _condition(
-            "alpha*(1-beta)/a + (2/delta^2)*(theta + alpha*beta*delta*sigma*rho) > 1",
-            lhs, 1.0)
-        comps = {
-            "reference_drift_term": alpha * beta * m.mu,
-            "volatility_drag_term": -0.5 * alpha * (1.0 - alpha) * beta ** 2 * m.sigma ** 2,
-            "eigenvalue_term": -pair.lam,
-        }
-        return _finite(cond, comps) if cond.satisfied else _infinite(cond, comps)
-
-    raise TypeError(f"unknown model kind {m.kind!r}")
-
-
-def _quadratic_growth(vp: ValidatedProblem, beta: float,
-                      sol: QuadraticSolution) -> GrowthRate:
-    """Quadratic-model growth rate at beta from its solved Riccati chain."""
-    uau, tr_av, ub = sol.lambda_terms
-    max_eig = float(sol.convergence.eigs_precision[-1])
-    cond = _condition(
-        "all eigenvalues of V + alpha*beta*I - inv(Sigma_inf)/2 negative "
-        "(lhs = -max eigenvalue)",
-        -max_eig, 0.0)
-    comps = {
-        "rate_term": vp.r * vp.alpha * (1.0 - beta),
-        "half_uau": 0.5 * uau,
-        "trace_aV": -tr_av,
-        "u_b": -ub,
-    }
-    return _finite(cond, comps) if cond.satisfied else _infinite(cond, comps)
+    return vp.model.growth_rate(vp.alpha, vp.beta, vp.r)
 
 
 @dataclass(frozen=True)
@@ -269,33 +150,12 @@ def growth_curve(vp: ValidatedProblem, beta_grid) -> list[GrowthCurvePoint]:
     if np.any(np.diff(betas) < 0):
         raise ValueError("beta grid must be sorted ascending")
     out = []
-    for b, g in zip(betas.tolist(), _curve_rates(vp, betas)):
+    for b, g in zip(betas.tolist(), vp.model.curve(vp.alpha, vp.r, betas)):
         if isinstance(g, LetfGrowthError):
             out.append(GrowthCurvePoint(b, None, f"{type(g).__name__}: {g}"))
         else:
             out.append(GrowthCurvePoint(b, g))
     return out
-
-
-def _curve_rates(vp: ValidatedProblem, betas: np.ndarray):
-    """growth_rate at each beta, or the library error it raises there."""
-    if isinstance(vp.model, Quadratic):
-        # One batched Riccati chain for the grid; beta = 0 keeps the
-        # money-market short-circuit of growth_rate.
-        moved = betas != 0.0
-        solved = solve_quadratic_grid(vp.model, vp.alpha, betas[moved])
-        for b, solve in zip(betas.tolist(), moved):
-            if not solve:
-                yield growth_rate(vp.with_beta(b))
-                continue
-            sol = next(solved)
-            yield sol if isinstance(sol, LetfGrowthError) else _quadratic_growth(vp, b, sol)
-        return
-    for b in betas.tolist():
-        try:
-            yield growth_rate(vp.with_beta(b))
-        except LetfGrowthError as exc:  # per-point collection by contract
-            yield exc
 
 
 def display_growth_value(vp: ValidatedProblem) -> float:
@@ -308,15 +168,9 @@ def display_growth_value(vp: ValidatedProblem) -> float:
     :func:`growth_rate`, which the Monte Carlo oracle supports.  Exposed so
     both values stay inspectable side by side.
     """
-    m = vp.model
-    if not isinstance(m, (GbmVasicek, GbmInverseGarchRate)):
+    if not vp.model.stochastic_rate:
         raise TypeError("display curve is defined for the stochastic-rate variants only")
-    alpha, beta = vp.alpha, vp.beta
-    th_t = m.theta + alpha * beta * m.delta * m.sigma * m.rho
-    return (alpha * beta * m.mu
-            - 0.5 * alpha * (1.0 - alpha) * beta ** 2 * m.sigma ** 2
-            + 0.5 * (alpha * m.delta * (1.0 - beta) / m.a) ** 2
-            - alpha * (1.0 - beta) * th_t / m.a)
+    return vp.model.display(vp.alpha, vp.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +189,7 @@ def cir_exponential_moment_growth(p: float, ell: float, mu: float,
         raise ValueError("mu and sigma must be positive")
     lhs = p + 2.0 * ell / sigma ** 2
     cond = _condition("p + 2*ell/sigma^2 > 0", lhs, 0.0)
-    comps = {"moment_growth_term": lhs * mu}
-    return _finite(cond, comps) if cond.satisfied else _infinite(cond, comps)
+    return _classified(cond, {"moment_growth_term": lhs * mu})
 
 
 def inverse_garch_discount_growth(c: float, theta: float, a: float,

@@ -2,9 +2,11 @@
 
 The library prices a leveraged fund on a reference asset ``X`` with leverage
 ratio ``beta``: the fund holds ``beta`` times its value in the reference and
-finances the rest at the short rate.  Everything downstream (eigenvalues,
-growth rates, Monte Carlo) dispatches on the tagged union of model variants
-defined here.
+finances the rest at the short rate.  Each model variant defined here
+carries its own closed forms: the eigenpair of its generator with killing,
+the finiteness condition and components of the growth rate, the finite
+region in beta, and the leverage derivative and optimum.  The eigen, growth
+and leverage modules call these methods and never branch on the variant.
 
 Units are per year throughout; volatilities are per square-root year.  The
 initial conditions are fixed at ``X_0 = L_0 = 1`` (and ``Y_0 = 0`` for the
@@ -21,12 +23,26 @@ from typing import ClassVar, Union
 
 import numpy as np
 
+from .eigen import (
+    Constant,
+    Eigenpair,
+    ExpLinear,
+    ExpLinearPower,
+    ExpQuadratic,
+    GeneratorCoefficients,
+    Power,
+    _stable_root_minus,
+)
 from .errors import (
     ConfigError,
     ExtraneousRate,
+    LetfGrowthError,
     MissingRate,
     ParameterViolation,
 )
+from .growth import _ALWAYS, FinitenessCondition, GrowthRate, _classified, _condition
+from .leverage import ConcavityProfile, Optimum
+from .riccati import QuadraticSolution, solve_quadratic_grid, solve_quadratic_model
 
 __all__ = [
     "Preference",
@@ -118,8 +134,75 @@ class ConstantRate:
 # Model variants
 # ---------------------------------------------------------------------------
 
+class _Model:
+    """Shared defaults of the closed forms each variant carries: ``generator``,
+    ``eigenpair``, ``growth`` (finiteness condition and rate components),
+    ``interval`` (finite region in beta), ``derivative`` and ``optimum`` (of
+    the leverage objective) and ``grid`` (default residual grid).
+    """
+
+    kind: ClassVar[str]
+    stochastic_rate: ClassVar[bool] = False  # carries its own short rate
+    domain: ClassVar[str] = "positive"  # state space: "positive" or "real"
+
+    def generator(self, alpha: float, beta: float) -> GeneratorCoefficients:
+        raise TypeError(f"no scalar generator for model kind {self.kind!r}")
+
+    def rate_term(self, alpha: float, beta: float, r: float) -> float:
+        """Constant-rate financing part of the growth rate."""
+        return r * alpha * (1.0 - beta)
+
+    def finiteness(self, alpha: float, beta: float, pair: Eigenpair) -> FinitenessCondition:
+        return _ALWAYS
+
+    def growth(self, alpha: float, beta: float, r: float | None):
+        """(finiteness condition, named additive rate components) at beta.
+
+        The generic shape is the constant-rate factor minus the eigenvalue.
+        """
+        pair = self.eigenpair(alpha, beta)
+        return self.finiteness(alpha, beta, pair), {
+            "rate_term": self.rate_term(alpha, beta, r),
+            "eigenvalue_term": -pair.lam,
+        }
+
+    def growth_rate(self, alpha: float, beta: float, r: float | None) -> GrowthRate:
+        if not self.stochastic_rate and beta == 0.0:
+            # Money-market account: L_t = exp(r t) deterministically.
+            return _classified(_ALWAYS, {"rate_term": alpha * r})
+        return _classified(*self.growth(alpha, beta, r))
+
+    def curve(self, alpha: float, r: float | None, betas: np.ndarray):
+        """growth_rate at each beta, or the library error it raises there."""
+        for b in betas.tolist():
+            try:
+                yield self.growth_rate(alpha, b, r)
+            except LetfGrowthError as exc:  # per-point collection by contract
+                yield exc
+
+    def interval(self, alpha: float) -> tuple[float, float, str | None]:
+        """Finite-classification region (lo, hi, condition text or None) in beta."""
+        return (-math.inf, math.inf, None)
+
+    def grid(self, n: int) -> np.ndarray:
+        """Default residual grid: log-spaced on (0, inf) states, linear on R."""
+        if self.domain == "real":
+            return np.linspace(-5.0, 5.0, n)
+        return np.geomspace(0.01, 100.0, n)
+
+
+def _lognormal_generator(alpha: float, beta: float, sigma: float,
+                         drift) -> GeneratorCoefficients:
+    """Generator of a reference with relative volatility sigma and the
+    constant killing alpha*beta*(beta-1)*sigma^2/2."""
+    s2 = sigma ** 2
+    k = 0.5 * alpha * beta * (beta - 1.0) * s2
+    return GeneratorCoefficients(lambda x: s2 * x * x, drift,
+                                 lambda x: np.full_like(np.asarray(x, float), k), "positive")
+
+
 @dataclass(frozen=True)
-class Gbm:
+class Gbm(_Model):
     """Geometric Brownian motion: dX = mu X dt + sigma X dB."""
 
     kind: ClassVar[str] = "gbm"
@@ -130,24 +213,83 @@ class Gbm:
         _require(self.sigma != 0.0, "sigma", "sigma != 0", f"got {self.sigma}",
                  relax, warnings)
 
+    def generator(self, alpha, beta):
+        mu = self.mu
+        return _lognormal_generator(alpha, beta, self.sigma, lambda x: mu * x)
+
+    def eigenpair(self, alpha, beta):
+        lam = (-alpha * beta * self.mu
+               + 0.5 * alpha * (1.0 - alpha) * beta ** 2 * self.sigma ** 2)
+        return Eigenpair(lam=lam, phi=Power(alpha * beta), kappa=None)
+
+    def derivative(self, alpha, beta, r):
+        return alpha * (self.mu - r) - alpha * (1.0 - alpha) * self.sigma ** 2 * beta
+
+    def optimum(self, alpha, r):
+        if alpha < 1.0:
+            return Optimum(
+                vertex=(self.mu - r) / ((1.0 - alpha) * self.sigma ** 2),
+                profile=ConcavityProfile(shape="quadratic",
+                                         C1=-0.5 * alpha * (1.0 - alpha) * self.sigma ** 2,
+                                         C2=alpha * (self.mu - r),
+                                         const=alpha * r))
+        # alpha = 1: rate is linear in beta with slope mu - r.
+        if self.mu == r:
+            return Optimum(note="objective constant in beta (alpha = 1, mu = r)")
+        return Optimum(side="+" if self.mu > r else "-",
+                       note="rate linear in beta at alpha = 1")
+
 
 @dataclass(frozen=True)
-class Garch:
-    """GARCH diffusion: dX = (theta - a X) dt + sigma X dB, all parameters > 0."""
+class _GarchFamily(_Model):
+    """GARCH and inverse GARCH: constant eigenfunction, and optimal leverage
+    1/2 - r / sigma^2 independent of alpha."""
 
-    kind: ClassVar[str] = "garch"
     theta: float
     a: float
     sigma: float
+
+    def eigenpair(self, alpha, beta):
+        lam = 0.5 * alpha * (beta * (beta - 1.0)) * self.sigma ** 2
+        return Eigenpair(lam=lam, phi=Constant(), kappa=None)
+
+    def derivative(self, alpha, beta, r):
+        return -r * alpha - 0.5 * alpha * self.sigma ** 2 * (2.0 * beta - 1.0)
+
+    def optimum(self, alpha, r):
+        return Optimum(
+            vertex=0.5 - r / self.sigma ** 2,
+            profile=ConcavityProfile(shape="quadratic", C1=-0.5 * alpha * self.sigma ** 2,
+                                     C2=-r * alpha + 0.5 * alpha * self.sigma ** 2,
+                                     const=alpha * r))
+
+
+@dataclass(frozen=True)
+class Garch(_GarchFamily):
+    """GARCH diffusion: dX = (theta - a X) dt + sigma X dB, all parameters > 0."""
+
+    kind: ClassVar[str] = "garch"
+    _finite_if: ClassVar[str] = "2a/sigma^2 + 1 > alpha*beta"
 
     def check(self, relax: bool, warnings: list[str]) -> None:
         for name in ("theta", "a", "sigma"):
             v = getattr(self, name)
             _require(v > 0.0, name, f"{name} > 0", f"got {v}", relax, warnings)
 
+    def generator(self, alpha, beta):
+        th, a = self.theta, self.a
+        return _lognormal_generator(alpha, beta, self.sigma, lambda x: th - a * x)
+
+    def finiteness(self, alpha, beta, pair):
+        return _condition(self._finite_if, 2.0 * self.a / self.sigma ** 2 + 1.0,
+                          alpha * beta)
+
+    def interval(self, alpha):
+        return (-math.inf, (2.0 * self.a / self.sigma ** 2 + 1.0) / alpha, self._finite_if)
+
 
 @dataclass(frozen=True)
-class InverseGarch:
+class InverseGarch(_GarchFamily):
     """Inverse GARCH diffusion: dX = (theta - a X) X dt + sigma X dB.
 
     Requires a, sigma > 0 and theta > sigma**2 (so that 1/X is a GARCH
@@ -155,9 +297,7 @@ class InverseGarch:
     """
 
     kind: ClassVar[str] = "inverse_garch"
-    theta: float
-    a: float
-    sigma: float
+    _finite_if: ClassVar[str] = "alpha*beta + 2*theta/sigma^2 > 1"
 
     def check(self, relax: bool, warnings: list[str]) -> None:
         _require(self.a > 0.0, "a", "a > 0", f"got {self.a}", relax, warnings)
@@ -166,9 +306,20 @@ class InverseGarch:
         _require(self.theta > self.sigma ** 2, "theta", "theta > sigma^2",
                  f"{self.theta} <= {self.sigma ** 2}", relax, warnings)
 
+    def generator(self, alpha, beta):
+        th, a = self.theta, self.a
+        return _lognormal_generator(alpha, beta, self.sigma, lambda x: (th - a * x) * x)
+
+    def finiteness(self, alpha, beta, pair):
+        return _condition(self._finite_if, alpha * beta + 2.0 * self.theta / self.sigma ** 2,
+                          1.0)
+
+    def interval(self, alpha):
+        return ((1.0 - 2.0 * self.theta / self.sigma ** 2) / alpha, math.inf, self._finite_if)
+
 
 @dataclass(frozen=True)
-class ExtendedCir:
+class ExtendedCir(_Model):
     """Extended CIR: dX = (theta + mu X) dt + sigma sqrt(X) dB.
 
     Transient (drifts to +infinity) for mu > 0.  Requires mu, sigma > 0 and
@@ -187,9 +338,50 @@ class ExtendedCir:
         _require(self.theta >= self.sigma ** 2, "theta", "theta >= sigma^2",
                  f"{self.theta} < {self.sigma ** 2}", relax, warnings)
 
+    def generator(self, alpha, beta):
+        s2, th, mu = self.sigma ** 2, self.theta, self.mu
+        kc = 0.5 * alpha * beta * (beta - 1.0) * s2
+        return GeneratorCoefficients(
+            variance=lambda x: s2 * x,
+            drift=lambda x: th + mu * x,
+            killing=lambda x: kc / np.asarray(x, float),
+            domain=self.domain)
+
+    def eigenpair(self, alpha, beta):
+        half_less = 0.5 - self.theta / self.sigma ** 2
+        # half_less <= -1/2, so compute sqrt(...) + half_less stably.
+        kappa = _stable_root_minus(-half_less, alpha * (beta * (beta - 1.0)),
+                                   "extended CIR exponent")
+        lam = self.mu * kappa + 2.0 * self.theta * self.mu / self.sigma ** 2
+        return Eigenpair(lam=lam,
+                         phi=ExpLinearPower(c=2.0 * self.mu / self.sigma ** 2, p=kappa),
+                         kappa=kappa)
+
+    def growth(self, alpha, beta, r):
+        # The transformed-measure moment itself grows exponentially; its
+        # rate is an extra component.
+        pair = self.eigenpair(alpha, beta)
+        lhs = alpha * beta + 2.0 * self.theta / self.sigma ** 2 + pair.kappa
+        return _condition("alpha*beta + 2*theta/sigma^2 + kappa > 0", lhs, 0.0), {
+            "rate_term": self.rate_term(alpha, beta, r),
+            "eigenvalue_term": -pair.lam,
+            "moment_growth_term": lhs * self.mu,
+        }
+
+    def derivative(self, alpha, beta, r):
+        return alpha * (self.mu - r)
+
+    def optimum(self, alpha, r):
+        slope = alpha * (self.mu - r)
+        prof = ConcavityProfile(shape="linear", D=slope)
+        if slope == 0.0:
+            return Optimum(profile=prof, note="rate constant in beta (mu = r)")
+        return Optimum(side="+" if slope > 0.0 else "-", profile=prof,
+                       note="rate affine in beta; a boundary leverage is preferred")
+
 
 @dataclass(frozen=True)
-class ThreeHalves:
+class ThreeHalves(_Model):
     """3/2 model: dX = (theta - a X) X dt + sigma X**(3/2) dB, parameters > 0."""
 
     kind: ClassVar[str] = "three_halves"
@@ -202,9 +394,89 @@ class ThreeHalves:
             v = getattr(self, name)
             _require(v > 0.0, name, f"{name} > 0", f"got {v}", relax, warnings)
 
+    def generator(self, alpha, beta):
+        s2, th, a = self.sigma ** 2, self.theta, self.a
+        kc = 0.5 * alpha * beta * (beta - 1.0) * s2
+        return GeneratorCoefficients(
+            variance=lambda x: s2 * x ** 3,
+            drift=lambda x: (th - a * x) * x,
+            killing=lambda x: kc * np.asarray(x, float),
+            domain=self.domain)
+
+    def eigenpair(self, alpha, beta):
+        half_plus = 0.5 + self.a / self.sigma ** 2
+        kappa = _stable_root_minus(half_plus, alpha * (beta * (beta - 1.0)), "3/2 exponent")
+        return Eigenpair(lam=self.theta * kappa, phi=Power(-kappa), kappa=kappa)
+
+    def finiteness(self, alpha, beta, pair):
+        lhs = 2.0 * self.a / self.sigma ** 2 + pair.kappa - alpha * beta + 2.0
+        return _condition("2*a/sigma^2 + kappa - alpha*beta + 2 > 0", lhs, 0.0)
+
+    def derivative(self, alpha, beta, r):
+        half_plus = 0.5 + self.a / self.sigma ** 2
+        root = math.sqrt(half_plus ** 2 + alpha * beta * (beta - 1.0))
+        return -r * alpha - self.theta * alpha * (2.0 * beta - 1.0) / (2.0 * root)
+
+    def optimum(self, alpha, r):
+        ratio = self.theta ** 2 / r ** 2
+        if alpha >= ratio:
+            return Optimum(side="-", note="rate decreasing in beta (alpha >= theta^2/r^2)")
+        half_plus_sq = (1.0 + 2.0 * self.a / self.sigma ** 2) ** 2
+        return Optimum(vertex=0.5 - 0.5 * math.sqrt((half_plus_sq - alpha) / (ratio - alpha)))
+
 
 @dataclass(frozen=True)
-class HestonSV:
+class _StochasticVolatility(_Model):
+    """Heston and 3/2 volatility.  The state is the variance after a tilt
+    has absorbed the reference Brownian, shifting its reversion speed to
+    a - alpha*beta*delta*rho.  The rescaled rate D beta - sqrt(C1 beta^2 +
+    2 C2 beta + C3) is strictly concave; interior optimum iff C1 > D^2.
+    """
+
+    mu: float
+    theta: float
+    a: float
+    delta: float
+    rho: float
+    v0: float
+
+    def _tilted_speed(self, alpha, beta):
+        return self.a - alpha * beta * self.delta * self.rho
+
+    def _generator(self, alpha, beta, variance, drift):
+        kc = 0.5 * alpha * (1.0 - alpha) * beta * beta
+        return GeneratorCoefficients(variance, drift, lambda v: kc * np.asarray(v, float),
+                                     self.domain)
+
+    def growth(self, alpha, beta, r):
+        pair = self.eigenpair(alpha, beta)
+        return self.finiteness(alpha, beta, pair), {
+            "rate_term": self.rate_term(alpha, beta, r),
+            "reference_drift_term": alpha * beta * self.mu,
+            "eigenvalue_term": -pair.lam,
+        }
+
+    def derivative(self, alpha, beta, r):
+        prof = self.profile(alpha, r)
+        q = prof.C1 * beta * beta + 2.0 * prof.C2 * beta + prof.C3
+        shifted = prof.D - (prof.C1 * beta + prof.C2) / math.sqrt(q)
+        return (self.theta / self.delta ** 2) * shifted
+
+    def optimum(self, alpha, r):
+        prof = self.profile(alpha, r)
+        c1, c2, c3, dd = prof.C1, prof.C2, prof.C3, prof.D
+        if c1 > dd * dd:
+            return Optimum(vertex=-c2 / c1 + (abs(dd) / c1) * math.sqrt(
+                (c1 * c3 - c2 * c2) / (c1 - dd * dd)), profile=prof)
+        if dd == 0.0:
+            return Optimum(profile=prof,
+                           note="degenerate flat objective (C1 <= D^2 with D = 0)")
+        return Optimum(side="+" if dd > 0.0 else "-", profile=prof,
+                       note="no interior critical point (C1 <= D^2); rate monotone in beta")
+
+
+@dataclass(frozen=True)
+class HestonSV(_StochasticVolatility):
     """Heston stochastic volatility.
 
     dX = mu X dt + sqrt(v) X dB,  dv = (theta - a v) dt + delta sqrt(v) dZ,
@@ -213,12 +485,6 @@ class HestonSV:
     """
 
     kind: ClassVar[str] = "heston_sv"
-    mu: float
-    theta: float
-    a: float
-    delta: float
-    rho: float
-    v0: float
 
     def check(self, relax: bool, warnings: list[str]) -> None:
         for name in ("mu", "theta", "a", "delta", "v0"):
@@ -230,18 +496,41 @@ class HestonSV:
                  "2*theta > delta^2",
                  f"{2.0 * self.theta} <= {self.delta ** 2}", relax, warnings)
 
+    def generator(self, alpha, beta):
+        d2, th = self.delta ** 2, self.theta
+        a_t = self._tilted_speed(alpha, beta)
+        return self._generator(alpha, beta, lambda v: d2 * v, lambda v: th - a_t * v)
+
+    def eigenpair(self, alpha, beta):
+        q = alpha * (1.0 - alpha) * beta ** 2 * self.delta ** 2
+        kappa = (_stable_root_minus(self._tilted_speed(alpha, beta), q, "Heston exponent")
+                 / self.delta ** 2)
+        return Eigenpair(lam=self.theta * kappa, phi=ExpLinear(kappa), kappa=kappa)
+
+    def finiteness(self, alpha, beta, pair):
+        # Convergence of the exp-moment of the transformed variance process:
+        # sqrt((a - ab*d*r)^2 + a(1-a)b^2 d^2) + (a - ab*d*r) > 0.  Holds
+        # everywhere except the degenerate alpha = 1 corner with
+        # a <= beta*delta*rho.
+        a_t = self._tilted_speed(alpha, beta)
+        root = math.sqrt(a_t ** 2 + alpha * (1.0 - alpha) * beta ** 2 * self.delta ** 2)
+        return _condition(
+            "exp-moment convergence: sqrt(...) + (a - alpha*beta*delta*rho) > 0",
+            root + a_t, 0.0)
+
+    def profile(self, alpha, r):
+        c1 = alpha * (1.0 - alpha) * self.delta ** 2 + (alpha * self.delta * self.rho) ** 2
+        c2 = -self.a * alpha * self.delta * self.rho
+        c3 = self.a ** 2
+        dd = alpha * self.delta ** 2 * (self.mu - r) / self.theta - alpha * self.delta * self.rho
+        return ConcavityProfile(shape="strictly_concave_sqrt", C1=c1, C2=c2, C3=c3, D=dd)
+
 
 @dataclass(frozen=True)
-class ThreeHalvesSV:
+class ThreeHalvesSV(_StochasticVolatility):
     """3/2 stochastic volatility: dv = (theta - a v) v dt + delta v**(3/2) dZ."""
 
     kind: ClassVar[str] = "three_halves_sv"
-    mu: float
-    theta: float
-    a: float
-    delta: float
-    rho: float
-    v0: float
 
     def check(self, relax: bool, warnings: list[str]) -> None:
         for name in ("theta", "a", "delta", "v0"):
@@ -250,9 +539,110 @@ class ThreeHalvesSV:
         _require(-1.0 <= self.rho <= 1.0, "rho", "-1 <= rho <= 1",
                  f"got {self.rho}", relax, warnings)
 
+    def generator(self, alpha, beta):
+        d2, th = self.delta ** 2, self.theta
+        a_t = self._tilted_speed(alpha, beta)
+        return self._generator(alpha, beta, lambda v: d2 * v ** 3,
+                               lambda v: (th - a_t * v) * v)
+
+    def eigenpair(self, alpha, beta):
+        shifted = self._tilted_speed(alpha, beta) + 0.5 * self.delta ** 2
+        q = alpha * (1.0 - alpha) * beta ** 2 * self.delta ** 2
+        kappa = _stable_root_minus(shifted, q, "3/2 volatility exponent") / self.delta ** 2
+        return Eigenpair(lam=self.theta * kappa, phi=Power(-kappa), kappa=kappa)
+
+    def finiteness(self, alpha, beta, pair):
+        shifted = self._tilted_speed(alpha, beta) + 0.5 * self.delta ** 2
+        root = math.sqrt(shifted ** 2 + alpha * (1.0 - alpha) * beta ** 2 * self.delta ** 2)
+        return _condition(
+            "(sqrt(...) + (a - alpha*beta*delta*rho + delta^2/2))/delta^2 + 1 > 0",
+            (root + shifted) / self.delta ** 2 + 1.0, 0.0)
+
+    def profile(self, alpha, r):
+        shift = self.a + 0.5 * self.delta ** 2
+        c1 = alpha * (1.0 - alpha) * self.delta ** 2 + (alpha * self.delta * self.rho) ** 2
+        c2 = -alpha * self.delta * self.rho * shift
+        c3 = shift ** 2
+        dd = ((self.mu - r) * self.delta / self.theta - self.rho) * alpha * self.delta
+        return ConcavityProfile(shape="strictly_concave_sqrt", C1=c1, C2=c2, C3=c3, D=dd)
+
 
 @dataclass(frozen=True)
-class GbmVasicek:
+class _StochasticRate(_Model):
+    """GBM reference with its own short rate r as the eigenfunction's state.
+    The tilt that absorbs the reference Brownian shifts the rate's level to
+    theta + alpha*beta*delta*sigma*rho; the killing is alpha*(beta-1)*r.
+    The optimizer maximizes the published quadratic curve (:meth:`display`).
+    """
+
+    stochastic_rate: ClassVar[bool] = True
+    mu: float
+    sigma: float
+    theta: float
+    a: float
+    delta: float
+    rho: float
+    r0: float
+
+    def _tilted_level(self, alpha, beta):
+        return self.theta + alpha * beta * self.delta * self.sigma * self.rho
+
+    def _generator(self, alpha, beta, variance, drift):
+        c = alpha * (beta - 1.0)
+        return GeneratorCoefficients(variance, drift, lambda r: c * np.asarray(r, float),
+                                     self.domain)
+
+    def growth(self, alpha, beta, r):
+        pair = self.eigenpair(alpha, beta)
+        return self.finiteness(alpha, beta, pair), {
+            "reference_drift_term": alpha * beta * self.mu,
+            "volatility_drag_term": -0.5 * alpha * (1.0 - alpha) * beta ** 2 * self.sigma ** 2,
+            "eigenvalue_term": -pair.lam,
+        }
+
+    def display(self, alpha, beta):
+        """Published-curve value at beta (see ``growth.display_growth_value``)."""
+        th_t = self._tilted_level(alpha, beta)
+        return (alpha * beta * self.mu
+                - 0.5 * alpha * (1.0 - alpha) * beta ** 2 * self.sigma ** 2
+                + 0.5 * (alpha * self.delta * (1.0 - beta) / self.a) ** 2
+                - alpha * (1.0 - beta) * th_t / self.a)
+
+    def profile(self, alpha):
+        """The published curve as C1 b^2 + C2 b + const."""
+        a, th, de, sg, rho, mu = self.a, self.theta, self.delta, self.sigma, self.rho, self.mu
+        c1 = (-0.5 * alpha * (1.0 - alpha) * sg ** 2
+              + (alpha * de) ** 2 / (2.0 * a ** 2)
+              + alpha ** 2 * de * sg * rho / a)
+        c2 = (alpha * mu
+              - (alpha * de) ** 2 / a ** 2
+              + alpha * th / a
+              - alpha ** 2 * de * sg * rho / a)
+        const = (alpha * de) ** 2 / (2.0 * a ** 2) - alpha * th / a
+        return ConcavityProfile(shape="quadratic", C1=c1, C2=c2, const=const)
+
+    def derivative(self, alpha, beta, r):
+        prof = self.profile(alpha)
+        return 2.0 * prof.C1 * beta + prof.C2
+
+    def optimum(self, alpha, r):
+        prof = self.profile(alpha)
+        c1, c2 = prof.C1, prof.C2
+        if c1 < 0.0:
+            return Optimum(vertex=-c2 / (2.0 * c1), method="quadratic_vertex", profile=prof)
+        if c1 == 0.0:
+            if c2 == 0.0:
+                return Optimum(method="quadratic_vertex", profile=prof,
+                               note="reference curve constant in beta")
+            return Optimum(side="+" if c2 > 0.0 else "-", profile=prof,
+                           note="reference curve linear in beta (C1 = 0)")
+        # Convex parabola: favored direction is away from the vertex.
+        return Optimum(side="+" if c2 / (2.0 * c1) > 0.0 else "-", profile=prof,
+                       note="reference curve convex in beta (C1 > 0)")
+
+
+@dataclass(frozen=True)
+class GbmVasicek(_StochasticRate):
     """GBM reference with a Vasicek (Gaussian OU) short rate.
 
     dX = mu X dt + sigma X dB,  dr = (theta - a r) dt + delta dZ,
@@ -261,13 +651,7 @@ class GbmVasicek:
     """
 
     kind: ClassVar[str] = "gbm_vasicek"
-    mu: float
-    sigma: float
-    theta: float
-    a: float
-    delta: float
-    rho: float
-    r0: float
+    domain: ClassVar[str] = "real"
 
     def check(self, relax: bool, warnings: list[str]) -> None:
         for name in ("sigma", "theta", "a", "delta"):
@@ -276,9 +660,26 @@ class GbmVasicek:
         _require(-1.0 <= self.rho <= 1.0, "rho", "-1 <= rho <= 1",
                  f"got {self.rho}", relax, warnings)
 
+    def generator(self, alpha, beta):
+        d2, a = self.delta ** 2, self.a
+        th_t = self._tilted_level(alpha, beta)
+        return self._generator(alpha, beta,
+                               lambda r: np.full_like(np.asarray(r, float), d2),
+                               lambda r: th_t - a * r)
+
+    def eigenpair(self, alpha, beta):
+        # phi(r) = exp(s r); the killing term forces s = alpha (1-beta)/a,
+        # then lambda = -delta^2 s^2/2 - (theta + alpha beta delta sigma rho) s,
+        # i.e. the rate-level term enters with a minus sign, unlike the
+        # published curve.  The residual certificate and the Monte Carlo
+        # oracle both confirm this branch.
+        s = alpha * (1.0 - beta) / self.a
+        lam = -0.5 * self.delta ** 2 * s * s - self._tilted_level(alpha, beta) * s
+        return Eigenpair(lam=lam, phi=ExpLinear(-s), kappa=None)
+
 
 @dataclass(frozen=True)
-class GbmInverseGarchRate:
+class GbmInverseGarchRate(_StochasticRate):
     """GBM reference with an inverse-GARCH short rate.
 
     dX = mu X dt + sigma X dB,  dr = (theta - a r) r dt + delta r dZ,
@@ -286,13 +687,8 @@ class GbmInverseGarchRate:
     """
 
     kind: ClassVar[str] = "gbm_inverse_garch_rate"
-    mu: float
-    sigma: float
-    theta: float
-    a: float
-    delta: float
-    rho: float
-    r0: float
+    _finite_if: ClassVar[str] = (
+        "alpha*(1-beta)/a + (2/delta^2)*(theta + alpha*beta*delta*sigma*rho) > 1")
 
     def check(self, relax: bool, warnings: list[str]) -> None:
         for name in ("mu", "a", "delta"):
@@ -306,16 +702,50 @@ class GbmInverseGarchRate:
         _require(-1.0 <= self.rho <= 1.0, "rho", "-1 <= rho <= 1",
                  f"got {self.rho}", relax, warnings)
 
+    def generator(self, alpha, beta):
+        d2, a = self.delta ** 2, self.a
+        th_t = self._tilted_level(alpha, beta)
+        return self._generator(alpha, beta, lambda r: d2 * r * r,
+                               lambda r: (th_t - a * r) * r)
+
+    def eigenpair(self, alpha, beta):
+        # phi(r) = r**e with e = alpha (1-beta)/a = -kappa.
+        e = alpha * (1.0 - beta) / self.a
+        lam = (-0.5 * self.delta ** 2 * e * (e - 1.0)
+               - self._tilted_level(alpha, beta) * e)
+        return Eigenpair(lam=lam, phi=Power(e), kappa=-e)
+
+    def finiteness(self, alpha, beta, pair):
+        lhs = (alpha * (1.0 - beta) / self.a
+               + (2.0 / self.delta ** 2) * self._tilted_level(alpha, beta))
+        return _condition(self._finite_if, lhs, 1.0)
+
+    def interval(self, alpha):
+        # The condition is linear in beta: s*beta + c0 > 1.
+        s = -alpha / self.a + 2.0 * alpha * self.sigma * self.rho / self.delta
+        c0 = alpha / self.a + 2.0 * self.theta / self.delta ** 2
+        if s > 0.0:
+            return ((1.0 - c0) / s, math.inf, self._finite_if)
+        if s < 0.0:
+            return (-math.inf, (1.0 - c0) / s, self._finite_if)
+        return ((-math.inf, math.inf, None) if c0 > 1.0
+                else (math.nan, math.nan, self._finite_if))
+
 
 @dataclass(frozen=True, eq=False)
-class Quadratic:
+class Quadratic(_Model):
     """Quadratic model X = exp(|Y|^2) for a d-dimensional OU state Y.
 
     dY = (b + B Y) dt + sigma dW with Y_0 = 0; sigma must be non-singular so
-    that a = sigma sigma^T is strictly positive definite.
+    that a = sigma sigma^T is strictly positive definite.  Its eigenpair
+    and growth rate come from the stabilizing Riccati solution; it has no
+    closed-form leverage derivative or optimum, so the optimizer searches.
     """
 
     kind: ClassVar[str] = "quadratic"
+    domain: ClassVar[str] = "real"
+    derivative: ClassVar[None] = None
+    optimum: ClassVar[None] = None
     b: np.ndarray
     Bmat: np.ndarray
     sigma: np.ndarray
@@ -351,24 +781,54 @@ class Quadratic:
                 and np.array_equal(self.Bmat, other.Bmat)
                 and np.array_equal(self.sigma, other.sigma))
 
+    def eigenpair(self, alpha, beta):
+        sol = solve_quadratic_model(self, alpha, beta)
+        return Eigenpair(lam=sol.lam, phi=ExpQuadratic(sol.u, sol.V), kappa=None)
+
+    def growth(self, alpha, beta, r, sol: QuadraticSolution | None = None):
+        """Condition and components from the solved Riccati chain at beta."""
+        if sol is None:
+            sol = solve_quadratic_model(self, alpha, beta)
+        uau, tr_av, ub = sol.lambda_terms
+        max_eig = float(sol.convergence.eigs_precision[-1])
+        cond = _condition(
+            "all eigenvalues of V + alpha*beta*I - inv(Sigma_inf)/2 negative "
+            "(lhs = -max eigenvalue)",
+            -max_eig, 0.0)
+        return cond, {
+            "rate_term": self.rate_term(alpha, beta, r),
+            "half_uau": 0.5 * uau,
+            "trace_aV": -tr_av,
+            "u_b": -ub,
+        }
+
+    def curve(self, alpha, r, betas):
+        # One batched Riccati chain for the grid; beta = 0 keeps the
+        # money-market short-circuit of growth_rate.
+        moved = betas != 0.0
+        solved = solve_quadratic_grid(self, alpha, betas[moved])
+        for b, solve in zip(betas.tolist(), moved):
+            if not solve:
+                yield self.growth_rate(alpha, b, r)
+                continue
+            sol = next(solved)
+            yield (sol if isinstance(sol, LetfGrowthError)
+                   else _classified(*self.growth(alpha, b, r, sol)))
+
+    def grid(self, n):
+        """A lattice over [-5, 5]^d with about ``n`` points in total."""
+        per_axis = max(2, int(round(n ** (1.0 / self.d))))
+        axes = [np.linspace(-5.0, 5.0, per_axis)] * self.d
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([g.ravel() for g in mesh], axis=-1)
+
 
 ModelSpec = Union[
     Gbm, Garch, InverseGarch, ExtendedCir, ThreeHalves,
     HestonSV, ThreeHalvesSV, GbmVasicek, GbmInverseGarchRate, Quadratic,
 ]
 
-MODEL_KINDS: dict[str, type] = {
-    cls.kind: cls
-    for cls in (Gbm, Garch, InverseGarch, ExtendedCir, ThreeHalves,
-                HestonSV, ThreeHalvesSV, GbmVasicek, GbmInverseGarchRate,
-                Quadratic)
-}
-
-STOCHASTIC_RATE_KINDS = frozenset({"gbm_vasicek", "gbm_inverse_garch_rate"})
-
-
-def has_stochastic_rate(model: ModelSpec) -> bool:
-    return model.kind in STOCHASTIC_RATE_KINDS
+MODEL_KINDS: dict[str, type] = {cls.kind: cls for cls in ModelSpec.__args__}
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +911,7 @@ def validate(problem: Problem | ValidatedProblem, relax: bool = False) -> Valida
         return problem
 
     model = problem.model
-    if has_stochastic_rate(model):
+    if model.stochastic_rate:
         if problem.rate is not None:
             raise ExtraneousRate(
                 f"model {model.kind!r} carries its own short rate; drop 'r'")

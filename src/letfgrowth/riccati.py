@@ -67,6 +67,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -77,7 +78,9 @@ from .errors import (
     NotHurwitz,
     SingularSystem,
 )
-from .models import Quadratic
+
+if TYPE_CHECKING:
+    from .models import Quadratic
 
 __all__ = [
     "RiccatiSolution",

@@ -121,6 +121,23 @@ def test_config_validation_exit_code(tmp_path, capsys):
     assert "theta > sigma^2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimal", "--cap=2:1"],
+    ["optimal", "--cap=nan:1"],
+    ["optimal", "--cap=-inf:1"],
+    ["growth", "--beta-grid=nan:1:0.1"],
+    ["growth", "--beta-grid=0:inf:0.1"],
+    ["verify", "--sim=paths=10"],
+    ["verify", "--sim=t=abc"],
+    ["verify", "--sim=t=inf"],
+])
+def test_malformed_option_exit_code(gbm_cfg, capsys, argv):
+    # Malformed --cap, --beta-grid and --sim values are configuration
+    # errors: exit 2 with a message, not a traceback.
+    assert cli.main(argv + ["--config", str(gbm_cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: --")
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # No stabilizing solution: beta inside (0,1) makes the killing negative
     # enough that the stable subspace degenerates.

@@ -199,9 +199,17 @@ def test_q_dynamics_quadratic():
 
 
 def test_grid_domain_check():
-    vp = vp_of(BASE_MODELS["garch"])
-    with pytest.raises(GridOutsideDomain):
-        generator_residual(vp, eigenpair(vp), np.array([-1.0, 1.0]))
+    # Every scalar state but the Vasicek rate lives on (0, inf).
+    for kind in sorted(set(BASE_MODELS) - {"gbm_vasicek", "quadratic"}):
+        vp = vp_of(BASE_MODELS[kind])
+        with pytest.raises(GridOutsideDomain):
+            generator_residual(vp, eigenpair(vp), np.array([-1.0, 1.0]))
+
+
+def test_real_state_accepts_negative_grid():
+    vp = vp_of(BASE_MODELS["gbm_vasicek"])
+    res = generator_residual(vp, eigenpair(vp), np.array([-2.0, -0.5, 1.0]))
+    assert res.max_abs_residual < 1e-12
 
 
 @given(alpha=st.floats(0.05, 1.0),

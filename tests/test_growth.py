@@ -16,7 +16,6 @@ from letfgrowth.growth import (
     stationary_power_moment_garch,
 )
 from letfgrowth.eigen import eigenpair
-from letfgrowth.leverage import _quadratic_profile
 from letfgrowth.models import (
     ExtendedCir,
     Garch,
@@ -136,7 +135,7 @@ def test_display_curve_matches_leverage_profile(kind, alpha):
     # The published curve is written out twice: as display_growth_value and
     # as the C1 b^2 + C2 b + const profile that optimal_beta maximizes.
     m = BASE_MODELS[kind]
-    prof = _quadratic_profile(m, alpha)
+    prof = m.profile(alpha)
     vp = vp_of(m, alpha=alpha)
     for b in np.linspace(-3.0, 3.0, 61):
         b = float(b)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from letfgrowth.errors import NoFiniteRegion
 from letfgrowth.growth import growth_rate
 from letfgrowth.leverage import (
-    _finite_interval,
     golden_section_max,
     lambda_derivative,
     objective_value,
@@ -197,6 +196,14 @@ def test_exact_vs_fd_derivative():
         assert fd == pytest.approx(exact, rel=1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["gbm", "quadratic"])
+def test_derivative_rejects_unknown_mode(kind):
+    # The quadratic model has no closed-form derivative, so an unknown mode
+    # must be refused before it falls through to finite differences.
+    with pytest.raises(ValueError, match="unknown mode"):
+        lambda_derivative(vp_of(BASE_MODELS[kind]), 1.5, mode="bogus")
+
+
 def test_heston_derivative_zero_at_flat_drift():
     vp = vp_of(HestonSV(mu=0.01, **HESTON_FIG), relax=True)
     assert abs(lambda_derivative(vp, 0.0)) < 1e-12
@@ -263,7 +270,7 @@ def test_finite_interval_agrees_with_growth_condition(model, alpha, beta):
     # The optimizer's finite region and growth_rate's finiteness condition
     # code the same inequality twice; off the boundary they must agree, at
     # the drawn beta and just inside and outside each finite edge.
-    lo, hi, _ = _finite_interval(vp_of(model, alpha=alpha))
+    lo, hi, _ = model.interval(alpha)
     edges = [e + side * 1e-6 * max(1.0, abs(e))
              for e in (lo, hi) if math.isfinite(e) for side in (-1.0, 1.0)]
     for b in [beta] + edges:
