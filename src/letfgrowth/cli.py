@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, LetfGrowthError, NoFiniteRegion
 from .eigen import default_grid, eigenpair, generator_residual
-from .growth import growth_curve, growth_rate
+from .growth import GrowthCurvePoint, growth_curve, growth_rate
 from .leverage import optimal_beta
 from .mc import SimConfig, desk_config, simulate_growth, verdict_for
 from .models import (
@@ -90,17 +90,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             w.writerow([_fmt(v) for v in row])
 
 
-def _write_manifest(out_path: Path, subcommand: str, args: argparse.Namespace,
+def _write_manifest(out_path: Path, subcommand: str, config_path: str | None,
                     problems, extra: dict | None = None) -> None:
     doc = {
         "tool": "letfgrowth",
         "version": __version__,
         "subcommand": subcommand,
-        "config_path": str(getattr(args, "config", None)) if getattr(args, "config", None) else None,
-        "problems": problems,
+        "config_path": config_path,
+        "problems": [problem_to_config(vp) for vp in problems],
         "out": str(out_path),
-        "relax": bool(getattr(args, "relax", False)),
-        "seed": getattr(args, "seed", None),
+        "relax": any(vp.relaxed for vp in problems),
         "timestamp": datetime.datetime.now(datetime.timezone.utc)
                      .replace(microsecond=0).isoformat(),
     }
@@ -133,8 +132,8 @@ def _parse_cap(spec: str) -> tuple[float, float]:
     return (lo, hi)
 
 
-def _parse_sim(spec: str | None, seed: int | None, kind: str) -> SimConfig:
-    base = desk_config(kind, seed=seed if seed is not None else 42)
+def _parse_sim(spec: str | None, kind: str) -> SimConfig:
+    base = desk_config(kind)
     if not spec:
         return base
     fields = {}
@@ -183,10 +182,11 @@ def _cmd_growth(args) -> int:
     if args.beta is not None and args.beta_grid is not None:
         raise ConfigError("--beta and --beta-grid are mutually exclusive")
     if args.beta_grid is not None:
-        betas = _parse_beta_grid(args.beta_grid)
+        points = growth_curve(vp, _parse_beta_grid(args.beta_grid))
     else:
-        betas = np.array([args.beta if args.beta is not None else vp.beta])
-    points = growth_curve(vp, betas)
+        # One beta: a library error is the answer, so it propagates.
+        p = vp if args.beta is None else vp.with_beta(args.beta)
+        points = [GrowthCurvePoint(p.beta, growth_rate(p))]
     rows = []
     for pt in points:
         if pt.growth is None:
@@ -196,7 +196,7 @@ def _cmd_growth(args) -> int:
         rows.append([pt.beta, g.rate if g.is_finite else math.inf,
                      1 if g.is_finite else 0,
                      g.condition.lhs, g.condition.threshold])
-    if len(points) == 1 and points[0].growth is not None:
+    if args.beta_grid is None:
         g = points[0].growth
         rate_txt = _fmt(g.rate) if g.is_finite else "inf"
         print(f"beta={_fmt(points[0].beta)} rate={rate_txt} "
@@ -205,7 +205,7 @@ def _cmd_growth(args) -> int:
         out = Path(args.out)
         _write_csv(out, ["beta", "rate", "finite", "condition_lhs",
                          "condition_threshold"], rows)
-        _write_manifest(out, "growth", args, [problem_to_config(vp)],
+        _write_manifest(out, "growth", args.config, [vp],
                         {"beta": args.beta, "beta_grid": args.beta_grid})
     return 0
 
@@ -231,8 +231,7 @@ def _cmd_optimal(args) -> int:
         out = Path(args.out)
         _write_csv(out, ["mu", "beta_star", "rate_at_star", "method",
                          "C1", "C2", "C3", "D"], [row])
-        _write_manifest(out, "optimal", args, [problem_to_config(vp)],
-                        {"cap": args.cap})
+        _write_manifest(out, "optimal", args.config, [vp], {"cap": args.cap})
     return 0
 
 
@@ -263,13 +262,13 @@ def _cmd_riccati(args) -> int:
     if args.out:
         out = Path(args.out)
         _write_csv(out, ["name", "value"], rows)
-        _write_manifest(out, "riccati", args, [problem_to_config(vp)])
+        _write_manifest(out, "riccati", args.config, [vp])
     return 0
 
 
 def _cmd_verify(args) -> int:
     vp = load_problem(args.config, relax=args.relax)
-    cfg = _parse_sim(args.sim, args.seed, vp.model.kind)
+    cfg = _parse_sim(args.sim, vp.model.kind)
     analytic = growth_rate(vp)
     est = simulate_growth(vp, cfg)
     verdict = verdict_for(est, analytic)
@@ -289,7 +288,7 @@ def _cmd_verify(args) -> int:
         _write_csv(out, ["checkpoint_t", "log_mean_utility", "stderr", "slope",
                          "slope_stderr", "analytic_rate", "abs_rel_gap",
                          "verdict"], rows)
-        _write_manifest(out, "verify", args, [problem_to_config(vp)],
+        _write_manifest(out, "verify", args.config, [vp],
                         {"sim": args.sim,
                          "sim_resolved": {"t": cfg.horizon, "steps": cfg.n_steps,
                                           "paths": cfg.n_paths, "seed": cfg.seed}})
@@ -324,7 +323,7 @@ def figure_problems(figure_id: int):
     raise ConfigError(f"unknown figure id {figure_id}; expected 1 or 2")
 
 
-def run_figures(figure_id: int, out_dir: Path, args=None) -> dict:
+def run_figures(figure_id: int, out_dir: Path) -> dict:
     """Write one (beta, rate) curve CSV per drift plus a summary CSV.
 
     The curves cover beta in [-3, 3] at step 0.01 (601 rows); the summary
@@ -335,8 +334,6 @@ def run_figures(figure_id: int, out_dir: Path, args=None) -> dict:
     problems = figure_problems(figure_id)
     betas = -3.0 + 0.01 * np.arange(601)
     summary = []
-    ns = args if args is not None else argparse.Namespace(config=None, relax=figure_id == 1,
-                                                          seed=None)
     for vp in problems:
         mu = vp.model.mu
         if vp.model.stochastic_rate:
@@ -347,20 +344,17 @@ def run_figures(figure_id: int, out_dir: Path, args=None) -> dict:
         rows = list(zip(betas, rates))
         curve_path = out_dir / f"figure{figure_id}_mu_{_fmt(mu)}.csv"
         _write_csv(curve_path, ["beta", "rate"], rows)
-        _write_manifest(curve_path, "figures", ns, [problem_to_config(vp)],
-                        {"figure": figure_id})
+        _write_manifest(curve_path, "figures", None, [vp], {"figure": figure_id})
         opt = optimal_beta(vp, cap=None)
         summary.append([mu, opt.beta_star, opt.rate_at_star])
     summary_path = out_dir / f"figure{figure_id}_summary.csv"
     _write_csv(summary_path, ["mu", "beta_star", "rate_at_star"], summary)
-    _write_manifest(summary_path, "figures", ns,
-                    [problem_to_config(vp) for vp in problems],
-                    {"figure": figure_id})
+    _write_manifest(summary_path, "figures", None, problems, {"figure": figure_id})
     return {"summary": summary_path, "betas": betas}
 
 
 def _cmd_figures(args) -> int:
-    res = run_figures(args.figure, Path(args.out_dir), args)
+    res = run_figures(args.figure, Path(args.out_dir))
     print(f"wrote {res['summary']}")
     return 0
 
@@ -377,45 +371,44 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON problem config")
-        p.add_argument("--out", help="CSV output path")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON problem config")
         p.add_argument("--relax", action="store_true",
                        help="downgrade parameter-bound violations to warnings")
-        p.add_argument("--seed", type=int, default=None, help="simulation seed")
+
+    def writes_csv(p):
+        common(p)
+        p.add_argument("--out", help="CSV output path")
 
     p = sub.add_parser("eigenpair", help="eigenvalue/eigenfunction and residual")
     common(p)
     p.set_defaults(fn=_cmd_eigenpair)
 
     p = sub.add_parser("growth", help="growth rate at one beta or over a grid")
-    common(p)
+    writes_csv(p)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--beta-grid", default=None, metavar="LO:HI:STEP")
     p.set_defaults(fn=_cmd_growth)
 
     p = sub.add_parser("optimal", help="optimal leverage ratio")
-    common(p)
+    writes_csv(p)
     p.add_argument("--cap", default=None, metavar="LO:HI",
                    help="restrict to a leverage interval, e.g. -3:3")
     p.set_defaults(fn=_cmd_optimal)
 
     p = sub.add_parser("riccati", help="stabilizing Riccati solution")
-    common(p)
+    writes_csv(p)
     p.set_defaults(fn=_cmd_riccati)
 
     p = sub.add_parser("verify", help="Monte Carlo oracle vs closed form")
-    common(p)
+    writes_csv(p)
     p.add_argument("--sim", default=None, metavar="t=20,steps=8000,paths=200000,seed=42")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("figures", help="reproduce the bundled reference scenarios")
     p.add_argument("figure", type=int, choices=(1, 2))
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--relax", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=_cmd_figures, config=None)
+    p.set_defaults(fn=_cmd_figures)
 
     return ap
 

@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 RESIDUAL_EPS = 1e-300
+FD_REL_STEP = 1e-5   # scalar states: step relative to max(1, |x|)
+FD_QUAD_STEP = 1e-4  # quadratic state: absolute step per coordinate
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +270,15 @@ class GeneratorResidual:
     mode: str
 
 
-def default_grid(vp: ValidatedProblem, n: int = 50) -> np.ndarray:
-    """Default residual grid: log-spaced on (0, inf) states, linear on R.
-
-    For the quadratic model the grid is a lattice over [-5, 5]^d with about
-    ``n`` points in total.
+def default_grid(vp: ValidatedProblem) -> np.ndarray:
+    """Default residual grid: 50 points, log-spaced on (0, inf) states,
+    linear on R, and for the quadratic model a lattice over [-5, 5]^d with
+    about 50 points in total.
     """
-    return vp.model.grid(n)
+    return vp.model.grid()
 
 
-def _scalar_ratios_fd(phi, x, h_rel=1e-5):
+def _scalar_ratios_fd(phi, x):
     """phi'/phi and phi''/phi from central differences of log phi.
 
     The step adapts to the local log-slope so that the exponentiated
@@ -286,7 +287,7 @@ def _scalar_ratios_fd(phi, x, h_rel=1e-5):
     generator terms cancel most.
     """
     x = np.asarray(x, dtype=float)
-    h0 = h_rel * np.maximum(1.0, np.abs(x))
+    h0 = FD_REL_STEP * np.maximum(1.0, np.abs(x))
     lp0 = phi.log_phi(x)
     probe = (phi.log_phi(x + h0) - lp0) / h0
     h = np.minimum(h0, 2e-3 / (np.abs(probe) + 1.0))
@@ -297,7 +298,8 @@ def _scalar_ratios_fd(phi, x, h_rel=1e-5):
     return d1, d2
 
 
-def _quadratic_ratios_fd(phi: ExpQuadratic, y, h=1e-4):
+def _quadratic_ratios_fd(phi: ExpQuadratic, y):
+    h = FD_QUAD_STEP
     y = np.atleast_2d(np.asarray(y, dtype=float))
     n, d = y.shape
     lp0 = phi.log_phi(y)

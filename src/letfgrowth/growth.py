@@ -147,6 +147,8 @@ def growth_curve(vp: ValidatedProblem, beta_grid) -> list[GrowthCurvePoint]:
     betas = np.asarray(beta_grid, dtype=float)
     if betas.ndim != 1 or betas.size == 0:
         raise ValueError("beta grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(betas)):
+        raise ValueError("beta grid must be finite")
     if np.any(np.diff(betas) < 0):
         raise ValueError("beta grid must be sorted ascending")
     out = []

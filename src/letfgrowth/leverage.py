@@ -36,6 +36,7 @@ __all__ = [
 
 UNCAPPED_BRACKET = (-50.0, 50.0)
 GOLDEN_TOL = 1e-10
+GOLDEN_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,7 @@ def _rate_or_minus_inf(g: GrowthRate | None) -> float:
     return g.rate if g is not None and g.is_finite else -math.inf
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = GOLDEN_TOL,
-                       max_iter: int = 200) -> float:
+def golden_section_max(f, lo: float, hi: float) -> float:
     """Golden-section maximizer of a unimodal f on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
@@ -123,7 +123,7 @@ def golden_section_max(f, lo: float, hi: float, tol: float = GOLDEN_TOL,
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     it = 0
-    while abs(b - a) > tol and it < max_iter:
+    while abs(b - a) > GOLDEN_TOL and it < GOLDEN_MAX_ITER:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -146,13 +146,16 @@ def lambda_derivative(vp: ValidatedProblem, beta: float, mode: str = "exact") ->
     ``mode="exact"`` uses the model's closed form where one exists (all
     models except the quadratic one, which always differences numerically);
     ``mode="fd"`` central-differences the objective with step
-    1e-6 * max(1, |beta|) as an independent check.
+    1e-6 * max(1, |beta|) as an independent check.  Where the objective is
+    -inf the exact mode returns nan, as fd does away from the region's edge.
     """
     if mode not in ("exact", "fd"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "fd" or vp.model.derivative is None:
         h = 1e-6 * max(1.0, abs(beta))
         return (objective_value(vp, beta + h) - objective_value(vp, beta - h)) / (2.0 * h)
+    if objective_value(vp, beta) == -math.inf:
+        return math.nan
     return vp.model.derivative(vp.alpha, beta, vp.r)
 
 

@@ -80,6 +80,7 @@ STATE_FLOOR = 1e-12
 RECIP_VARIANCE_FLOOR = 1e-6
 TRUNCATION_BUDGET = 0.01  # fraction of (path, step) events
 OVERFLOW_BUDGET = 1e-3    # fraction of paths per checkpoint
+VERDICT_REL_TOL = 0.05    # relative floor of the PASS band
 # Paths per fused lane: wide enough to amortize the per-step Python work,
 # narrow enough that a step's temporaries stay in cache.
 LANE_PATHS = 16384
@@ -714,12 +715,11 @@ def simulate_growth(vp: ValidatedProblem, cfg: SimConfig) -> GrowthEstimate:
     )
 
 
-def verdict_for(estimate: GrowthEstimate, analytic: GrowthRate,
-                rel_tol: float = 0.05) -> str:
+def verdict_for(estimate: GrowthEstimate, analytic: GrowthRate) -> str:
     """PASS / FAIL / DIVERGED verdict of the oracle against a closed form.
 
     A finite closed form passes when |slope - rate| is within
-    max(rel_tol * |rate|, 3 * slope stderr).  An infinite classification
+    max(0.05 * |rate|, 3 * slope stderr).  An infinite classification
     passes exactly when the estimator flagged divergence.
     """
     if not analytic.is_finite:
@@ -727,7 +727,7 @@ def verdict_for(estimate: GrowthEstimate, analytic: GrowthRate,
     if estimate.diverged:
         return "DIVERGED"
     gap = abs(estimate.slope - analytic.rate)
-    tol = max(rel_tol * abs(analytic.rate), 3.0 * estimate.slope_stderr)
+    tol = max(VERDICT_REL_TOL * abs(analytic.rate), 3.0 * estimate.slope_stderr)
     return "PASS" if gap <= tol else "FAIL"
 
 
@@ -736,17 +736,16 @@ def verdict_for(estimate: GrowthEstimate, analytic: GrowthRate,
 # ---------------------------------------------------------------------------
 
 def martingale_check(vp: ValidatedProblem, pair: Eigenpair, t: float,
-                     cfg: SimConfig | None = None, n_paths: int = 200_000,
-                     steps_per_year: int = 400, seed: int = 42) -> MartingaleEstimate:
+                     cfg: SimConfig | None = None) -> MartingaleEstimate:
     """Estimate E[M_t] for M_t = exp(lambda t - int k) phi(G_t)/phi(G_0).
 
     The pair is admissible exactly when M is a true martingale, i.e.
     E[M_t] = 1; the certificate is |mean - 1| <= 3 stderr.  A given
-    ``cfg`` must have ``horizon == t``.
+    ``cfg`` must have ``horizon == t``; None: 2e5 paths, 400 steps/yr, seed 42.
     """
     if cfg is None:
-        cfg = SimConfig(horizon=t, n_steps=max(50, int(round(steps_per_year * t))),
-                        n_paths=n_paths, seed=seed, t_checkpoints=(t,))
+        cfg = SimConfig(horizon=t, n_steps=max(50, int(round(400 * t))),
+                        n_paths=200_000, seed=42, t_checkpoints=(t,))
     elif cfg.horizon != t:
         raise ValueError(f"cfg.horizon {cfg.horizon} differs from t {t}")
     scheme = _SCHEMES[vp.model.kind]

@@ -67,7 +67,7 @@ __all__ = [
     "MODEL_KINDS",
 ]
 
-X0 = 1.0  # initial reference price (and initial fund value)
+GRID_POINTS = 50  # size of the default residual grid
 
 
 def _require(cond: bool, field: str, constraint: str, detail: str,
@@ -94,10 +94,6 @@ class Preference:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ParameterViolation("alpha", "0 < alpha <= 1", f"got {self.alpha}")
-
-    @property
-    def risk_aversion(self) -> float:
-        return 1.0 - self.alpha
 
 
 @dataclass(frozen=True)
@@ -182,11 +178,11 @@ class _Model:
         """Finite-classification region (lo, hi, condition text or None) in beta."""
         return (-math.inf, math.inf, None)
 
-    def grid(self, n: int) -> np.ndarray:
+    def grid(self) -> np.ndarray:
         """Default residual grid: log-spaced on (0, inf) states, linear on R."""
         if self.domain == "real":
-            return np.linspace(-5.0, 5.0, n)
-        return np.geomspace(0.01, 100.0, n)
+            return np.linspace(-5.0, 5.0, GRID_POINTS)
+        return np.geomspace(0.01, 100.0, GRID_POINTS)
 
 
 def _lognormal_generator(alpha: float, beta: float, sigma: float,
@@ -813,9 +809,9 @@ class Quadratic(_Model):
             yield (sol if isinstance(sol, LetfGrowthError)
                    else _classified(*self.growth(alpha, b, r, sol)))
 
-    def grid(self, n):
-        """A lattice over [-5, 5]^d with about ``n`` points in total."""
-        per_axis = max(2, int(round(n ** (1.0 / self.d))))
+    def grid(self):
+        """A lattice over [-5, 5]^d with about GRID_POINTS points in total."""
+        per_axis = max(2, int(round(GRID_POINTS ** (1.0 / self.d))))
         axes = [np.linspace(-5.0, 5.0, per_axis)] * self.d
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in mesh], axis=-1)
@@ -897,7 +893,8 @@ def validate(problem: Problem | ValidatedProblem, relax: bool = False) -> Valida
         idempotent).
     relax : bool
         Downgrade parameter-bound violations to warnings.  Structural errors
-        (missing/extraneous rate, shape mismatches) still raise.
+        (missing/extraneous rate, shape mismatches) and non-finite
+        parameters still raise.
 
     Raises
     ------
@@ -917,6 +914,15 @@ def validate(problem: Problem | ValidatedProblem, relax: bool = False) -> Valida
         if problem.rate is None:
             raise MissingRate(f"model {model.kind!r} needs a constant short rate 'r'")
 
+    params = {f.name: getattr(model, f.name) for f in fields(model)}
+    if problem.rate is not None:
+        params["r"] = problem.rate.r
+    for name, value in params.items():
+        # Only the quadratic model has arrays; math.isfinite keeps the rest cheap.
+        finite = (np.isfinite(value).all() if isinstance(value, np.ndarray)
+                  else math.isfinite(value))
+        if not finite:
+            raise ParameterViolation(name, "finite", f"{name} must be finite, got {value}")
     warnings: list[str] = []
     model.check(relax, warnings)
     if problem.rate is not None:
@@ -929,6 +935,14 @@ def validate(problem: Problem | ValidatedProblem, relax: bool = False) -> Valida
 # ---------------------------------------------------------------------------
 
 _TOP_LEVEL_KEYS = {"model", "alpha", "beta", "r"}
+
+
+def _numeric(value, key: str, convert=float):
+    """convert(value), or a ConfigError naming the key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key!r} must be numeric, got {value!r}") from exc
 
 
 def _model_from_config(obj: dict) -> ModelSpec:
@@ -951,14 +965,14 @@ def _model_from_config(obj: dict) -> ModelSpec:
     missing = [n for n in field_names if n not in obj]
     if missing:
         raise ConfigError(f"model {kind!r} is missing fields: {missing}")
-    kwargs = {n: obj[n] for n in field_names}
     if cls is Quadratic:
-        model = Quadratic(**kwargs)
-        if "d" in obj and int(obj["d"]) != model.d:
+        model = Quadratic(**{n: _numeric(obj[n], n, lambda v: np.asarray(v, dtype=float))
+                             for n in field_names})
+        if "d" in obj and _numeric(obj["d"], "d", int) != model.d:
             raise ConfigError(
                 f"declared d={obj['d']} but b has length {model.d}")
         return model
-    return cls(**{n: float(kwargs[n]) for n in field_names})
+    return cls(**{n: _numeric(obj[n], n) for n in field_names})
 
 
 def load_problem(source: dict | str | Path, relax: bool = False) -> ValidatedProblem:
@@ -969,11 +983,15 @@ def load_problem(source: dict | str | Path, relax: bool = False) -> ValidatedPro
         {"model": {"kind": "<kind>", ...params}, "alpha": a, "beta": b, "r": r}
 
     ``r`` is required for constant-rate models and forbidden for the
-    stochastic-rate variants.  Unknown keys are errors.
+    stochastic-rate variants.  Unknown keys, non-numeric values and
+    non-finite parameters are errors.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise ConfigError(f"{source}: not a JSON document ({exc})") from exc
     else:
         doc = source
     if not isinstance(doc, dict):
@@ -985,9 +1003,9 @@ def load_problem(source: dict | str | Path, relax: bool = False) -> ValidatedPro
         if key not in doc:
             raise ConfigError(f"missing required key {key!r}")
     model = _model_from_config(doc["model"])
-    pref = Preference(float(doc["alpha"]))
-    lev = Leverage(float(doc["beta"]))
-    rate = ConstantRate(float(doc["r"])) if "r" in doc else None
+    pref = Preference(_numeric(doc["alpha"], "alpha"))
+    lev = Leverage(_numeric(doc["beta"], "beta"))
+    rate = ConstantRate(_numeric(doc["r"], "r")) if "r" in doc else None
     return validate(Problem(model, pref, lev, rate), relax=relax)
 
 

@@ -97,7 +97,6 @@ __all__ = [
     "solve_quadratic_grid",
 ]
 
-SYMMETRY_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 EIG_MARGIN = 1e-10
 COND_LIMIT = 1e12

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, CSV schemas, manifests, determinism."""
 
+import argparse
 import csv
 import json
 import math
@@ -112,13 +113,38 @@ def test_riccati_rejects_non_quadratic(gbm_cfg):
     assert cli.main(["riccati", "--config", str(gbm_cfg)]) == 2
 
 
-def test_config_validation_exit_code(tmp_path, capsys):
+GBM_TEXT = json.dumps(GBM)
+QUAD_TEXT = json.dumps(QUAD)
+
+
+@pytest.mark.parametrize("text, relax, message", [
+    pytest.param(json.dumps({"model": {"kind": "inverse_garch", "theta": 0.03,
+                                       "a": 1.0, "sigma": 0.2},
+                             "alpha": 0.5, "beta": 2.0, "r": 0.01}),
+                 False, "theta > sigma^2", id="parameter_bound"),
+    pytest.param(GBM_TEXT[:-10], False, "not a JSON document", id="truncated_json"),
+    pytest.param(GBM_TEXT.replace('"alpha": 0.5', '"alpha": "abc"'), False, "'alpha'",
+                 id="alpha_string"),
+    pytest.param(GBM_TEXT.replace('"mu": 0.05', '"mu": [1]'), False, "'mu'", id="mu_list"),
+    pytest.param(QUAD_TEXT.replace("[0.1, -0.05]", '[0.1, "a"]'), False, "'b'",
+                 id="quadratic_b_string"),
+    pytest.param(GBM_TEXT.replace('"mu": 0.05', '"mu": NaN'), False, "mu must be finite",
+                 id="gbm_mu_nan"),
+    pytest.param(json.dumps({"model": {"kind": "garch", "theta": math.inf, "a": 1.0,
+                                       "sigma": 0.2},
+                             "alpha": 0.5, "beta": 2.0, "r": 0.01}),
+                 False, "theta must be finite", id="garch_theta_inf"),
+    pytest.param(GBM_TEXT.replace('"r": 0.01', '"r": NaN'), True, "r must be finite",
+                 id="relaxed_r_nan"),
+])
+def test_config_validation_exit_code(tmp_path, capsys, text, relax, message):
+    # Malformed or non-finite configuration values are configuration errors
+    # in strict and relaxed mode alike: exit 2 naming the key, no traceback.
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"model": {"kind": "inverse_garch", "theta": 0.03,
-                                         "a": 1.0, "sigma": 0.2},
-                               "alpha": 0.5, "beta": 2.0, "r": 0.01}))
-    assert cli.main(["growth", "--config", str(cfg)]) == 2
-    assert "theta > sigma^2" in capsys.readouterr().err
+    cfg.write_text(text)
+    argv = ["growth", "--config", str(cfg)] + (["--relax"] if relax else [])
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -136,6 +162,22 @@ def test_malformed_option_exit_code(gbm_cfg, capsys, argv):
     # errors: exit 2 with a message, not a traceback.
     assert cli.main(argv + ["--config", str(gbm_cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: --")
+
+
+def test_growth_single_beta_raises_numerical_failure(tmp_path, capsys):
+    # A complex exponent at the one requested beta is the answer to report
+    # (exit 3, as eigenpair does); a grid still collects it per point.
+    cfg = tmp_path / "ecir.json"
+    cfg.write_text(json.dumps({"model": {"kind": "extended_cir", "theta": 0.01,
+                                         "mu": 0.01, "sigma": 0.2},
+                               "alpha": 0.3, "beta": 0.5, "r": 0.01}))
+    assert cli.main(["growth", "--config", str(cfg), "--relax"]) == 3
+    assert cli.main(["eigenpair", "--config", str(cfg), "--relax"]) == 3
+    assert "negative square-root argument" in capsys.readouterr().err
+    out = tmp_path / "grid.csv"
+    assert cli.main(["growth", "--config", str(cfg), "--relax", "--beta-grid=0:1:0.5",
+                     "--out", str(out)]) == 0
+    assert [r["rate"] for r in read_csv(out)][1] == "nan"
 
 
 def test_numerical_failure_exit_code(tmp_path):
@@ -160,6 +202,8 @@ def test_verify_pass_and_outputs(gbm_cfg, tmp_path):
     assert float(rows[-1]["analytic_rate"]) == pytest.approx(0.025)
     man = json.loads((tmp_path / "v.csv.manifest.json").read_text())
     assert man["sim_resolved"]["paths"] == 20000
+    assert man["sim_resolved"]["seed"] == 3 and "seed" not in man
+    assert man["relax"] is False
 
 
 def test_verify_fail_exit_code(gbm_cfg, monkeypatch):
@@ -197,6 +241,10 @@ def test_figures_scenario_one(tmp_path):
     rates = [float(r["rate"]) for r in curve]
     assert betas[0] == -3.0 and betas[-1] == 3.0
     assert abs(betas[int(np.argmax(rates))] - 1.93) <= 0.02
+    # Scenario 1 is always validated relaxed, and no figure draws a seed.
+    for path in out_dir.glob("*.manifest.json"):
+        man = json.loads(path.read_text())
+        assert man["relax"] is True and "seed" not in man
 
 
 def test_figures_scenario_two(tmp_path):
@@ -208,6 +256,9 @@ def test_figures_scenario_two(tmp_path):
     assert summary[0.01] == pytest.approx(1.52, abs=0.01)
     assert summary[-0.05] == pytest.approx(-1.68, abs=0.01)
     assert len(read_csv(out_dir / "figure2_mu_0.01.csv")) == 601
+    for path in out_dir.glob("*.manifest.json"):
+        man = json.loads(path.read_text())
+        assert man["relax"] is False and "seed" not in man
 
 
 def test_figures_determinism(tmp_path):
@@ -216,6 +267,24 @@ def test_figures_determinism(tmp_path):
     assert cli.main(["figures", "2", "--out-dir", str(d2)]) == 0
     for name in ("figure2_summary.csv", "figure2_mu_0.05.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_option_surface():
+    # Every settable value of the CLI, per subcommand; a new or leftover
+    # knob must show up here as a diff.
+    ap = cli._build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for a in p._actions for s in (a.option_strings or [a.dest])}
+           - {"-h", "--help"} for name, p in sub.choices.items()}
+    problem = {"--config", "--relax"}
+    assert got == {
+        "eigenpair": problem,
+        "growth": problem | {"--out", "--beta", "--beta-grid"},
+        "optimal": problem | {"--out", "--cap"},
+        "riccati": problem | {"--out"},
+        "verify": problem | {"--out", "--sim"},
+        "figures": {"figure", "--out-dir"},
+    }
 
 
 def test_number_format_is_twelve_digits():

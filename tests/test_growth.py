@@ -231,6 +231,8 @@ def test_growth_curve_input_validation():
         growth_curve(vp, np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
         growth_curve(vp, np.array([]))
+    with pytest.raises(ValueError):
+        growth_curve(vp, np.array([np.nan]))
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,20 @@ def test_exact_vs_fd_derivative():
         assert fd == pytest.approx(exact, rel=1e-6, abs=1e-9)
 
 
+@pytest.mark.parametrize("vp, beta", [
+    pytest.param(vp_of(Garch(theta=0.08, a=0.1, sigma=0.6), alpha=1.0, relax=True), 1.7,
+                 id="garch_infinite"),
+    pytest.param(vp_of(ExtendedCir(theta=0.01, mu=0.01, sigma=0.2), alpha=0.3, relax=True),
+                 0.5, id="extended_cir_complex_kappa"),
+])
+def test_exact_derivative_is_nan_off_the_finite_region(vp, beta):
+    # Where the objective is -inf (infinite growth, or a complex exponent)
+    # there is no slope to report; fd reads nan there too.
+    assert objective_value(vp, beta) == -math.inf
+    assert math.isnan(lambda_derivative(vp, beta))
+    assert math.isnan(lambda_derivative(vp, beta, mode="fd"))
+
+
 @pytest.mark.parametrize("kind", ["gbm", "quadratic"])
 def test_derivative_rejects_unknown_mode(kind):
     # The quadratic model has no closed-form derivative, so an unknown mode

@@ -51,6 +51,12 @@ def cfg_for(horizon=10.0, steps_per_year=400, **kw):
     return SimConfig(horizon=horizon, n_steps=int(steps_per_year * horizon), **args)
 
 
+def mart_cfg(t, n_paths, seed=42):
+    """martingale_check's default layout (400 steps/yr) at fewer paths."""
+    return SimConfig(horizon=t, n_steps=int(round(400 * t)), n_paths=n_paths, seed=seed,
+                     t_checkpoints=(t,))
+
+
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(horizon=0.0, n_steps=100, n_paths=2000, seed=1)
@@ -161,7 +167,7 @@ def test_martingale_config_must_match_horizon():
 
 def test_garch_martingale_is_identically_one():
     vp = vp_of(BASE_MODELS["garch"])
-    est = martingale_check(vp, eigenpair(vp), t=1.0, n_paths=2000)
+    est = martingale_check(vp, eigenpair(vp), t=1.0, cfg=mart_cfg(1.0, 2000))
     assert est.mean == pytest.approx(1.0, abs=1e-14)
     assert est.stderr == pytest.approx(0.0, abs=1e-14)
 
@@ -169,7 +175,7 @@ def test_garch_martingale_is_identically_one():
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_gbm_martingale_at_three_horizons(t):
     vp = vp_of(Gbm(mu=0.05, sigma=0.2))
-    est = martingale_check(vp, eigenpair(vp), t=t, n_paths=40000, seed=5)
+    est = martingale_check(vp, eigenpair(vp), t=t, cfg=mart_cfg(t, 40000, seed=5))
     assert est.within_three_se
 
 
@@ -177,7 +183,7 @@ def test_gbm_martingale_at_three_horizons(t):
                                   "quadratic"])
 def test_martingale_certificates_quick(kind):
     vp = vp_of(BASE_MODELS[kind])
-    est = martingale_check(vp, eigenpair(vp), t=1.0, n_paths=40000, seed=5)
+    est = martingale_check(vp, eigenpair(vp), t=1.0, cfg=mart_cfg(1.0, 40000, seed=5))
     assert est.within_three_se, (kind, est.mean, est.stderr)
 
 
