@@ -326,8 +326,7 @@ def _quadratic_ratios_fd(phi: ExpQuadratic, y):
     return grad, hess
 
 
-def generator_residual(vp: ValidatedProblem, pair: Eigenpair,
-                       grid: np.ndarray | None = None,
+def generator_residual(vp: ValidatedProblem, pair: Eigenpair, grid: np.ndarray,
                        mode: str = "exact") -> GeneratorResidual:
     """Certify L phi = -lambda phi numerically on a grid.
 
@@ -344,9 +343,6 @@ def generator_residual(vp: ValidatedProblem, pair: Eigenpair,
         If any grid point leaves the state space.
     """
     m = vp.model
-    if grid is None:
-        grid = default_grid(vp)
-
     if isinstance(pair.phi, ExpQuadratic):
         y = np.atleast_2d(np.asarray(grid, dtype=float))
         if y.shape[1] != m.d:

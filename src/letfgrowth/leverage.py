@@ -222,8 +222,11 @@ def optimal_beta(vp: ValidatedProblem,
             raise NoFiniteRegion(
                 f"finite region [{f_lo:g}, {f_hi:g}] does not meet the cap"
                 + (f" ({cond_txt})" if cond_txt else ""))
-        if vertex < lo or vertex > hi:
-            side = "+" if vertex > hi else "-"
+        rate = obj(vertex) if lo <= vertex <= hi else -math.inf
+        if rate == -math.inf:
+            # Off the cap or the finite region, or on an open edge of the
+            # latter: report the boundary at the nearer edge.
+            side = "+" if hi - vertex <= vertex - lo else "-"
             if cond_txt is not None and (
                     (side == "+" and hi == f_hi) or (side == "-" and lo == f_lo)):
                 notes.append(
@@ -236,7 +239,7 @@ def optimal_beta(vp: ValidatedProblem,
             notes.append("interior vertex exactly at the cap edge")
         if cond_txt is not None:
             notes.append(f"search restricted to the finite region of {cond_txt}")
-        return OptimalLeverage(vertex, obj(vertex), opt.method, profile=opt.profile,
+        return OptimalLeverage(vertex, rate, opt.method, profile=opt.profile,
                                notes=tuple(notes))
 
     # No closed form (quadratic model): scan, then refine by golden section.

@@ -460,8 +460,12 @@ class _StochasticVolatility(_Model):
         prof = self.profile(alpha, r)
         c1, c2, c3, dd = prof.C1, prof.C2, prof.C3, prof.D
         if c1 > dd * dd:
-            return Optimum(vertex=-c2 / c1 + (dd / c1) * math.sqrt(
-                (c1 * c3 - c2 * c2) / (c1 - dd * dd)), profile=prof)
+            # c1*c3 - c2^2 = alpha*(1 - alpha)*delta^2*C3 >= 0.  At alpha = 1
+            # it vanishes and the vertex is the kink -c2/c1 of the root; off
+            # it, rounding must not take the square root below zero.
+            spread = (0.0 if alpha == 1.0
+                      else math.sqrt(max(0.0, c1 * c3 - c2 * c2) / (c1 - dd * dd)))
+            return Optimum(vertex=-c2 / c1 + (dd / c1) * spread, profile=prof)
         if dd == 0.0:
             return Optimum(profile=prof,
                            note="degenerate flat objective (C1 <= D^2 with D = 0)")
@@ -479,6 +483,8 @@ class HestonSV(_StochasticVolatility):
     """
 
     kind: ClassVar[str] = "heston_sv"
+    _finite_if: ClassVar[str] = (
+        "exp-moment convergence: sqrt(...) + (a - alpha*beta*delta*rho) > 0")
 
     def check(self, relax: bool, warnings: list[str]) -> None:
         for name in ("mu", "theta", "a", "delta", "v0"):
@@ -508,9 +514,16 @@ class HestonSV(_StochasticVolatility):
         # a <= beta*delta*rho.
         a_t = self._tilted_speed(alpha, beta)
         root = math.sqrt(a_t ** 2 + alpha * (1.0 - alpha) * beta ** 2 * self.delta ** 2)
-        return _condition(
-            "exp-moment convergence: sqrt(...) + (a - alpha*beta*delta*rho) > 0",
-            root + a_t, 0.0)
+        return _condition(self._finite_if, root + a_t, 0.0)
+
+    def interval(self, alpha):
+        # At alpha = 1 the root is |a - beta*delta*rho|, so the condition is
+        # a - beta*delta*rho > 0: a half-line in beta when rho != 0.
+        if alpha < 1.0 or self.rho == 0.0:
+            return super().interval(alpha)
+        edge = self.a / (self.delta * self.rho)
+        return ((-math.inf, edge, self._finite_if) if self.rho > 0.0
+                else (edge, math.inf, self._finite_if))
 
     def profile(self, alpha, r):
         c1 = alpha * (1.0 - alpha) * self.delta ** 2 + (alpha * self.delta * self.rho) ** 2
@@ -968,7 +981,7 @@ def _model_from_config(obj: dict) -> ModelSpec:
     if cls is Quadratic:
         model = Quadratic(**{n: _numeric(obj[n], n, lambda v: np.asarray(v, dtype=float))
                              for n in field_names})
-        if "d" in obj and _numeric(obj["d"], "d", int) != model.d:
+        if "d" in obj and _numeric(obj["d"], "d") != model.d:
             raise ConfigError(
                 f"declared d={obj['d']} but b has length {model.d}")
         return model

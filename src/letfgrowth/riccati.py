@@ -26,23 +26,25 @@ and the d eigenvectors whose eigenvalues have negative real part span the
 stable subspace.  They are complex where eigenvalues pair up off the real
 axis, but the subspace is closed under conjugation, so V is real up to
 rounding; its real part is kept once its imaginary part and its asymmetry
-are both negligible.  A Newton step then polishes V to full accuracy: with
-F = B - 2 a V it solves the Sylvester equation F^T E + E F = R(V) for the
-correction E, written as the d^2 x d^2 linear system
-(F^T (x) I + I (x) F^T) vec E = vec R.  A V whose scaled residual still
-fails the gate is polished again, at most three more times.  The closed
-loop must then be Hurwitz.  The Lyapunov equation F Sigma + Sigma F^T + a = 0
-of the stationary law is solved in the same Kronecker form.
+are both negligible.  At q = 0 with B Hurwitz the stable subspace is
+exactly span [I; 0], so those betas take that basis (V = 0) instead: a
+defective B has too few eigenvectors to span it.  A Newton step then
+polishes V to full accuracy: with F = B - 2 a V it solves the Sylvester
+equation F^T E + E F = R(V) for the correction E, written as the
+d^2 x d^2 linear system (F^T (x) I + I (x) F^T) vec E = vec R.  A V whose
+scaled residual still fails the gate is polished again, at most three
+more times.  The closed loop must then be Hurwitz.  The Lyapunov equation
+F Sigma + Sigma F^T + a = 0 of the stationary law is solved in the same
+Kronecker form.
 
-A beta whose eigenvector seed fails any check -- the spectrum does not
-split d/d, U is ill-conditioned or singular, V is not real symmetric, the
-polish misses the gate, or the closed loop is not Hurwitz -- is solved again
-from an ordered real Schur decomposition (Laub 1979), one beta at a time,
-through the same checks.  That fallback is the only source of errors of the
-stabilizing branch, so every error, its type and its message come from the
-Schur seed.  The anti-stabilizing branch, used by negative tests only, is
-always seeded by Schur.  scipy is imported by the Schur seed alone: a beta
-grid whose eigenvector seeds all pass never loads it.
+The eigenvector seed is the only one.  A beta that fails a check -- the
+spectrum does not split d/d, U is ill-conditioned or singular, V is not
+real symmetric, the polish misses the gate, or the closed loop is not
+Hurwitz -- keeps the error of that check, and the errors of the seed and
+of the Hurwitz test name its q_coeff.  The anti-stabilizing branch,
+used by negative tests only, is the stabilizing solution for -B mirrored:
+V -> -V leaves the residual matrix unchanged and negates the closed loop.
+The module needs numpy only.
 
 Every step after the seed -- the subspace dimension, conditioning and
 symmetry checks, V = W U^{-1}, the polish and its residual gate, the
@@ -52,10 +54,10 @@ beta grid costs a fixed number of numpy calls per chunk instead of about
 fifteen per beta.  The betas are taken in chunks of ``_chunk_size(d)``: 64,
 or fewer where a stack of Kronecker matrices would pass 2^16 entries
 (512 KB), which keeps the memory of a call flat in the grid size.  A beta
-that fails a check leaves the stack and keeps its own error; when a batched
-solve meets a singular member it is solved again one member at a time, so
-the ``SingularSystem`` lands on that beta alone.  The single-beta functions
-below are the batch-of-one case of the same kernels.
+that fails a check leaves the stack; when a batched solve meets a singular
+member, or a batched eig a member that does not converge, the stack is run
+again one member at a time, so the error lands on that beta alone.  The
+single-beta functions below are the batch-of-one case of the same kernels.
 
 The factor on the lower-left block is -q a, not -2 q a: with it, the scalar
 case a=1, B=-1 gives V = (-1 + sqrt(1 + 2q))/2 and closed loop
@@ -140,7 +142,7 @@ class ConvergenceMatrix:
     The precision form is the exponent of the Gaussian integral whose
     convergence decides whether the expected utility stays finite, so
     classification uses it; the covariance form is reported alongside.
-    Eigenvalues within EIG_MARGIN of zero set the marginal flags.
+    A form is all-negative when its largest eigenvalue is below -EIG_MARGIN.
     """
 
     c_covariance: np.ndarray
@@ -149,8 +151,6 @@ class ConvergenceMatrix:
     eigs_precision: np.ndarray
     all_negative_covariance: bool
     all_negative_precision: bool
-    marginal_covariance: bool
-    marginal_precision: bool
 
 
 # ---------------------------------------------------------------------------
@@ -270,52 +270,33 @@ def _hamiltonians(a, Bmat, qs):
     return H
 
 
-def _eig_seeds(H, d: int):
+def _eig_seeds(H, qs):
     """Eigenvectors of each Hamiltonian's d stable eigenvalues, from one
-    batched eig.  A member whose spectrum does not split d/d gets an error,
-    which only sends it to the Schur seed."""
-    n = len(H)
+    batched eig; a member whose spectrum does not split d/d gets an error.
+    A batched eig raises for the whole stack when any member does not
+    converge, so that case is run again member by member."""
+    n, d = len(qs), H.shape[-1] // 2
+    errors: list = [None] * n
     try:
         w, X = np.linalg.eig(H)
-    except np.linalg.LinAlgError as exc:
-        return (np.empty((n, 2 * d, d), dtype=complex),
-                [NoStabilizingSolution(f"eigendecomposition failed: {exc}")] * n)
+    except np.linalg.LinAlgError:
+        w, X = np.zeros(H.shape[:-1], dtype=complex), np.zeros(H.shape, dtype=complex)
+        for i in range(n):
+            try:
+                w[i], X[i] = np.linalg.eig(H[i])
+            except np.linalg.LinAlgError as exc:
+                errors[i] = NoStabilizingSolution(
+                    f"eigendecomposition failed (q_coeff={qs[i]}): {exc}")
     re = w.real
-    sdim = (re < 0.0).sum(axis=-1)
     stable_first = np.argsort(re, axis=-1)[:, :d]
-    return np.swapaxes(X[np.arange(n)[:, None], :, stable_first], -1, -2), [
-        None if k == d else NoStabilizingSolution(
-            f"stable eigenspace has dimension {k}, expected {d}")
-        for k in sdim.tolist()]
-
-
-def _schur_seeds(H, qs, side: str):
-    """Ordered real Schur vectors of each Hamiltonian, one at a time."""
-    from scipy.linalg import schur
-
-    n, d = len(qs), H.shape[-1] // 2
-    Z = np.empty_like(H)
-    errors: list = [None] * n
-    for i in range(n):
-        try:
-            _, Z[i], sdim = schur(H[i], output="real", sort=side)
-        except np.linalg.LinAlgError as exc:
-            # Rounding during the reordering moved an eigenvalue across the
-            # imaginary axis: H has eigenvalues on or next to the axis, where
-            # no stabilizing solution exists.
-            errors[i] = NoStabilizingSolution(
-                f"{side} Schur reordering failed (q_coeff={qs[i]}): {exc}")
-            continue
-        if sdim != d:
-            errors[i] = NoStabilizingSolution(
-                f"{side} invariant subspace has dimension {sdim}, expected {d} "
-                f"(q_coeff={qs[i]})")
-    return Z, errors
+    Z = np.swapaxes(X[np.arange(n)[:, None], :, stable_first], -1, -2)
+    return Z, [exc or (None if k == d else NoStabilizingSolution(
+        f"stable eigenspace has dimension {k}, expected {d} (q_coeff={q})"))
+        for exc, k, q in zip(errors, (re < 0.0).sum(axis=-1).tolist(), qs.tolist())]
 
 
 def _subspace_solutions(Z, d: int, batch: _Batch):
-    """V = W U^{-1} from each basis [U; W], real Schur or complex
-    eigenvector, with its checks."""
+    """V = W U^{-1} from each basis [U; W], with its checks."""
     U, W = Z[:, :d, :d], Z[:, d:, :d]
     cond = np.linalg.cond(U)
     ok = np.isfinite(cond) & (cond <= COND_LIMIT)
@@ -374,53 +355,29 @@ def _polish(V, a, Bmat, qs, batch: _Batch):
                        for good, r in zip(ok.tolist(), res.tolist())], V, res)
 
 
-def _branch(Z, a, Bmat, qs, side: str, batch: _Batch):
-    """V, closed loop, residual and closed-loop max real part from each seed
-    basis; "lhp" V are Newton-polished, "rhp" V are not."""
-    V = _subspace_solutions(Z, Bmat.shape[0], batch)
-    if side == "lhp":
-        V, res = _polish(V, a, Bmat, qs, batch)
-    else:
-        res = _max_abs(_residual_matrix(V, a, Bmat, qs[batch.idx]))
-    F = Bmat - 2.0 * a @ V
-    max_re = np.linalg.eigvals(F).real.max(axis=-1)
-    return V, F, res, max_re
+def _riccati_stack(a, Bmat, qs, batch: _Batch):
+    """V, closed loop and residual of the stabilizing branch for each q.
 
-
-def _schur_branch(H, a, Bmat, qs, side: str, batch: _Batch):
-    Z, errors = _schur_seeds(H, qs, side)
-    (Z,) = batch.drop(errors, Z)
-    return _branch(Z, a, Bmat, qs, side, batch)
-
-
-def _riccati_stack(a, Bmat, qs, side: str, batch: _Batch):
-    """V, closed loop, residual and closed-loop max real part for each q.
-
-    ``side`` "lhp" is the stabilizing branch: eigenvector-seeded, with the
-    Schur seed for the members whose eigenvector seed fails a check (see the
-    module docstring).  "rhp" is the anti-stable branch, Schur-seeded.
-    ``batch`` holds every member of ``qs`` on entry.
+    ``batch`` holds every member of ``qs`` on entry; a member that fails a
+    check leaves it with that check's error.
     """
-    H = _hamiltonians(a, Bmat, qs)
-    if side == "rhp":
-        return _schur_branch(H, a, Bmat, qs, side, batch)
-    seeded = _Batch(len(qs))
-    Z, errors = _eig_seeds(H, Bmat.shape[0])
-    (Z,) = seeded.drop(errors, Z)
-    stacks = _branch(Z, a, Bmat, qs, side, seeded)
-    stacks = seeded.drop([None if hurwitz else NotHurwitz("closed loop is not Hurwitz")
-                          for hurwitz in (stacks[3] < 0.0).tolist()], *stacks)
-    redo = np.flatnonzero([exc is not None for exc in seeded.errors])
-    if redo.size == 0:
-        return stacks
-    fallback = _Batch(redo.size)
-    redone = _schur_branch(H[redo], a, Bmat, qs[redo], side, fallback)
-    for i, exc in zip(redo.tolist(), fallback.errors):
-        batch.errors[i] = exc
-    idx = np.concatenate([seeded.idx, redo[fallback.idx]])
-    order = np.argsort(idx)
-    batch.idx = idx[order]
-    return tuple(np.concatenate(pair)[order] for pair in zip(stacks, redone))
+    d = Bmat.shape[0]
+    Z, errors = _eig_seeds(_hamiltonians(a, Bmat, qs), qs)
+    zero = np.flatnonzero(qs == 0.0)
+    if zero.size and np.linalg.eigvals(Bmat).real.max() < 0.0:
+        # The stable subspace is then exactly span [I; 0] (V = 0), which a
+        # defective B has too few eigenvectors to span.
+        Z[zero] = np.eye(2 * d, d)
+        for i in zero.tolist():
+            errors[i] = None
+    (Z,) = batch.drop(errors, Z)
+    V = _subspace_solutions(Z, d, batch)
+    V, res = _polish(V, a, Bmat, qs, batch)
+    F = Bmat - 2.0 * a @ V
+    hurwitz = np.linalg.eigvals(F).real.max(axis=-1) < 0.0
+    return batch.drop([None if ok else NoStabilizingSolution(
+        f"closed loop is not Hurwitz (q_coeff={q})")
+        for ok, q in zip(hurwitz.tolist(), qs[batch.idx].tolist())], V, F, res)
 
 
 def _drift_shift(V, a, Bmat, b):
@@ -479,24 +436,12 @@ def _convergence_matrix(c_cov, c_prec, e_cov, e_prec) -> ConvergenceMatrix:
         eigs_precision=e_prec,
         all_negative_covariance=bool(e_cov[-1] < -EIG_MARGIN),
         all_negative_precision=bool(e_prec[-1] < -EIG_MARGIN),
-        marginal_covariance=bool(abs(e_cov[-1]) <= EIG_MARGIN),
-        marginal_precision=bool(abs(e_prec[-1]) <= EIG_MARGIN),
     )
 
 
 # ---------------------------------------------------------------------------
 # Single-beta interface: the batch-of-one case of the kernels above
 # ---------------------------------------------------------------------------
-
-def _riccati_one(a, Bmat, q_coeff: float, side: str) -> RiccatiSolution:
-    a = _sym(np.atleast_2d(np.asarray(a, dtype=float)))
-    Bmat = np.atleast_2d(np.asarray(Bmat, dtype=float))
-    batch = _Batch(1)
-    V, F, res, max_re = _riccati_stack(a, Bmat, np.array([float(q_coeff)]), side, batch)
-    _raise_first(batch.errors)
-    return RiccatiSolution(V=V[0], closed_loop=F[0], stable=bool(max_re[0] < 0.0),
-                           residual=float(res[0]))
-
 
 def solve_stabilizing_riccati(a: np.ndarray, Bmat: np.ndarray,
                               q_coeff: float) -> RiccatiSolution:
@@ -517,12 +462,24 @@ def solve_stabilizing_riccati(a: np.ndarray, Bmat: np.ndarray,
     ------
     NoStabilizingSolution, IllConditioned, SingularSystem
     """
-    return _riccati_one(a, Bmat, q_coeff, "lhp")
+    a = _sym(np.atleast_2d(np.asarray(a, dtype=float)))
+    Bmat = np.atleast_2d(np.asarray(Bmat, dtype=float))
+    batch = _Batch(1)
+    V, F, res = _riccati_stack(a, Bmat, np.array([float(q_coeff)]), batch)
+    _raise_first(batch.errors)
+    return RiccatiSolution(V=V[0], closed_loop=F[0], stable=True, residual=float(res[0]))
 
 
 def anti_stabilizing_riccati(a, Bmat, q_coeff) -> RiccatiSolution:
-    """Anti-stable branch (for negative tests: its closed loop is not Hurwitz)."""
-    return _riccati_one(a, Bmat, q_coeff, "rhp")
+    """Anti-stable branch (for negative tests: its closed loop is not Hurwitz).
+
+    V -> -V maps the Riccati equation for -B onto the one for B with the
+    same residual matrix, and the closed loop -B - 2a(-V) onto minus
+    B - 2aV; so the stabilizing solution for -B, mirrored, is this branch.
+    """
+    sol = solve_stabilizing_riccati(a, -np.asarray(Bmat, dtype=float), q_coeff)
+    return RiccatiSolution(V=-sol.V, closed_loop=-sol.closed_loop, stable=False,
+                           residual=sol.residual)
 
 
 def compute_u(V: np.ndarray, a: np.ndarray, Bmat: np.ndarray,
@@ -612,10 +569,7 @@ def _solve_chunk(model: Quadratic, alpha: float, betas: np.ndarray) -> list:
     a, Bmat, b = _sym(model.a), model.Bmat, model.b
     qs = 2.0 * alpha * betas * (betas - 1.0)
     batch = _Batch(len(betas))
-    V, F, res, max_re = _riccati_stack(a, Bmat, qs, "lhp", batch)
-    V, F, res = batch.drop([None if hurwitz else
-                            NoStabilizingSolution("closed loop is not Hurwitz")
-                            for hurwitz in (max_re < 0.0).tolist()], V, F, res)
+    V, F, res = _riccati_stack(a, Bmat, qs, batch)
     u, errors = _drift_shift(V, a, Bmat, b)
     V, F, res, u = batch.drop(errors, V, F, res, u)
     uau, tr_av, ub = _lambda_terms(V, u, a, b)

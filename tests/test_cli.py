@@ -136,6 +136,8 @@ QUAD_TEXT = json.dumps(QUAD)
                  False, "theta must be finite", id="garch_theta_inf"),
     pytest.param(GBM_TEXT.replace('"r": 0.01', '"r": NaN'), True, "r must be finite",
                  id="relaxed_r_nan"),
+    pytest.param(QUAD_TEXT.replace('"kind": "quadratic"', '"kind": "quadratic", "d": 2.7'),
+                 False, "declared d=2.7", id="quadratic_d_not_integral"),
 ])
 def test_config_validation_exit_code(tmp_path, capsys, text, relax, message):
     # Malformed or non-finite configuration values are configuration errors

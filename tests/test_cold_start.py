@@ -39,9 +39,9 @@ print(" ".join(m for m in ("scipy.linalg", "scipy.special", "concurrent.futures"
 
 
 def test_closed_forms_do_not_load_scipy():
-    # A fresh interpreter: scipy is loaded only by the Monte Carlo oracle,
-    # the reference densities and the Riccati chain's Schur fallback, none
-    # of which these catalog closed forms reach.  Nothing in the library
+    # A fresh interpreter: scipy is loaded only by the Monte Carlo oracle
+    # and the reference densities, neither of which these catalog closed
+    # forms reach.  Nothing in the library
     # needs concurrent.futures, so a stray import of it would only add to
     # every start-up.
     src = str(Path(letfgrowth.__file__).resolve().parents[1])

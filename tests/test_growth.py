@@ -202,8 +202,9 @@ def criterion7_quadratic(seed, d):
 def test_quadratic_curve_matches_pointwise_growth_rate(model):
     # The curve solves the Riccati chain for the whole grid in batches; each
     # point must be what growth_rate gives alone, errors included.  The d = 4
-    # model loses its stabilizing branch on part of (0, 1), and at some of
-    # those betas the Schur reordering itself fails.
+    # model loses its stabilizing branch on part of (0, 1), where the
+    # Hamiltonian's spectrum does not split 4/4 or the subspace solution is
+    # not symmetric.
     vp = vp_of(model)
     betas = np.linspace(-1.0, 2.0, 601)
     assert 0.0 in betas

@@ -148,6 +148,44 @@ def test_heston_monotone_case_boundaries():
     assert opt2.boundary_side == "-cap" and opt2.beta_star == -3.0
 
 
+@pytest.mark.parametrize("cap", [None, (-100.0, 100.0)])
+def test_heston_alpha_one_vertex_on_the_finite_edge(cap):
+    # At alpha = 1 growth is infinite for beta >= a/(delta*rho) = 15.5, and
+    # the concave profile's vertex (C1*C3 = C2^2) sits exactly on that edge:
+    # the optimum is the boundary there, not a vertex with a -inf objective.
+    m = HestonSV(mu=0.05, theta=0.16, a=3.1, delta=0.4, rho=0.5, v0=0.05)
+    assert m.interval(1.0)[:2] == (-math.inf, 15.5)
+    opt = optimal_beta(vp_of(m, alpha=1.0), cap=cap)
+    assert opt.method == "boundary" and opt.rate_at_star is None
+    assert (opt.boundary_side, opt.beta_star) == (("+inf", None) if cap is None
+                                                  else ("+cap", 100.0))
+    assert "growth is infinite beyond the + edge" in opt.notes[-1]
+
+
+@pytest.mark.parametrize("rho", [0.5, -0.5])
+def test_heston_alpha_one_interval_agrees_with_growth_condition(rho):
+    m = HestonSV(mu=0.05, theta=0.16, a=3.1, delta=0.4, rho=rho, v0=0.05)
+    lo, hi, _ = m.interval(1.0)
+    edge = lo if rho < 0.0 else hi
+    assert edge == pytest.approx(3.1 / (0.4 * rho), rel=1e-15)
+    for b in (edge - 1e-6, edge + 1e-6, 0.0, 2.0 * edge, -2.0 * edge):
+        assert growth_rate(vp_of(m, alpha=1.0, beta=b)).is_finite == (lo < b < hi)
+    assert m.interval(0.9) == (-math.inf, math.inf, None)
+
+
+def test_three_halves_sv_alpha_one_vertex_is_the_kink():
+    # At alpha = 1, C1*C3 - C2^2 is zero and rounds below it here; the
+    # vertex is the kink of the square root, a - beta*delta*rho + delta^2/2
+    # = 0, where the piecewise-linear objective peaks.
+    m = ThreeHalvesSV(mu=0.05, theta=0.6, a=3.0, delta=0.4, rho=0.5, v0=0.05)
+    vp = vp_of(m, alpha=1.0)
+    opt = optimal_beta(vp)
+    assert opt.method == "closed_form"
+    assert opt.beta_star == pytest.approx((3.0 + 0.08) / 0.2, rel=1e-12)
+    grid = np.linspace(-50.0, 50.0, 2001)
+    assert max(objective_value(vp, float(g)) for g in grid) <= opt.rate_at_star + 1e-12
+
+
 VASICEK_FIG = dict(sigma=0.3, theta=0.16, a=3.0, delta=0.89, rho=-0.5, r0=0.01)
 
 

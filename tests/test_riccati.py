@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 
 from letfgrowth import riccati
-from letfgrowth.errors import NoStabilizingSolution, NotHurwitz, SingularSystem
-from letfgrowth.models import Quadratic
+from letfgrowth.errors import LetfGrowthError, NoStabilizingSolution, NotHurwitz, SingularSystem
+from letfgrowth.growth import growth_curve
+from letfgrowth.models import ConstantRate, Leverage, Preference, Problem, Quadratic, validate
 from letfgrowth.riccati import (
     anti_stabilizing_riccati,
     compute_u,
@@ -34,6 +35,44 @@ def random_hurwitz(rng, d):
     M = rng.normal(size=(d, d))
     # Shift the spectrum left of the imaginary axis.
     return M - (np.max(np.linalg.eigvals(M).real) + 0.5 + rng.uniform(0, 2)) * np.eye(d)
+
+
+def ill_conditioned_non_normal(rng, d):
+    """a with eigenvalues 1e-3..10 in a random basis; B Hurwitz upper
+    triangular with a large off-diagonal part, so far from normal."""
+    Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    a = Q @ np.diag(np.logspace(-3.0, 1.0, d)) @ Q.T
+    B = np.triu(rng.normal(scale=5.0, size=(d, d)), 1) - np.diag(rng.uniform(0.2, 2.0, d))
+    return a, B
+
+
+def non_hurwitz(rng, d):
+    """SPD a with a B whose rightmost eigenvalue has real part in (0.05, 1)."""
+    M = rng.normal(size=(d, d))
+    shift = np.max(np.linalg.eigvals(M).real) - rng.uniform(0.05, 1.0)
+    return random_spd(rng, d), M - shift * np.eye(d)
+
+
+# (a, B) recipes of the sweep: criterion 7, the same at the catalog model's
+# scale (a / 10d), an ill-conditioned a with a non-normal B, a non-Hurwitz B.
+SWEEP_RECIPES = {
+    "criterion7": lambda rng, d: (random_spd(rng, d), random_hurwitz(rng, d)),
+    "catalog_scale": lambda rng, d: (random_spd(rng, d) / (10.0 * d), random_hurwitz(rng, d)),
+    "ill_conditioned": ill_conditioned_non_normal,
+    "non_hurwitz": non_hurwitz,
+}
+SWEEP_BETAS = np.union1d(np.linspace(-4.0, 5.0, 59), [0.0, 1.0])
+
+
+def sweep_models(seed, per_dim):
+    """(alpha, model) for per_dim models of each recipe at each d = 1..6."""
+    rng = np.random.default_rng(seed)
+    for recipe in SWEEP_RECIPES.values():
+        for d in range(1, 7):
+            for _ in range(per_dim):
+                a, B = recipe(rng, d)
+                yield float(rng.choice([0.3, 0.5, 1.0])), Quadratic(
+                    b=rng.normal(scale=0.1, size=d), Bmat=B, sigma=np.linalg.cholesky(a))
 
 
 def test_zero_killing_gives_zero_solution():
@@ -87,6 +126,15 @@ def test_anti_stable_branch_is_not_stabilizing():
     sol = anti_stabilizing_riccati(np.eye(2), -np.eye(2), 2.0)
     assert np.max(np.linalg.eigvals(sol.closed_loop).real) > 0.0
     assert not sol.stable
+    # The mirrored stabilizing solve for -B: the residual matrix is the same
+    # one, and every closed-loop eigenvalue lies in the right half plane.
+    rng = _rng()
+    for d in range(1, 7):
+        a, B = random_spd(rng, d), random_hurwitz(rng, d)
+        q = float(rng.uniform(0.0, 10.0))
+        sol = anti_stabilizing_riccati(a, B, q)
+        assert sol.residual == riccati_residual(sol.V, a, B, q)
+        assert np.min(np.linalg.eigvals(sol.closed_loop).real) > 0.0
 
 
 def test_no_stabilizing_solution_for_strongly_negative_killing():
@@ -96,70 +144,78 @@ def test_no_stabilizing_solution_for_strongly_negative_killing():
         solve_stabilizing_riccati(np.array([[1.0]]), np.array([[-1.0]]), -2.0)
 
 
-def _no_split_eig(H):
-    """An eig whose spectra never split d/d, so every member falls back."""
-    return np.ones(H.shape[:-1]), np.broadcast_to(np.eye(H.shape[-1]), H.shape).copy()
+@pytest.mark.parametrize("d", range(1, 7))
+def test_stabilizing_solution_matches_scipy_care(d):
+    # An independent reference: scipy's CARE solver with input matrix
+    # chol(2a), state weight q a and unit control weight solves the same
+    # equation for q >= 0.
+    rng = np.random.default_rng([20240811, d])
+    for q in (0.0, *rng.uniform(0.0, 10.0, size=5)):
+        a, B = random_spd(rng, d), random_hurwitz(rng, d)
+        V = solve_stabilizing_riccati(a, B, q).V
+        X = scipy.linalg.solve_continuous_are(B, np.linalg.cholesky(2.0 * a), q * a,
+                                              np.eye(d))
+        assert np.max(np.abs(V - X)) <= 1e-12 * max(1.0, np.max(np.abs(X)))
 
 
-def test_schur_reordering_failure_is_no_stabilizing_solution(monkeypatch):
-    # scipy reports a reordering that loses an eigenvalue to the other half
-    # plane as a numpy LinAlgError; the library reports a missing branch.
-    def failing_schur(*args, **kwargs):
-        raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition")
-
-    monkeypatch.setattr(np.linalg, "eig", _no_split_eig)
-    monkeypatch.setattr(scipy.linalg, "schur", failing_schur)
-    with pytest.raises(NoStabilizingSolution, match="Schur reordering failed"):
-        solve_stabilizing_riccati(np.eye(2), -np.eye(2), 1.0)
+@pytest.mark.parametrize("d", [2, 3])
+def test_defective_drift_at_zero_killing(d):
+    # A Jordan block has a single eigenvector, too few to span the stable
+    # subspace; at q = 0 that subspace is exactly span [I; 0], so V = 0.
+    sol = solve_stabilizing_riccati(np.eye(d), np.eye(d, k=1) - np.eye(d), 0.0)
+    assert np.all(sol.V == 0.0)
+    assert np.max(np.linalg.eigvals(sol.closed_loop).real) < 0.0
 
 
-def test_fallback_members_match_a_schur_only_solve(monkeypatch):
-    # Within one chunk, members whose eigenvector seed selects the
-    # anti-stable subspace (caught by the Hurwitz test) or whose spectrum
-    # does not split d/d are solved again from the Schur seed; they must
-    # match a chunk solved from the Schur seed alone, errors included.
-    rng = _rng()
-    d = 3
-    m = Quadratic(b=rng.normal(scale=0.1, size=d), Bmat=random_hurwitz(rng, d),
-                  sigma=np.linalg.cholesky(random_spd(rng, d)))
-    betas = np.linspace(-1.0, 2.0, 31)
-    schur_calls = []
-    schur = scipy.linalg.schur
+def test_defective_drift_curve_solves_at_beta_one():
+    m = Quadratic(b=[0.1, -0.05], Bmat=[[-1.0, 1.0], [0.0, -1.0]], sigma=np.eye(2))
+    vp = validate(Problem(m, Preference(0.5), Leverage(1.0), ConstantRate(0.01)))
+    (point,) = growth_curve(vp, [1.0])
+    assert point.error is None and point.growth.is_finite
 
-    def counted_schur(H, *args, **kwargs):
-        schur_calls.append(H)
-        return schur(H, *args, **kwargs)
 
+def test_eig_failure_is_retried_member_by_member(monkeypatch):
+    m = Quadratic(b=[0.1, -0.05], Bmat=[[-1.0, 0.2], [0.0, -0.8]],
+                  sigma=[[0.3, 0.0], [0.1, 0.25]])
+    betas = np.linspace(-2.0, 3.0, 24)  # q != 0 at every beta
+    want = list(solve_quadratic_grid(m, 0.5, betas))
+    assert not any(isinstance(w, LetfGrowthError) for w in want)
     eig = np.linalg.eig
 
-    def spoiled_eig(H):
-        w, X = eig(H)
-        w[1::3] = -w[1::3]                  # seeds the anti-stable subspace
-        w[2::3] = np.abs(w[2::3].real)      # no stable eigenvalue at all
-        return w, X
+    def stack_fails(H):
+        if H.ndim > 2:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(H)
 
-    def broken_eig(H):
+    def always_fails(H):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
-    monkeypatch.setattr(np.linalg, "eig", broken_eig)
-    want = list(solve_quadratic_grid(m, 0.5, betas))
-    assert len(schur_calls) == betas.size
-    monkeypatch.setattr(np.linalg, "eig", spoiled_eig)
-    schur_calls.clear()
+    monkeypatch.setattr(np.linalg, "eig", stack_fails)
+    for g, w in zip(solve_quadratic_grid(m, 0.5, betas), want):
+        assert np.allclose(g.V, w.V, rtol=1e-12, atol=1e-15)
+        assert g.lam == pytest.approx(w.lam, rel=1e-12, abs=1e-15)
+    monkeypatch.setattr(np.linalg, "eig", always_fails)
     got = list(solve_quadratic_grid(m, 0.5, betas))
-    assert sum(1 for i in range(betas.size) if i % 3) <= len(schur_calls) < betas.size
-    n_failed = 0
-    for g, w in zip(got, want):
-        assert type(g) is type(w)
-        if isinstance(w, Exception):
-            assert str(g) == str(w)
-            n_failed += 1
-            continue
-        for x, y in ((g.V, w.V), (g.u, w.u)):
-            assert np.allclose(x, y, rtol=1e-12, atol=1e-14)
-        assert g.lam == pytest.approx(w.lam, rel=1e-12, abs=1e-14)
-    assert 0 < n_failed < betas.size
+    assert all(isinstance(g, NoStabilizingSolution) and "eigendecomposition failed" in str(g)
+               for g in got)
+
+
+def test_sweep_members_solve_or_raise_a_library_error():
+    # 192 models over four recipes and d = 1..6, 61 betas each: every
+    # member either passes the residual gate with a Hurwitz closed loop or
+    # carries a library error, never a numpy one.
+    counts = {"solved": 0, "failed": 0}
+    for alpha, m in sweep_models(20261018, 8):
+        scale_a = float(np.max(np.abs(m.a)))
+        for sol in solve_quadratic_grid(m, alpha, SWEEP_BETAS):
+            if isinstance(sol, LetfGrowthError):
+                counts["failed"] += 1
+                continue
+            counts["solved"] += 1
+            scale = max(1.0, scale_a * max(1.0, float(np.max(np.abs(sol.V)))) ** 2)
+            assert sol.riccati.residual <= riccati.RESIDUAL_TOL * scale
+            assert np.max(np.linalg.eigvals(sol.riccati.closed_loop).real) < 0.0
+    assert counts["solved"] > 0 and counts["failed"] > 0
 
 
 def test_singular_member_of_a_batched_solve_fails_alone():
@@ -194,7 +250,7 @@ def test_grid_matches_single_beta_solves():
         assert got.lam == pytest.approx(want.lam, rel=1e-12, abs=1e-14)
     assert 0 < n_failed < betas.size
     # No beta of this grid has a stabilizing branch: the steps after the
-    # Schur seed run on empty stacks.
+    # eigenvector seed run on empty stacks.
     m1 = Quadratic(b=[0.0], Bmat=[[-0.3]], sigma=[[1.0]])
     assert all(isinstance(s, NoStabilizingSolution)
                for s in solve_quadratic_grid(m1, 0.5, np.linspace(0.1, 0.9, 5)))
