@@ -254,7 +254,6 @@ def _cmd_riccati(args) -> int:
         rows.append([f"closed_loop_eig_{k}_real", eigs[idx].real])
         rows.append([f"closed_loop_eig_{k}_imag", eigs[idx].imag])
     rows.append(["riccati_residual", sol.riccati.residual])
-    rows.append(["stable", sol.riccati.stable])
     rows.append(["c_covariance_negdef", sol.convergence.all_negative_covariance])
     rows.append(["c_precision_negdef", sol.convergence.all_negative_precision])
     for name, val in rows:

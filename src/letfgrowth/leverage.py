@@ -5,7 +5,8 @@ own leverage derivative, finite region in beta and closed-form optimum rule
 (an :class:`Optimum` naming an interior vertex, a boundary side or a flat
 objective); the code here clamps a vertex to the cap and the finite region,
 resolves boundaries, and runs the numerical search for the quadratic model,
-which has no closed form.
+which has no closed-form optimum: a scan over beta, then the root of the
+model's exact leverage derivative next to the scan maximum.
 
 When a finiteness condition excludes part of the leverage range, the search
 is restricted to the finite region; if the optimum lands on the edge of the
@@ -30,13 +31,11 @@ __all__ = [
     "OptimalLeverage",
     "optimal_beta",
     "lambda_derivative",
-    "golden_section_max",
     "objective_value",
 ]
 
 UNCAPPED_BRACKET = (-50.0, 50.0)
-GOLDEN_TOL = 1e-10
-GOLDEN_MAX_ITER = 200
+ROOT_TOL = 1e-12  # bracket width or secant step at which the slope's root is taken
 
 
 @dataclass(frozen=True)
@@ -115,25 +114,59 @@ def _rate_or_minus_inf(g: GrowthRate | None) -> float:
     return g.rate if g is not None and g.is_finite else -math.inf
 
 
-def golden_section_max(f, lo: float, hi: float) -> float:
-    """Golden-section maximizer of a unimodal f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while abs(b - a) > GOLDEN_TOL and it < GOLDEN_MAX_ITER:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+def _slope_root(slope, grid: list[float], i: int) -> float | None:
+    """Root of ``slope`` next to the scan maximum ``grid[i]``, or None.
+
+    The slope's sign at grid[i] picks the neighbouring grid point to
+    bracket the root with.  A nan slope marks a point past the edge of the
+    finite or solvable region, so the bracket shrinks towards its finite
+    end by bisection until the slope changes sign.  A bracket with a sign
+    change is closed by a safeguarded secant (Illinois), which bisects
+    where the secant point leaves the bracket, and stops once the bracket
+    or the secant step from the last point is within ROOT_TOL.  A slope
+    that keeps its sign up to the edge of the finite region gives the
+    finite point nearest the edge, to float resolution; one that keeps it
+    up to the end of the grid gives None.
+    """
+    x0, s0 = grid[i], slope(grid[i])
+    if s0 == 0.0:
+        return x0
+    j = i + 1 if s0 > 0.0 else i - 1
+    if math.isnan(s0) or not 0 <= j < len(grid):
+        return None
+    x1 = last = grid[j]
+    s1 = slope(x1)
+    if not math.isnan(s1) and (s1 > 0.0) == (s0 > 0.0):
+        return None
+    moved = 0  # end the last finite step replaced (-1: x0, 1: x1), for Illinois
+    while abs(x1 - x0) > ROOT_TOL or math.isnan(s1):
+        if math.isnan(s1):
+            x = 0.5 * (x0 + x1)
+            if x in (x0, x1):
+                # The slope keeps its sign up to the edge of the finite
+                # region, found to float resolution; x0 is nearest to it.
+                return x0
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        it += 1
-    return 0.5 * (a + b)
+            x = x1 - s1 * (x1 - x0) / (s1 - s0)
+            if abs(x - last) <= ROOT_TOL:
+                return last
+            if not min(x0, x1) < x < max(x0, x1):
+                x = 0.5 * (x0 + x1)
+        s = slope(x)
+        last = x
+        if s == 0.0:
+            return x
+        if math.isnan(s):
+            x1, s1, moved = x, s, 0
+        elif (s > 0.0) != (s0 > 0.0):
+            if moved == 1:
+                s0 *= 0.5
+            x1, s1, moved = x, s, 1
+        else:
+            if moved == -1:
+                s1 *= 0.5
+            x0, s0, moved = x, s, -1
+    return last
 
 
 # ---------------------------------------------------------------------------
@@ -143,15 +176,15 @@ def golden_section_max(f, lo: float, hi: float) -> float:
 def lambda_derivative(vp: ValidatedProblem, beta: float, mode: str = "exact") -> float:
     """d/d beta of the optimizer's objective at one beta.
 
-    ``mode="exact"`` uses the model's closed form where one exists (all
-    models except the quadratic one, which always differences numerically);
+    ``mode="exact"`` uses the model's own derivative: a closed form, or for
+    the quadratic model the sensitivity of its Riccati solution in beta;
     ``mode="fd"`` central-differences the objective with step
     1e-6 * max(1, |beta|) as an independent check.  Where the objective is
     -inf the exact mode returns nan, as fd does away from the region's edge.
     """
     if mode not in ("exact", "fd"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "fd" or vp.model.derivative is None:
+    if mode == "fd":
         h = 1e-6 * max(1.0, abs(beta))
         return (objective_value(vp, beta + h) - objective_value(vp, beta - h)) / (2.0 * h)
     if objective_value(vp, beta) == -math.inf:
@@ -242,7 +275,8 @@ def optimal_beta(vp: ValidatedProblem,
         return OptimalLeverage(vertex, rate, opt.method, profile=opt.profile,
                                notes=tuple(notes))
 
-    # No closed form (quadratic model): scan, then refine by golden section.
+    # No closed form (quadratic model): scan, then refine to the root of the
+    # exact slope next to the scan maximum.
     lo, hi = cap if cap is not None else UNCAPPED_BRACKET
     if cap is None:
         notes.append(f"uncapped search bracketed on [{lo:g}, {hi:g}]")
@@ -255,19 +289,18 @@ def optimal_beta(vp: ValidatedProblem,
         raise NoFiniteRegion("growth rate infinite or unsolvable on the whole range")
     tried = {grid[best_i]: best_v}
 
-    def probe(b: float) -> float:
-        tried[b] = obj(b)
-        return tried[b]
+    def slope(b: float) -> float:
+        val, s = m.rate_and_slope(alpha, b, r)
+        tried.setdefault(b, val)
+        return s
 
-    blo = grid[max(0, best_i - 1)]
-    bhi = grid[min(n_scan - 1, best_i + 1)]
-    beta_star = golden_section_max(probe, blo, bhi)
-    rate_star = obj(beta_star)
-    if not rate_star >= best_v:
-        # The refinement walked off the scan maximum, e.g. past the end
-        # of the finite region, where the objective drops to -inf.
-        beta_star, rate_star = max(tried.items(), key=lambda kv: kv[1])
+    beta_star = _slope_root(slope, grid, best_i)
+    if beta_star is None or not tried[beta_star] >= best_v:
+        # The slope keeps its sign up to the end of the grid, or its root is
+        # below the scan maximum (the objective is not unimodal there).
+        beta_star = max(tried, key=tried.__getitem__)
         notes.append("refinement left the scan maximum; best evaluated point returned")
+    rate_star = tried[beta_star]
     if cap is not None and (abs(beta_star - lo) < 1e-6 or abs(beta_star - hi) < 1e-6):
         side = "+" if abs(beta_star - hi) < 1e-6 else "-"
         notes.append("scan maximum at the cap edge")

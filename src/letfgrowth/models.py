@@ -42,7 +42,12 @@ from .errors import (
 )
 from .growth import _ALWAYS, FinitenessCondition, GrowthRate, _classified, _condition
 from .leverage import ConcavityProfile, Optimum
-from .riccati import QuadraticSolution, solve_quadratic_grid, solve_quadratic_model
+from .riccati import (
+    QuadraticSolution,
+    eigenvalue_slope,
+    solve_quadratic_grid,
+    solve_quadratic_model,
+)
 
 __all__ = [
     "Preference",
@@ -132,7 +137,9 @@ class _Model:
     """Shared defaults of the closed forms each variant carries: ``generator``,
     ``eigenpair``, ``growth`` (finiteness condition and rate components),
     ``interval`` (finite region in beta), ``derivative`` and ``optimum`` (of
-    the leverage objective) and ``grid`` (default residual grid).
+    the leverage objective) and ``grid`` (default residual grid).  A variant
+    without a closed-form optimum (``optimum = None``) supplies
+    ``rate_and_slope`` for the optimizer's search instead.
     """
 
     kind: ClassVar[str]
@@ -745,13 +752,14 @@ class Quadratic(_Model):
 
     dY = (b + B Y) dt + sigma dW with Y_0 = 0; sigma must be non-singular so
     that a = sigma sigma^T is strictly positive definite.  Its eigenpair
-    and growth rate come from the stabilizing Riccati solution; it has no
-    closed-form leverage derivative or optimum, so the optimizer searches.
+    and growth rate come from the stabilizing Riccati solution, and its
+    leverage derivative from that solution's sensitivity in beta; it has no
+    closed-form optimum, so the optimizer searches for a root of the
+    derivative.
     """
 
     kind: ClassVar[str] = "quadratic"
     domain: ClassVar[str] = "real"
-    derivative: ClassVar[None] = None
     optimum: ClassVar[None] = None
     b: np.ndarray
     Bmat: np.ndarray
@@ -808,6 +816,21 @@ class Quadratic(_Model):
             "trace_aV": -tr_av,
             "u_b": -ub,
         }
+
+    def rate_and_slope(self, alpha, beta, r):
+        """Growth rate at beta and its beta-derivative from one Riccati chain,
+        or (-inf, nan) where growth is infinite or the chain fails there."""
+        try:
+            sol = solve_quadratic_model(self, alpha, beta)
+            g = _classified(*self.growth(alpha, beta, r, sol))
+            if g.is_finite:
+                return g.rate, -r * alpha - eigenvalue_slope(self, alpha, beta, sol)
+        except LetfGrowthError:
+            pass
+        return -math.inf, math.nan
+
+    def derivative(self, alpha, beta, r):
+        return self.rate_and_slope(alpha, beta, r)[1]
 
     def curve(self, alpha, r, betas):
         # One batched Riccati chain for the grid; beta = 0 keeps the

@@ -59,6 +59,11 @@ member, or a batched eig a member that does not converge, the stack is run
 again one member at a time, so the error lands on that beta alone.  The
 single-beta functions below are the batch-of-one case of the same kernels.
 
+The leverage derivative of lambda comes from the solved chain by Riccati
+sensitivity: V' solves the Lyapunov equation F^T V' + V' F = -q' a with
+the polish's Kronecker operator, then u' one linear system (see
+``eigenvalue_slope``).
+
 The factor on the lower-left block is -q a, not -2 q a: with it, the scalar
 case a=1, B=-1 gives V = (-1 + sqrt(1 + 2q))/2 and closed loop
 -sqrt(1 + 2q), which is the unique stabilizing root of 2V^2 + 2V - q = 0.
@@ -97,6 +102,7 @@ __all__ = [
     "convergence_matrices",
     "solve_quadratic_model",
     "solve_quadratic_grid",
+    "eigenvalue_slope",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -110,14 +116,11 @@ KRONECKER_ENTRIES = 2 ** 16
 class RiccatiSolution:
     """Stabilizing solution bundle.
 
-    ``residual`` is the max-abs entry of 2VaV - B^T V - V B - q a; ``stable``
-    records whether every eigenvalue of the closed loop B - 2aV has a
-    strictly negative real part.
+    ``residual`` is the max-abs entry of 2VaV - B^T V - V B - q a.
     """
 
     V: np.ndarray
     closed_loop: np.ndarray
-    stable: bool
     residual: float
     u: np.ndarray | None = None
     lam: float | None = None
@@ -403,6 +406,28 @@ def _lambda_terms(V, u, a, b):
     return uau, np.trace(a @ V, axis1=-2, axis2=-1), u @ b
 
 
+def _eigenvalue_slope_stack(V, F, u, a, Bmat, b, dqs):
+    """d lambda / d beta at each solved (V, F, u), with q' = dq/d beta each.
+
+    Riccati sensitivity (Kenney & Hewer 1990): differentiating the Riccati
+    equation in beta gives the Lyapunov equation F^T V' + V' F = -q' a,
+    solved in the Kronecker form of the Newton step; differentiating
+    (2 V a - B^T) u = 2 V b gives (2 V a - B^T) u' = 2 V' (b - a u); and
+    lambda' = -u'^T a u + tr(a V') + u'^T b.
+    """
+    n, d = V.shape[0], V.shape[-1]
+    dV, errors = _solve_stack(_kron_sum(np.swapaxes(F, -1, -2)),
+                              (-dqs[:, None, None] * a).reshape(n, d * d, 1),
+                              "Riccati sensitivity system")
+    dV = _sym(dV.reshape(n, d, d))
+    du, du_errors = _solve_stack(2.0 * V @ a - Bmat.T,
+                                 2.0 * dV @ (b - u @ a.T)[..., None], "2Va - B^T")
+    du = du[..., 0]
+    dlam = (-(du[:, None, :] @ a @ u[:, :, None])[:, 0, 0]
+            + np.trace(a @ dV, axis1=-2, axis2=-1) + du @ b)
+    return dlam, [e or m for e, m in zip(errors, du_errors)]
+
+
 def _stationary_stack(F, a, drift):
     """Sigma_inf, Lyapunov residual and mean for each Hurwitz F.
 
@@ -467,7 +492,7 @@ def solve_stabilizing_riccati(a: np.ndarray, Bmat: np.ndarray,
     batch = _Batch(1)
     V, F, res = _riccati_stack(a, Bmat, np.array([float(q_coeff)]), batch)
     _raise_first(batch.errors)
-    return RiccatiSolution(V=V[0], closed_loop=F[0], stable=True, residual=float(res[0]))
+    return RiccatiSolution(V=V[0], closed_loop=F[0], residual=float(res[0]))
 
 
 def anti_stabilizing_riccati(a, Bmat, q_coeff) -> RiccatiSolution:
@@ -478,8 +503,7 @@ def anti_stabilizing_riccati(a, Bmat, q_coeff) -> RiccatiSolution:
     B - 2aV; so the stabilizing solution for -B, mirrored, is this branch.
     """
     sol = solve_stabilizing_riccati(a, -np.asarray(Bmat, dtype=float), q_coeff)
-    return RiccatiSolution(V=-sol.V, closed_loop=-sol.closed_loop, stable=False,
-                           residual=sol.residual)
+    return RiccatiSolution(V=-sol.V, closed_loop=-sol.closed_loop, residual=sol.residual)
 
 
 def compute_u(V: np.ndarray, a: np.ndarray, Bmat: np.ndarray,
@@ -581,14 +605,27 @@ def _solve_chunk(model: Quadratic, alpha: float, betas: np.ndarray) -> list:
     for j, i in enumerate(batch.idx):
         late = stat_errors[j] or conv_errors[j]
         out[i] = late if late is not None else QuadraticSolution(
-            riccati=RiccatiSolution(V=V[j], closed_loop=F[j], stable=True,
-                                    residual=float(res[j]), u=u[j], lam=float(lam[j])),
+            riccati=RiccatiSolution(V=V[j], closed_loop=F[j], residual=float(res[j]),
+                                    u=u[j], lam=float(lam[j])),
             stationary=StationaryGaussian(mean=mean[j], covariance=sig[j],
                                           lyapunov_residual=float(lres[j])),
             convergence=_convergence_matrix(c_cov[j], c_prec[j], e_cov[j], e_prec[j]),
             q_coeff=float(qs[i]),
             lambda_terms=(float(uau[j]), float(tr_av[j]), float(ub[j])))
     return out
+
+
+def eigenvalue_slope(model: Quadratic, alpha: float, beta: float,
+                     sol: QuadraticSolution) -> float:
+    """d lambda / d beta at one beta, from the chain ``sol`` solved there.
+
+    Raises ``SingularSystem`` where a sensitivity system is singular.
+    """
+    dlam, errors = _eigenvalue_slope_stack(
+        sol.V[None], sol.riccati.closed_loop[None], sol.u[None], _sym(model.a),
+        model.Bmat, model.b, np.array([2.0 * alpha * (2.0 * beta - 1.0)]))
+    _raise_first(errors)
+    return float(dlam[0])
 
 
 def solve_quadratic_grid(model: Quadratic, alpha: float,

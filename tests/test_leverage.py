@@ -7,14 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from letfgrowth import leverage, riccati
 from letfgrowth.errors import NoFiniteRegion
 from letfgrowth.growth import growth_rate
-from letfgrowth.leverage import (
-    golden_section_max,
-    lambda_derivative,
-    objective_value,
-    optimal_beta,
-)
+from letfgrowth.leverage import lambda_derivative, objective_value, optimal_beta
 from letfgrowth.models import (
     ConstantRate,
     ExtendedCir,
@@ -33,7 +29,9 @@ from letfgrowth.models import (
     validate,
 )
 
+from test_closed_forms import SECOND_SETS
 from test_models import BASE_MODELS, prob
+from test_riccati import SWEEP_RECIPES
 
 
 def vp_of(model, alpha=0.5, beta=2.0, r=0.01, relax=False):
@@ -41,11 +39,15 @@ def vp_of(model, alpha=0.5, beta=2.0, r=0.01, relax=False):
 
 
 def search_max(vp, lo=-50.0, hi=50.0):
-    grid = np.linspace(lo, hi, 2001)
-    vals = [objective_value(vp, float(b)) for b in grid]
-    i = int(np.argmax(vals))
-    return golden_section_max(lambda b: objective_value(vp, b),
-                              grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)])
+    """Argmax of the objective on a grid of step 0.05, refined on a second
+    grid of step 5e-4 around it: independent of the library's search."""
+    def argmax(grid):
+        return float(grid[int(np.argmax([objective_value(vp, float(b)) for b in grid]))])
+
+    coarse = np.linspace(lo, hi, 2001)
+    step = coarse[1] - coarse[0]
+    b = argmax(coarse)
+    return argmax(np.linspace(max(lo, b - step), min(hi, b + step), 201))
 
 
 def test_gbm_closed_form_and_search_agree():
@@ -207,10 +209,11 @@ def test_first_order_and_local_max_certificates():
         vp_of(ThreeHalves(theta=0.5, a=0.5, sigma=0.5)),
         vp_of(HestonSV(mu=0.05, **HESTON_FIG), relax=True),
         vp_of(GbmVasicek(mu=0.01, **VASICEK_FIG), alpha=0.8),
+        vp_of(BASE_MODELS["quadratic"]),
     ]
     for vp in cases:
         opt = optimal_beta(vp)
-        assert opt.method in ("closed_form", "quadratic_vertex")
+        assert opt.method in ("closed_form", "quadratic_vertex", "concave_search")
         b = opt.beta_star
         val = objective_value(vp, b)
         deriv = lambda_derivative(vp, b)
@@ -228,11 +231,38 @@ def test_exact_vs_fd_derivative():
         (vp_of(ThreeHalves(theta=0.5, a=0.5, sigma=0.5)), -1.2),
         (vp_of(HestonSV(mu=0.05, **HESTON_FIG), relax=True), 1.3),
         (vp_of(GbmVasicek(mu=0.05, **VASICEK_FIG), alpha=0.8), 2.2),
+        (vp_of(BASE_MODELS["quadratic"]), -1.7),
+        (vp_of(BASE_MODELS["quadratic"], alpha=1.0), 0.3),
+        (vp_of(SECOND_SETS["quadratic"][0], alpha=0.3, r=0.02), 2.5),
     ]
     for vp, b in cases:
         exact = lambda_derivative(vp, b)
         fd = lambda_derivative(vp, b, mode="fd")
         assert fd == pytest.approx(exact, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_exact_quadratic_slope_matches_fd(d):
+    # The Riccati-sensitivity slope against central differences of the
+    # objective, on criterion-7 and catalog-scale (a / 10d) models, at betas
+    # outside (0, 1) and inside it wherever the objective is finite.
+    rng = np.random.default_rng(7100 + d)
+    outside = inside = 0
+    for recipe in ("criterion7", "catalog_scale"):
+        for alpha in (0.3, 0.5, 1.0):
+            a, B = SWEEP_RECIPES[recipe](rng, d)
+            vp = vp_of(Quadratic(b=rng.normal(scale=0.1, size=d), Bmat=B,
+                                 sigma=np.linalg.cholesky(a)), alpha=alpha)
+            for beta in (-2.0, -0.6, -0.1, 0.05, 0.2, 0.5, 0.8, 1.05, 1.4, 2.5):
+                exact = lambda_derivative(vp, beta)
+                if math.isnan(exact):
+                    assert objective_value(vp, beta) == -math.inf
+                    continue
+                fd = lambda_derivative(vp, beta, mode="fd")
+                assert exact == pytest.approx(fd, rel=1e-6, abs=1e-9)
+                inside += 0.0 < beta < 1.0
+                outside += not 0.0 < beta < 1.0
+    assert inside >= 6 and outside >= 12
 
 
 @pytest.mark.parametrize("vp, beta", [
@@ -251,8 +281,9 @@ def test_exact_derivative_is_nan_off_the_finite_region(vp, beta):
 
 @pytest.mark.parametrize("kind", ["gbm", "quadratic"])
 def test_derivative_rejects_unknown_mode(kind):
-    # The quadratic model has no closed-form derivative, so an unknown mode
-    # must be refused before it falls through to finite differences.
+    # An unknown mode must be refused, not taken for "exact" or "fd", for a
+    # closed-form derivative and for the quadratic model's Riccati
+    # sensitivity alike.
     with pytest.raises(ValueError, match="unknown mode"):
         lambda_derivative(vp_of(BASE_MODELS[kind]), 1.5, mode="bogus")
 
@@ -303,6 +334,40 @@ def test_quadratic_optimum_no_worse_than_cash():
         assert val >= cash
         assert val >= objective_value(vp, b + 1e-3) - 1e-12
         assert val >= objective_value(vp, b - 1e-3) - 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0])
+@pytest.mark.parametrize("name", ["base", "second"])
+def test_quadratic_optimum_does_not_depend_on_the_bracket(name, alpha):
+    # The same maximizer from the uncapped, market and inside brackets: the
+    # root of the exact slope, not wherever a bracketing search stopped.
+    model, r = (BASE_MODELS["quadratic"], 0.01) if name == "base" else SECOND_SETS["quadratic"]
+    vp = vp_of(model, alpha=alpha, r=r, relax=True)
+    betas = [optimal_beta(vp, cap=cap).beta_star for cap in (None, (-3.0, 3.0), (0.2, 0.9))]
+    assert max(betas) - min(betas) <= 1e-10
+
+
+@pytest.mark.parametrize("cap", [None, (-3.0, 3.0)], ids=["uncapped", "capped"])
+def test_quadratic_refinement_solves_few_chains(monkeypatch, cap):
+    # Riccati chains solved after the scan's growth_curve returns: a few
+    # slope evaluations, each one chain, where a golden section took ~50.
+    count = {"scanned": False, "chains": 0}
+    solve_chunk, scan = riccati._solve_chunk, leverage.growth_curve
+
+    def counted_chunk(*args):
+        count["chains"] += count["scanned"]
+        return solve_chunk(*args)
+
+    def counted_scan(*args):
+        points = scan(*args)
+        count["scanned"] = True
+        return points
+
+    monkeypatch.setattr(riccati, "_solve_chunk", counted_chunk)
+    monkeypatch.setattr(leverage, "growth_curve", counted_scan)
+    opt = optimal_beta(vp_of(BASE_MODELS["quadratic"]), cap=cap)
+    assert opt.method == "concave_search"
+    assert 0 < count["chains"] <= 12
 
 
 def test_quadratic_no_finite_region():

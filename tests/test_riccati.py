@@ -78,7 +78,7 @@ def sweep_models(seed, per_dim):
 def test_zero_killing_gives_zero_solution():
     sol = solve_stabilizing_riccati(np.eye(2), -np.eye(2), 0.0)
     assert np.allclose(sol.V, 0.0, atol=1e-14)
-    assert sol.stable
+    assert np.max(np.linalg.eigvals(sol.closed_loop).real) < 0.0
 
 
 def test_scalar_closed_form():
@@ -124,8 +124,7 @@ def test_random_instances_residual_and_stability():
 
 def test_anti_stable_branch_is_not_stabilizing():
     sol = anti_stabilizing_riccati(np.eye(2), -np.eye(2), 2.0)
-    assert np.max(np.linalg.eigvals(sol.closed_loop).real) > 0.0
-    assert not sol.stable
+    assert np.min(np.linalg.eigvals(sol.closed_loop).real) > 0.0
     # The mirrored stabilizing solve for -B: the residual matrix is the same
     # one, and every closed-loop eigenvalue lies in the right half plane.
     rng = _rng()
