@@ -50,7 +50,6 @@ from .eigen import (
     default_grid,
     eigenpair,
     generator_residual,
-    q_dynamics,
 )
 from .growth import (
     FinitenessCondition,
@@ -65,8 +64,6 @@ from .leverage import OptimalLeverage, lambda_derivative, optimal_beta
 from .riccati import (
     QuadraticSolution,
     RiccatiSolution,
-    compute_u,
-    quadratic_eigenvalue,
     solve_quadratic_model,
     solve_stabilizing_riccati,
     stationary_covariance,

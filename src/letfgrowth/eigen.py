@@ -6,16 +6,18 @@ expectation E[exp(-int k(G_s) ds) f(G_t)] into a marginal one under a
 drift-shifted measure, at the cost of the factor exp(-lambda t).  Every model
 in the catalog admits a closed-form pair in one of five parametric families;
 this module produces the pair and certifies it numerically by evaluating the
-generator residual with exact derivatives of the family (finite differences
-are available as an independent cross-check mode).
+generator residual with exact derivatives of the family.  That residual
+cannot tell the admissible exponent root from the other one; the test suite
+checks the scalar eigenvalues independently against the top of the spectrum
+of each model's discretised generator.
 
 The state G and the measure under which its generator is taken vary by
 variant (the reference itself, or the variance or rate driver after an
 exponential tilt has absorbed the reference Brownian).  Each model class in
 ``models`` states its own generator coefficients, eigenpair and default
 grid; this module is model-agnostic: it calls those methods, and its
-residual and transformed-measure code is keyed on the eigenfunction family
-(scalar, or the d-dimensional exponential-quadratic one).
+residual code is keyed on the eigenfunction family (scalar, or the
+d-dimensional exponential-quadratic one).
 """
 
 from __future__ import annotations
@@ -42,16 +44,11 @@ __all__ = [
     "GeneratorResidual",
     "GeneratorCoefficients",
     "eigenpair",
-    "generator_coefficients",
     "generator_residual",
     "default_grid",
-    "q_dynamics",
-    "QDrift",
 ]
 
 RESIDUAL_EPS = 1e-300
-FD_REL_STEP = 1e-5   # scalar states: step relative to max(1, |x|)
-FD_QUAD_STEP = 1e-4  # quadratic state: absolute step per coordinate
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +221,6 @@ def _stable_root_minus(h: float, q: float, context: str) -> float:
     return root - h
 
 
-def generator_coefficients(vp: ValidatedProblem) -> GeneratorCoefficients:
-    """Coefficients of the generator-with-killing the eigenpair satisfies.
-
-    Raises TypeError for the quadratic model, whose state is not scalar.
-    """
-    return vp.model.generator(vp.alpha, vp.beta)
-
-
 # ---------------------------------------------------------------------------
 # Eigenpairs
 # ---------------------------------------------------------------------------
@@ -265,9 +254,7 @@ class GeneratorResidual:
     meaningful even where phi itself under- or overflows.
     """
 
-    grid: np.ndarray
     max_abs_residual: float
-    mode: str
 
 
 def default_grid(vp: ValidatedProblem) -> np.ndarray:
@@ -278,64 +265,10 @@ def default_grid(vp: ValidatedProblem) -> np.ndarray:
     return vp.model.grid()
 
 
-def _scalar_ratios_fd(phi, x):
-    """phi'/phi and phi''/phi from central differences of log phi.
-
-    The step adapts to the local log-slope so that the exponentiated
-    increment stays ~2e-3: steep exponential eigenfunctions would otherwise
-    lose the second-derivative ratio to series truncation exactly where the
-    generator terms cancel most.
-    """
-    x = np.asarray(x, dtype=float)
-    h0 = FD_REL_STEP * np.maximum(1.0, np.abs(x))
-    lp0 = phi.log_phi(x)
-    probe = (phi.log_phi(x + h0) - lp0) / h0
-    h = np.minimum(h0, 2e-3 / (np.abs(probe) + 1.0))
-    dp = phi.log_phi(x + h) - lp0
-    dm = phi.log_phi(x - h) - lp0
-    d1 = (np.exp(dp) - np.exp(dm)) / (2.0 * h)
-    d2 = (np.exp(dp) - 2.0 + np.exp(dm)) / (h * h)
-    return d1, d2
-
-
-def _quadratic_ratios_fd(phi: ExpQuadratic, y):
-    h = FD_QUAD_STEP
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    n, d = y.shape
-    lp0 = phi.log_phi(y)
-    grad = np.empty((n, d))
-    hess = np.empty((n, d, d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        lp_p = phi.log_phi(y + ei) - lp0
-        lp_m = phi.log_phi(y - ei) - lp0
-        grad[:, i] = (np.exp(lp_p) - np.exp(lp_m)) / (2.0 * h)
-        hess[:, i, i] = (np.exp(lp_p) - 2.0 + np.exp(lp_m)) / (h * h)
-    for i in range(d):
-        for j in range(i + 1, d):
-            ei = np.zeros(d); ei[i] = h
-            ej = np.zeros(d); ej[j] = h
-            lpp = phi.log_phi(y + ei + ej) - lp0
-            lpm = phi.log_phi(y + ei - ej) - lp0
-            lmp = phi.log_phi(y - ei + ej) - lp0
-            lmm = phi.log_phi(y - ei - ej) - lp0
-            mixed = (np.exp(lpp) - np.exp(lpm) - np.exp(lmp) + np.exp(lmm)) / (4.0 * h * h)
-            hess[:, i, j] = mixed
-            hess[:, j, i] = mixed
-    return grad, hess
-
-
-def generator_residual(vp: ValidatedProblem, pair: Eigenpair, grid: np.ndarray,
-                       mode: str = "exact") -> GeneratorResidual:
-    """Certify L phi = -lambda phi numerically on a grid.
-
-    Parameters
-    ----------
-    mode : {"exact", "fd"}
-        "exact" uses the closed-form derivative ratios of the eigenfunction
-        family; "fd" rebuilds them from central differences of log phi and is
-        the independent cross-check (its accuracy is limited by the step).
+def generator_residual(vp: ValidatedProblem, pair: Eigenpair,
+                       grid: np.ndarray) -> GeneratorResidual:
+    """Certify L phi = -lambda phi numerically on a grid, through the
+    closed-form derivative ratios of the eigenfunction family.
 
     Raises
     ------
@@ -347,13 +280,8 @@ def generator_residual(vp: ValidatedProblem, pair: Eigenpair, grid: np.ndarray,
         y = np.atleast_2d(np.asarray(grid, dtype=float))
         if y.shape[1] != m.d:
             raise GridOutsideDomain(f"grid dimension {y.shape[1]} != d={m.d}")
-        if mode == "exact":
-            g = pair.phi.grad_ratio(y)
-            Hr = pair.phi.hess_ratio(y)
-        elif mode == "fd":
-            g, Hr = _quadratic_ratios_fd(pair.phi, y)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        g = pair.phi.grad_ratio(y)
+        Hr = pair.phi.hess_ratio(y)
         a = m.a
         q_coeff = 2.0 * vp.alpha * vp.beta * (vp.beta - 1.0)
         drift = m.b[None, :] + y @ m.Bmat.T
@@ -361,61 +289,14 @@ def generator_residual(vp: ValidatedProblem, pair: Eigenpair, grid: np.ndarray,
                + 0.5 * np.einsum("nij,ij->n", Hr, a)
                - q_coeff * np.einsum("ni,ij,nj->n", y, a, y))
         resid = np.abs(gen + pair.lam) / (abs(pair.lam) + RESIDUAL_EPS)
-        return GeneratorResidual(grid=y, max_abs_residual=float(np.max(resid)),
-                                 mode=mode)
+        return GeneratorResidual(max_abs_residual=float(np.max(resid)))
 
     x = np.asarray(grid, dtype=float)
-    coeffs = generator_coefficients(vp)
+    coeffs = m.generator(vp.alpha, vp.beta)
     if coeffs.domain == "positive" and np.any(x <= 0.0):
         raise GridOutsideDomain("grid contains non-positive points for a positive-state model")
-    if mode == "exact":
-        d1 = pair.phi.d1_ratio(x)
-        d2 = pair.phi.d2_ratio(x)
-    elif mode == "fd":
-        d1, d2 = _scalar_ratios_fd(pair.phi, x)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    d1 = pair.phi.d1_ratio(x)
+    d2 = pair.phi.d2_ratio(x)
     gen = 0.5 * coeffs.variance(x) * d2 + coeffs.drift(x) * d1 - coeffs.killing(x)
     resid = np.abs(gen + pair.lam) / (abs(pair.lam) + RESIDUAL_EPS)
-    return GeneratorResidual(grid=x, max_abs_residual=float(np.max(resid)), mode=mode)
-
-
-# ---------------------------------------------------------------------------
-# Transformed-measure dynamics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QDrift:
-    """Drift of the state under the transformed measure.
-
-    ``drift(x)`` equals base drift plus the Girsanov shift
-    variance * (phi'/phi); the diffusion coefficient is unchanged.
-    """
-
-    drift: Callable[[np.ndarray], np.ndarray]
-    description: str
-
-
-def q_dynamics(vp: ValidatedProblem, pair: Eigenpair) -> QDrift:
-    """Drift of the state under the eigenfunction-transformed measure."""
-    m = vp.model
-    if isinstance(pair.phi, ExpQuadratic):
-        a = m.a
-        const = m.b - a @ pair.phi.u
-        Fmat = m.Bmat - 2.0 * a @ pair.phi.V
-
-        def drift(y):
-            y = np.atleast_2d(np.asarray(y, dtype=float))
-            return const[None, :] + y @ Fmat.T
-
-        return QDrift(drift=drift,
-                      description="(b - a u) + (B - 2 a V) y, diffusion sigma unchanged")
-
-    coeffs = generator_coefficients(vp)
-
-    def drift(x):
-        x = np.asarray(x, dtype=float)
-        return coeffs.drift(x) + coeffs.variance(x) * pair.phi.d1_ratio(x)
-
-    return QDrift(drift=drift,
-                  description="base drift + variance * (phi'/phi), diffusion unchanged")
+    return GeneratorResidual(max_abs_residual=float(np.max(resid)))

@@ -173,23 +173,20 @@ def _slope_root(slope, grid: list[float], i: int) -> float | None:
 # Derivatives
 # ---------------------------------------------------------------------------
 
-def lambda_derivative(vp: ValidatedProblem, beta: float, mode: str = "exact") -> float:
-    """d/d beta of the optimizer's objective at one beta.
+def lambda_derivative(vp: ValidatedProblem, beta: float) -> float:
+    """d/d beta of the optimizer's objective at one beta, nan where the
+    objective is -inf.
 
-    ``mode="exact"`` uses the model's own derivative: a closed form, or for
-    the quadratic model the sensitivity of its Riccati solution in beta;
-    ``mode="fd"`` central-differences the objective with step
-    1e-6 * max(1, |beta|) as an independent check.  Where the objective is
-    -inf the exact mode returns nan, as fd does away from the region's edge.
+    This is the model's own derivative: a closed form, or for the quadratic
+    model the sensitivity of its Riccati solution in beta.  The closed forms
+    stay finite off the finite region, so the objective is checked first; a
+    model without a closed-form optimum (the quadratic one) answers nan
+    there itself, from the one Riccati chain its ``rate_and_slope`` solves.
     """
-    if mode not in ("exact", "fd"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "fd":
-        h = 1e-6 * max(1.0, abs(beta))
-        return (objective_value(vp, beta + h) - objective_value(vp, beta - h)) / (2.0 * h)
-    if objective_value(vp, beta) == -math.inf:
+    m = vp.model
+    if m.optimum is not None and objective_value(vp, beta) == -math.inf:
         return math.nan
-    return vp.model.derivative(vp.alpha, beta, vp.r)
+    return m.derivative(vp.alpha, beta, vp.r)
 
 
 # ---------------------------------------------------------------------------

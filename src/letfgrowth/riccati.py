@@ -57,7 +57,10 @@ or fewer where a stack of Kronecker matrices would pass 2^16 entries
 that fails a check leaves the stack; when a batched solve meets a singular
 member, or a batched eig a member that does not converge, the stack is run
 again one member at a time, so the error lands on that beta alone.  The
-single-beta functions below are the batch-of-one case of the same kernels.
+single-beta functions below are the batch-of-one case of the same kernels:
+the stabilizing solve and its mirrored branch, the stationary law, the
+eigenvalue slope, and the whole chain at one beta (``solve_quadratic_model``),
+which is the only public route to u, lambda and the convergence matrices.
 
 The leverage derivative of lambda comes from the solved chain by Riccati
 sensitivity: V' solves the Lyapunov equation F^T V' + V' F = -q' a with
@@ -96,10 +99,7 @@ __all__ = [
     "QuadraticSolution",
     "solve_stabilizing_riccati",
     "scalar_stabilizing_v",
-    "compute_u",
-    "quadratic_eigenvalue",
     "stationary_covariance",
-    "convergence_matrices",
     "solve_quadratic_model",
     "solve_quadratic_grid",
     "eigenvalue_slope",
@@ -243,11 +243,6 @@ def _residual_matrix(V, a, Bmat, q_coeff):
     """2VaV - B^T V - V B - q a for one V, or for a stack with one q each."""
     q = np.asarray(q_coeff, dtype=float)[..., None, None]
     return 2.0 * V @ a @ V - Bmat.T @ V - V @ Bmat - q * a
-
-
-def riccati_residual(V: np.ndarray, a: np.ndarray, Bmat: np.ndarray,
-                     q_coeff: float) -> float:
-    return float(np.max(np.abs(_residual_matrix(V, a, Bmat, q_coeff))))
 
 
 def scalar_stabilizing_v(a: float, B: float, q_coeff: float) -> float:
@@ -506,32 +501,6 @@ def anti_stabilizing_riccati(a, Bmat, q_coeff) -> RiccatiSolution:
     return RiccatiSolution(V=-sol.V, closed_loop=-sol.closed_loop, residual=sol.residual)
 
 
-def compute_u(V: np.ndarray, a: np.ndarray, Bmat: np.ndarray,
-              b: np.ndarray) -> np.ndarray:
-    """Drift-shift vector u solving (2 V a - B^T) u = 2 V b.
-
-    This is the well-posed form of u = 2 (2a - V^{-1} B^T)^{-1} b multiplied
-    through by V, so it also covers singular V (q_coeff = 0 gives V = 0 and,
-    for invertible B^T, u = 0).
-    """
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    u, errors = _drift_shift(V[None], a, Bmat, np.asarray(b, dtype=float))
-    _raise_first(errors)
-    return u[0]
-
-
-def quadratic_eigenvalue(V: np.ndarray, u: np.ndarray, a: np.ndarray,
-                         b: np.ndarray) -> float:
-    """Eigenvalue paired with exp(-u^T y - y^T V y):
-
-    lambda = -u^T a u / 2 + tr(a V) + u^T b.
-    """
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    u = np.asarray(u, dtype=float)
-    uau, tr_av, ub = _lambda_terms(V[None], u[None], a, np.asarray(b, dtype=float))
-    return float(-0.5 * uau[0] + tr_av[0] + ub[0])
-
-
 def stationary_covariance(closed_loop: np.ndarray, a: np.ndarray,
                           drift_const: np.ndarray | None = None) -> StationaryGaussian:
     """Invariant Gaussian of dY = (drift_const + F Y) dt + sigma dW.
@@ -555,15 +524,6 @@ def stationary_covariance(closed_loop: np.ndarray, a: np.ndarray,
     _raise_first(errors)
     return StationaryGaussian(mean=mean[0], covariance=sig[0],
                               lyapunov_residual=float(resid[0]))
-
-
-def convergence_matrices(V: np.ndarray, alpha: float, beta: float,
-                         sigma_inf: np.ndarray) -> ConvergenceMatrix:
-    """Both forms of the utility-moment convergence matrix (see class doc)."""
-    c_cov, c_prec, e_cov, e_prec, errors = _convergence_stack(
-        V[None], alpha, np.array([float(beta)]), sigma_inf[None])
-    _raise_first(errors)
-    return _convergence_matrix(c_cov[0], c_prec[0], e_cov[0], e_prec[0])
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,12 @@
 Two parameter sets per model kind, alpha in {0.3, 0.8, 1.0} and seven
 leverage ratios.  For each point the file stores the eigenpair, the
 classified growth rate with its condition and components (in order), the
-leverage derivative in both modes, the published stochastic-rate curve and
-the generator residual in both modes; per (set, alpha) the growth curve over
-the seven betas and the optimal leverage uncapped and under two caps; and
-the sha256 of every CSV written by ``figures 1`` and ``figures 2``.  Errors
-are recorded as "<type>: <message>", so a moved formula must also fail the
-same way.
+leverage derivative (exact, then by central differences of the objective),
+the published stochastic-rate curve and the generator residual; per
+(set, alpha) the growth curve over the seven betas and the optimal leverage
+uncapped and under two caps; and the sha256 of every CSV written by
+``figures 1`` and ``figures 2``.  Errors are recorded as
+"<type>: <message>", so a moved formula must also fail the same way.
 
 Record with ``python tests/test_closed_forms.py --record``, or only some
 entries with ``--record NAME...``.
@@ -27,7 +27,7 @@ import pytest
 from letfgrowth.cli import run_figures
 from letfgrowth.eigen import default_grid, eigenpair, generator_residual
 from letfgrowth.growth import display_growth_value, growth_curve, growth_rate
-from letfgrowth.leverage import lambda_derivative, optimal_beta
+from letfgrowth.leverage import lambda_derivative, objective_value, optimal_beta
 from letfgrowth.models import (
     ExtendedCir,
     Garch,
@@ -70,6 +70,13 @@ SECOND_SETS = {
                                                    r0=0.05), None),
     "quadratic": (Quadratic(b=[0.05], Bmat=[[-0.5]], sigma=[[0.4]]), 0.02),
 }
+
+
+def fd_derivative(vp, beta):
+    """Central difference of the leverage objective, step 1e-6 * max(1, |beta|):
+    the independent check of ``lambda_derivative``."""
+    h = 1e-6 * max(1.0, abs(beta))
+    return (objective_value(vp, beta + h) - objective_value(vp, beta - h)) / (2.0 * h)
 
 
 def _hex(x):
@@ -128,12 +135,11 @@ def kind_records(kind) -> dict:
                 out[f"{tag}/b{beta}"] = {
                     "eig": _guard(lambda: _eigen(p)),
                     "growth": _guard(lambda: _growth(growth_rate(p))),
-                    "deriv": [_guard(lambda m=m: _hex(lambda_derivative(vp, beta, m)))
-                              for m in ("exact", "fd")],
+                    "deriv": [_guard(lambda: _hex(lambda_derivative(vp, beta))),
+                              _guard(lambda: _hex(fd_derivative(vp, beta)))],
                     "display": _guard(lambda: _hex(display_growth_value(p))),
-                    "resid": [_guard(lambda m=m: _hex(generator_residual(
-                        p, eigenpair(p), default_grid(p), mode=m).max_abs_residual))
-                        for m in ("exact", "fd")],
+                    "resid": [_guard(lambda: _hex(generator_residual(
+                        p, eigenpair(p), default_grid(p)).max_abs_residual))],
                 }
             out[f"{tag}/curve"] = [
                 [pt.beta, pt.error] if pt.growth is None

@@ -1,4 +1,5 @@
-"""Eigenpair closed forms, generator-residual certificates, Q-dynamics."""
+"""Eigenpair closed forms, eigenfunction derivative ratios, generator-residual
+certificates."""
 
 import math
 
@@ -11,11 +12,12 @@ from letfgrowth.eigen import (
     Constant,
     Eigenpair,
     ExpLinear,
+    ExpLinearPower,
+    ExpQuadratic,
     Power,
     default_grid,
     eigenpair,
     generator_residual,
-    q_dynamics,
 )
 from letfgrowth.errors import GridOutsideDomain
 from letfgrowth.models import (
@@ -104,13 +106,29 @@ def test_residual_sweep_all_variants(kind):
             assert res.max_abs_residual < 1e-9, (kind, alpha, beta)
 
 
-@pytest.mark.parametrize("kind", ["gbm", "extended_cir", "heston_sv",
-                                  "gbm_vasicek", "quadratic"])
-def test_finite_difference_mode_agrees(kind):
-    vp = vp_of(BASE_MODELS[kind])
-    pair = eigenpair(vp)
-    res = generator_residual(vp, pair, default_grid(vp), mode="fd")
-    assert res.max_abs_residual < 5e-4
+def test_derivative_ratios_match_log_phi():
+    # The residual certificate reads each family's exact ratios; here they
+    # meet central differences of the family's own log_phi = l, through
+    # phi'/phi = l' and phi''/phi = l'' + l'^2 (grad and Hess on R^d).
+    h = 1e-4
+    x = np.array([0.3, 1.0, 2.5])
+    for phi in (Constant(), Power(1.7), Power(-0.6), ExpLinear(0.8), ExpLinear(-1.3),
+                ExpLinearPower(c=0.9, p=1.4), ExpLinearPower(c=-0.5, p=-0.7)):
+        lm, l0, lp = phi.log_phi(x - h), phi.log_phi(x), phi.log_phi(x + h)
+        d1 = (lp - lm) / (2.0 * h)
+        d2 = (lp - 2.0 * l0 + lm) / (h * h) + d1 * d1
+        assert np.allclose(phi.d1_ratio(x), d1, rtol=1e-6, atol=1e-8), phi
+        assert np.allclose(phi.d2_ratio(x), d2, rtol=1e-5, atol=1e-6), phi
+    phi = ExpQuadratic(u=[0.4, -1.1], V=[[0.7, 0.2], [0.2, -0.3]])
+    y = np.array([[0.3, -0.2], [1.0, 0.5], [-1.5, 2.0]])
+    lp, e = phi.log_phi, h * np.eye(2)
+    grad = np.stack([(lp(y + e[i]) - lp(y - e[i])) / (2.0 * h) for i in range(2)], axis=-1)
+    hess = np.array([[(lp(y + e[i] + e[j]) - lp(y + e[i] - e[j])
+                       - lp(y - e[i] + e[j]) + lp(y - e[i] - e[j])) / (4.0 * h * h)
+                      for j in range(2)] for i in range(2)]).transpose(2, 0, 1)
+    assert np.allclose(phi.grad_ratio(y), grad, rtol=1e-6, atol=1e-8)
+    assert np.allclose(phi.hess_ratio(y), hess + np.einsum("ni,nj->nij", grad, grad),
+                       rtol=1e-5, atol=1e-6)
 
 
 def test_exponent_branch_signs():
@@ -157,45 +175,6 @@ def test_vasicek_pair_satisfies_generator():
     flipped = Eigenpair(lam=pair.lam, phi=ExpLinear(s), kappa=None)
     res_bad = generator_residual(vp, flipped, np.linspace(-5, 5, 50))
     assert res_bad.max_abs_residual > 1e-2
-
-
-def test_q_dynamics_extended_cir():
-    m = ExtendedCir(theta=0.05, mu=0.05, sigma=0.2)
-    vp = vp_of(m)
-    pair = eigenpair(vp)
-    qd = q_dynamics(vp, pair)
-    x = np.geomspace(0.1, 10, 20)
-    want = m.theta + pair.kappa * m.sigma ** 2 - m.mu * x
-    assert np.allclose(qd.drift(x), want, rtol=1e-12)
-
-
-def test_q_dynamics_garch_measure_unchanged():
-    m = Garch(theta=0.08, a=1.0, sigma=0.2)
-    vp = vp_of(m)
-    qd = q_dynamics(vp, eigenpair(vp))
-    x = np.geomspace(0.1, 10, 20)
-    assert np.allclose(qd.drift(x), m.theta - m.a * x)
-
-
-def test_q_dynamics_heston_reversion_speed():
-    m = BASE_MODELS["heston_sv"]
-    vp = vp_of(m)
-    qd = q_dynamics(vp, eigenpair(vp))
-    v = np.geomspace(0.01, 1.0, 20)
-    a_t = m.a - vp.alpha * vp.beta * m.delta * m.rho
-    speed = math.sqrt(a_t ** 2 + vp.alpha * (1 - vp.alpha) * vp.beta ** 2 * m.delta ** 2)
-    assert np.allclose(qd.drift(v), m.theta - speed * v, rtol=1e-12)
-
-
-def test_q_dynamics_quadratic():
-    m = BASE_MODELS["quadratic"]
-    vp = vp_of(m)
-    pair = eigenpair(vp)
-    qd = q_dynamics(vp, pair)
-    y = np.array([[0.3, -0.2], [0.0, 0.0], [1.0, 2.0]])
-    a = m.a
-    want = (m.b - a @ pair.phi.u)[None, :] + y @ (m.Bmat - 2 * a @ pair.phi.V).T
-    assert np.allclose(qd.drift(y), want, rtol=1e-10, atol=1e-12)
 
 
 def test_grid_domain_check():

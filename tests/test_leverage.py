@@ -29,7 +29,7 @@ from letfgrowth.models import (
     validate,
 )
 
-from test_closed_forms import SECOND_SETS
+from test_closed_forms import SECOND_SETS, fd_derivative
 from test_models import BASE_MODELS, prob
 from test_riccati import SWEEP_RECIPES
 
@@ -237,7 +237,7 @@ def test_exact_vs_fd_derivative():
     ]
     for vp, b in cases:
         exact = lambda_derivative(vp, b)
-        fd = lambda_derivative(vp, b, mode="fd")
+        fd = fd_derivative(vp, b)
         assert fd == pytest.approx(exact, rel=1e-6, abs=1e-9)
 
 
@@ -258,7 +258,7 @@ def test_exact_quadratic_slope_matches_fd(d):
                 if math.isnan(exact):
                     assert objective_value(vp, beta) == -math.inf
                     continue
-                fd = lambda_derivative(vp, beta, mode="fd")
+                fd = fd_derivative(vp, beta)
                 assert exact == pytest.approx(fd, rel=1e-6, abs=1e-9)
                 inside += 0.0 < beta < 1.0
                 outside += not 0.0 < beta < 1.0
@@ -273,19 +273,10 @@ def test_exact_quadratic_slope_matches_fd(d):
 ])
 def test_exact_derivative_is_nan_off_the_finite_region(vp, beta):
     # Where the objective is -inf (infinite growth, or a complex exponent)
-    # there is no slope to report; fd reads nan there too.
+    # there is no slope to report; central differences read nan there too.
     assert objective_value(vp, beta) == -math.inf
     assert math.isnan(lambda_derivative(vp, beta))
-    assert math.isnan(lambda_derivative(vp, beta, mode="fd"))
-
-
-@pytest.mark.parametrize("kind", ["gbm", "quadratic"])
-def test_derivative_rejects_unknown_mode(kind):
-    # An unknown mode must be refused, not taken for "exact" or "fd", for a
-    # closed-form derivative and for the quadratic model's Riccati
-    # sensitivity alike.
-    with pytest.raises(ValueError, match="unknown mode"):
-        lambda_derivative(vp_of(BASE_MODELS[kind]), 1.5, mode="bogus")
+    assert math.isnan(fd_derivative(vp, beta))
 
 
 @pytest.mark.parametrize("model", [
@@ -368,6 +359,21 @@ def test_quadratic_refinement_solves_few_chains(monkeypatch, cap):
     opt = optimal_beta(vp_of(BASE_MODELS["quadratic"]), cap=cap)
     assert opt.method == "concave_search"
     assert 0 < count["chains"] <= 12
+
+
+def test_quadratic_derivative_solves_one_chain(monkeypatch):
+    # The slope from the chain is nan wherever the objective is -inf, so no
+    # second chain is solved to check the objective first.
+    count = {"chains": 0}
+    solve_chunk = riccati._solve_chunk
+
+    def counted_chunk(*args):
+        count["chains"] += 1
+        return solve_chunk(*args)
+
+    monkeypatch.setattr(riccati, "_solve_chunk", counted_chunk)
+    assert math.isfinite(lambda_derivative(vp_of(BASE_MODELS["quadratic"]), 1.5))
+    assert count["chains"] == 1
 
 
 def test_quadratic_no_finite_region():

@@ -10,10 +10,6 @@ from letfgrowth.growth import growth_curve
 from letfgrowth.models import ConstantRate, Leverage, Preference, Problem, Quadratic, validate
 from letfgrowth.riccati import (
     anti_stabilizing_riccati,
-    compute_u,
-    convergence_matrices,
-    quadratic_eigenvalue,
-    riccati_residual,
     scalar_stabilizing_v,
     solve_quadratic_grid,
     solve_quadratic_model,
@@ -132,7 +128,8 @@ def test_anti_stable_branch_is_not_stabilizing():
         a, B = random_spd(rng, d), random_hurwitz(rng, d)
         q = float(rng.uniform(0.0, 10.0))
         sol = anti_stabilizing_riccati(a, B, q)
-        assert sol.residual == riccati_residual(sol.V, a, B, q)
+        V = sol.V
+        assert sol.residual == np.max(np.abs(2.0 * V @ a @ V - B.T @ V - V @ B - q * a))
         assert np.min(np.linalg.eigvals(sol.closed_loop).real) > 0.0
 
 
@@ -255,31 +252,30 @@ def test_grid_matches_single_beta_solves():
                for s in solve_quadratic_grid(m1, 0.5, np.linspace(0.1, 0.9, 5)))
 
 
+def unit_model(b):
+    """d = 1 with a = 1 and B = -1; at alpha = 1, beta = 2 the killing
+    coefficient is q = 4 and the stabilizing root V = 1."""
+    return Quadratic(b=[b], Bmat=[[-1.0]], sigma=[[1.0]])
+
+
 def test_compute_u_cases():
-    a = np.array([[1.0]])
-    B = np.array([[-1.0]])
-    sol = solve_stabilizing_riccati(a, B, 4.0)
-    assert sol.V[0, 0] == pytest.approx(1.0, abs=1e-13)
-    assert compute_u(sol.V, a, B, np.array([0.0]))[0] == 0.0
-    assert compute_u(sol.V, a, B, np.array([1.0]))[0] == pytest.approx(2.0 / 3.0, abs=1e-13)
-    # V = 0 with invertible B^T gives u = 0.
-    assert compute_u(np.zeros((1, 1)), a, B, np.array([1.0]))[0] == 0.0
-
-
-def test_compute_u_singular_system():
-    with pytest.raises(SingularSystem):
-        compute_u(np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)), np.ones(2))
+    # (2 V a - B^T) u = 2 V b gives u = 2b/3 at V = 1.
+    for b, u in ((0.0, 0.0), (1.0, 2.0 / 3.0)):
+        sol = solve_quadratic_model(unit_model(b), 1.0, 2.0)
+        assert sol.q_coeff == 4.0
+        assert sol.V[0, 0] == pytest.approx(1.0, abs=1e-13)
+        assert sol.u[0] == pytest.approx(u, abs=1e-13)
+    # beta = 1 kills nothing: V = 0 with invertible B^T gives u = 0.
+    sol = solve_quadratic_model(unit_model(1.0), 1.0, 1.0)
+    assert sol.V[0, 0] == 0.0 and sol.u[0] == 0.0
 
 
 def test_quadratic_eigenvalue_values():
-    a = np.array([[1.0]])
-    B = np.array([[-1.0]])
-    assert quadratic_eigenvalue(np.zeros((1, 1)), np.zeros(1), a, np.zeros(1)) == 0.0
-    sol = solve_stabilizing_riccati(a, B, 4.0)
-    assert quadratic_eigenvalue(sol.V, np.zeros(1), a, np.zeros(1)) == pytest.approx(1.0, abs=1e-12)
-    u = compute_u(sol.V, a, B, np.array([1.0]))
-    lam = quadratic_eigenvalue(sol.V, u, a, np.array([1.0]))
-    assert lam == pytest.approx(13.0 / 9.0, abs=1e-12)  # -u a u/2 + tr(aV) + u b
+    # lambda = -u a u / 2 + tr(a V) + u b.
+    assert solve_quadratic_model(unit_model(0.0), 1.0, 1.0).lam == 0.0
+    assert solve_quadratic_model(unit_model(0.0), 1.0, 2.0).lam == pytest.approx(1.0, abs=1e-12)
+    lam = solve_quadratic_model(unit_model(1.0), 1.0, 2.0).lam
+    assert lam == pytest.approx(13.0 / 9.0, abs=1e-12)
 
 
 def test_stationary_covariance_scalar_and_isotropic():
@@ -319,13 +315,3 @@ def test_convergence_matrix_discriminating_case():
     assert conv.all_negative_precision
     assert np.allclose(conv.c_covariance, conv.c_covariance.T)
     assert np.allclose(conv.c_precision, conv.c_precision.T)
-
-
-def test_residual_helper_matches_definition():
-    rng = _rng()
-    a = random_spd(rng, 3)
-    B = random_hurwitz(rng, 3)
-    V = rng.normal(size=(3, 3))
-    V = 0.5 * (V + V.T)
-    R = 2 * V @ a @ V - B.T @ V - V @ B - 1.7 * a
-    assert riccati_residual(V, a, B, 1.7) == pytest.approx(np.max(np.abs(R)))
