@@ -1,6 +1,7 @@
 """Eigenpair closed forms, eigenfunction derivative ratios, generator-residual
 certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -104,6 +105,56 @@ def test_residual_sweep_all_variants(kind):
             pair = eigenpair(vp)
             res = generator_residual(vp, pair, default_grid(vp))
             assert res.max_abs_residual < 1e-9, (kind, alpha, beta)
+
+
+class _FdRatios:
+    """Derivative ratios from central differences of the family's own log_phi,
+    so the residual certificate runs on numbers independent of the
+    closed-form ratios."""
+
+    def _step(self, x):
+        # Keep the exponentiated increment near 2e-3: steep exponential
+        # eigenfunctions would otherwise lose the second ratio to truncation.
+        h0 = 1e-5 * np.maximum(1.0, np.abs(x))
+        probe = (self.log_phi(x + h0) - self.log_phi(x)) / h0
+        return np.minimum(h0, 2e-3 / (np.abs(probe) + 1.0))
+
+    def _ratio(self, x, s):
+        return np.exp(self.log_phi(x + s) - self.log_phi(x))
+
+    def d1_ratio(self, x):
+        h = self._step(x)
+        return (self._ratio(x, h) - self._ratio(x, -h)) / (2.0 * h)
+
+    def d2_ratio(self, x):
+        h = self._step(x)
+        return (self._ratio(x, h) - 2.0 + self._ratio(x, -h)) / (h * h)
+
+    def grad_ratio(self, y):
+        h, e = 1e-4, 1e-4 * np.eye(y.shape[1])
+        return np.stack([(self._ratio(y, ei) - self._ratio(y, -ei)) / (2.0 * h)
+                         for ei in e], axis=-1)
+
+    def hess_ratio(self, y):
+        h, e = 1e-4, 1e-4 * np.eye(y.shape[1])
+        r = lambda s: self._ratio(y, s)  # noqa: E731
+        return np.array([[(r(ei + ej) - r(ei - ej) - r(ej - ei) + r(-ei - ej)) / (4.0 * h * h)
+                          for ej in e] for ei in e]).transpose(2, 0, 1)
+
+
+def _with_fd_ratios(phi):
+    cls = type("Fd" + type(phi).__name__, (_FdRatios, type(phi)), {})
+    return cls(**{f.name: getattr(phi, f.name) for f in dataclasses.fields(phi)})
+
+
+@pytest.mark.parametrize("kind", ["gbm", "extended_cir", "heston_sv",
+                                  "gbm_vasicek", "quadratic"])
+def test_finite_difference_mode_agrees(kind):
+    vp = vp_of(BASE_MODELS[kind])
+    pair = eigenpair(vp)
+    fd_pair = Eigenpair(lam=pair.lam, phi=_with_fd_ratios(pair.phi), kappa=pair.kappa)
+    res = generator_residual(vp, fd_pair, default_grid(vp))
+    assert res.max_abs_residual < 5e-4
 
 
 def test_derivative_ratios_match_log_phi():
