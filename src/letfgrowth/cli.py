@@ -401,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="Monte Carlo oracle vs closed form")
     writes_csv(p)
-    p.add_argument("--sim", default=None, metavar="t=20,steps=8000,paths=200000,seed=42")
+    p.add_argument("--sim", default=None, metavar="t=20,steps=2000,paths=200000,seed=42")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("figures", help="reproduce the bundled reference scenarios")

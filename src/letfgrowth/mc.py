@@ -135,9 +135,9 @@ class SimConfig:
 
 def desk_config(vp_or_kind, seed: int = 42, horizon: float = 20.0,
                 n_paths: int = 200_000) -> SimConfig:
-    """Desk-scale defaults: T = 20y, 2e5 paths, 400 steps/year.
+    """Desk-scale defaults: T = 20y, 2e5 paths, the kind's desk steps/year.
 
-    Exact-transition schemes (GBM, Vasicek rate) only need 50 steps/year.
+    Exact schemes run 50; stepped ones the fewest within the step-bias budget.
     """
     kind = vp_or_kind if isinstance(vp_or_kind, str) else vp_or_kind.model.kind
     per_year = _SCHEMES[kind].steps_per_year
@@ -582,15 +582,15 @@ class _Scheme:
 
 _SCHEMES = {
     "gbm": _Scheme("exact-lognormal", 50, _growth_gbm, _mart_gbm),
-    "garch": _Scheme("log-euler", 400, _growth_garch, _mart_garch),
-    "inverse_garch": _Scheme("log-euler-reciprocal", 400, _growth_garch, _mart_garch, True),
-    "extended_cir": _Scheme("full-truncation", 400, _growth_cir, _mart_cir),
-    "three_halves": _Scheme("reciprocal-cir", 400, _growth_cir, _mart_cir, True),
-    "heston_sv": _Scheme("heston-full-truncation", 400, _growth_sv, _mart_sv),
-    "three_halves_sv": _Scheme("reciprocal-cir-vol", 400, _growth_sv, _mart_sv, True),
+    "garch": _Scheme("log-euler", 50, _growth_garch, _mart_garch),
+    "inverse_garch": _Scheme("log-euler-reciprocal", 50, _growth_garch, _mart_garch, True),
+    "extended_cir": _Scheme("full-truncation", 50, _growth_cir, _mart_cir),
+    "three_halves": _Scheme("reciprocal-cir", 50, _growth_cir, _mart_cir, True),
+    "heston_sv": _Scheme("heston-full-truncation", 100, _growth_sv, _mart_sv),
+    "three_halves_sv": _Scheme("reciprocal-cir-vol", 50, _growth_sv, _mart_sv, True),
     "gbm_vasicek": _Scheme("exact-gaussian", 50, _growth_rate, _mart_rate),
-    "gbm_inverse_garch_rate": _Scheme("log-euler-rate", 400, _growth_rate, _mart_rate, True),
-    "quadratic": _Scheme("exact-ou-quadratic", 400, _growth_ou, _mart_ou),
+    "gbm_inverse_garch_rate": _Scheme("log-euler-rate", 50, _growth_rate, _mart_rate, True),
+    "quadratic": _Scheme("exact-ou-quadratic", 50, _growth_ou, _mart_ou),
 }
 
 

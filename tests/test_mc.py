@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from letfgrowth import mc
 from letfgrowth.eigen import eigenpair
 from letfgrowth.errors import SchemeUnstable
 from letfgrowth.growth import GrowthRate, FinitenessCondition, growth_rate
 from letfgrowth.mc import (
     _SCHEMES,
     SimConfig,
+    _Draw,
     cir_density,
     cir_transition_mean,
     desk_config,
@@ -325,10 +327,25 @@ SCHEME_LABELS = {
 }
 
 
+DESK_STEPS_PER_YEAR = {
+    "gbm": 50,
+    "garch": 50,
+    "inverse_garch": 50,
+    "extended_cir": 50,
+    "three_halves": 50,
+    "heston_sv": 100,
+    "three_halves_sv": 50,
+    "gbm_vasicek": 50,
+    "gbm_inverse_garch_rate": 50,
+    "quadratic": 50,
+}
+
+
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
 def test_desk_config_schemes(kind):
-    # Exact-transition schemes run 50 steps/yr at desk scale, Euler ones 400.
-    per_year = 50 if kind in ("gbm", "gbm_vasicek") else 400
+    # Exact-transition schemes run 50 steps/yr at desk scale; the stepped
+    # kinds run the density their coupled step-halving bias allows (below).
+    per_year = DESK_STEPS_PER_YEAR[kind]
     scheme = _SCHEMES[kind]
     assert (scheme.label, scheme.steps_per_year) == (SCHEME_LABELS[kind], per_year)
     assert desk_config(kind).n_steps == 20 * per_year
@@ -336,6 +353,119 @@ def test_desk_config_schemes(kind):
     tiny = desk_config(vp, horizon=1.0, n_paths=1000)
     assert tiny.n_steps == per_year
     assert simulate_growth(vp, tiny).scheme == SCHEME_LABELS[kind]
+
+
+# ---------------------------------------------------------------------------
+# Step bias budget: coarse/fine Brownian coupling (Giles 2008)
+# ---------------------------------------------------------------------------
+
+FINE_STEPS_PER_YEAR = 400
+BIAS_HORIZON = 20.0          # criterion 5's problems: (alpha, beta) = (0.5, 2), T = 20
+BIAS_SEEDS = tuple(range(101, 109))
+BIAS_PATHS = 2000
+CRITERION5_PATHS = 200_000
+# Normals a growth path requests per step, in order: one normals() row each,
+# or the d rows of one normals_matrix(d) for the quadratic state.
+STEP_NORMALS = {
+    "garch": 1,
+    "inverse_garch": 1,
+    "extended_cir": 1,
+    "three_halves": 1,
+    "heston_sv": 2,
+    "three_halves_sv": 2,
+    "gbm_inverse_garch_rate": 2,
+    "quadratic": BASE_MODELS["quadratic"].d,
+}
+
+
+def coupled_draw(factor: int, rows: int):
+    """A ``_Draw`` for the coarse path of a coarse/fine pair.
+
+    Each block draws a coarse step's worth of the fine path's normals at
+    once, ``factor`` fine steps of ``rows`` requests in the fine path's
+    order, so both paths read the same values of the same block streams.
+    The coarse normal of each request is the sum of its ``factor`` fine
+    normals over sqrt(factor); factor 1 reproduces ``_Draw`` bit for bit.
+    ``lanes`` keeps every instance, each counting the batches it drew.
+    """
+
+    class CoupledDraw(_Draw):
+        lanes = []
+
+        def __init__(self, cfg, lane):
+            super().__init__(cfg, lane)
+            self.steps, self.rows_left = 0, []
+            CoupledDraw.lanes.append(self)
+
+        def _take(self, n):
+            if not self.rows_left:
+                z = np.empty((rows, self.nb))
+                for rng, col, width in self._parts:
+                    fine = rng.standard_normal((factor, rows, width))
+                    z[:, col:col + width] = fine.sum(axis=0) / math.sqrt(factor)
+                np.negative(z[:, :self._half], out=z[:, self._half:])
+                self.rows_left = list(z)
+                self.steps += 1
+            taken, self.rows_left = self.rows_left[:n], self.rows_left[n:]
+            return taken
+
+        def normals(self):
+            return self._take(1)[0]
+
+        def normals_matrix(self, d):
+            return np.array(self._take(d))
+
+    return CoupledDraw
+
+
+def step_bias(kind: str, per_year: int, seeds=BIAS_SEEDS, n_paths: int = BIAS_PATHS):
+    """Coupled slope bias of ``per_year`` against 400 steps/yr on criterion
+    5's problem for ``kind``, its standard error over the seeds, the budget
+    max(criterion-5 slope stderr, 1% of |rate|), and that stderr (the fine
+    runs' mean stderr scaled to 2e5 paths)."""
+    vp = vp_of(BASE_MODELS[kind])
+    factor, rem = divmod(FINE_STEPS_PER_YEAR, per_year)
+    assert rem == 0, per_year
+    diffs, ses = [], []
+    for seed in seeds:
+        fine_cfg = SimConfig(horizon=BIAS_HORIZON, n_paths=n_paths, seed=seed,
+                             n_steps=int(FINE_STEPS_PER_YEAR * BIAS_HORIZON))
+        coarse_cfg = replace(fine_cfg, n_steps=int(per_year * BIAS_HORIZON))
+        fine = simulate_growth(vp, fine_cfg)
+        draw = coupled_draw(factor, STEP_NORMALS[kind])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "_Draw", draw)
+            coarse = simulate_growth(vp, coarse_cfg)
+        # One batch per coarse step, used up: STEP_NORMALS matches the kernel.
+        assert all(d.steps == coarse_cfg.n_steps and not d.rows_left
+                   for d in draw.lanes), kind
+        diffs.append(coarse.slope - fine.slope)
+        ses.append(fine.slope_stderr)
+    bias = float(np.mean(diffs))
+    se = float(np.std(diffs, ddof=1)) / math.sqrt(len(diffs))
+    c5_se = float(np.mean(ses)) * math.sqrt(n_paths / CRITERION5_PATHS)
+    budget = max(c5_se, 0.01 * abs(growth_rate(vp).rate))
+    return bias, se, budget, c5_se
+
+
+def test_coupled_draw_at_factor_one_is_plain_draw():
+    vp = vp_of(BASE_MODELS["heston_sv"])
+    cfg = SimConfig(horizon=1.0, n_steps=100, n_paths=3000, seed=5, block_size=1024)
+    want = simulate_growth(vp, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mc, "_Draw", coupled_draw(1, STEP_NORMALS["heston_sv"]))
+        got = simulate_growth(vp, cfg)
+    assert np.array_equal(got.log_mean_utility, want.log_mean_utility)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", sorted(STEP_NORMALS))
+def test_desk_steps_within_bias_budget(kind):
+    # The desk density of each stepped kind moves criterion 5's slope by
+    # less than the budget, measured against 400 steps/yr on coupled paths.
+    per_year = _SCHEMES[kind].steps_per_year
+    bias, se, budget, c5_se = step_bias(kind, per_year)
+    assert abs(bias) + 2.0 * se <= budget, (kind, per_year, bias, se, budget, c5_se)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +565,27 @@ def test_concurrent_calls_match_serial():
 
 if __name__ == "__main__":
     # ``--record`` re-records every case; ``--record NAME...`` only the named
-    # ones.  Entries of cases that no longer exist are dropped.
-    if sys.argv[1:2] == ["--record"]:
+    # ones.  Entries of cases that no longer exist are dropped.  ``--bias
+    # [KIND...]`` prints the step bias of every coarse density against 400
+    # steps/yr; ``*`` marks the desk density.
+    if sys.argv[1:2] == ["--bias"]:
+        kinds = sys.argv[2:] or sorted(STEP_NORMALS)
+        unknown = sorted(set(kinds) - set(STEP_NORMALS))
+        if unknown:
+            sys.exit(f"not a stepped kind: {', '.join(unknown)}")
+        print(f"{len(BIAS_SEEDS)} seeds x {BIAS_PATHS} paths, T = {BIAS_HORIZON:g}, "
+              f"bias = slope(N/yr) - slope({FINE_STEPS_PER_YEAR}/yr)")
+        print(f"{'kind':24s} {'N/yr':>5s} {'bias':>10s} {'se':>9s} "
+              f"{'|b|+2se':>9s} {'budget':>9s} {'c5 se':>9s}  ok")
+        for kind in kinds:
+            desk = _SCHEMES[kind].steps_per_year
+            for per_year in (50, 100, 200):
+                bias, se, budget, c5_se = step_bias(kind, per_year)
+                mark = "*" if per_year == desk else " "
+                print(f"{kind:24s} {per_year:4d}{mark} {bias:+10.2e} {se:9.2e} "
+                      f"{abs(bias) + 2 * se:9.2e} {budget:9.2e} {c5_se:9.2e}  "
+                      f"{'yes' if abs(bias) + 2 * se <= budget else 'no'}", flush=True)
+    elif sys.argv[1:2] == ["--record"]:
         cases = golden_cases()
         names = sys.argv[2:] or sorted(cases)
         unknown = sorted(set(names) - set(cases))

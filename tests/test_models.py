@@ -232,7 +232,7 @@ def test_quadratic_dimension_cross_check():
 
 
 @given(alpha=st.floats(0.01, 1.0), beta=st.floats(-10.0, 10.0))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
 def test_preference_leverage_accept_valid_ranges(alpha, beta):
     vp = validate(prob(BASE_MODELS["gbm"], alpha=alpha, beta=beta))
     assert vp.alpha == alpha and vp.beta == beta
