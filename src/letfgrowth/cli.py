@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, LetfGrowthError, NoFiniteRegion
+from .errors import ConfigError, LetfGrowthError, NumericalError
 from .eigen import default_grid, eigenpair, generator_residual
 from .growth import GrowthCurvePoint, growth_curve, growth_rate
 from .leverage import optimal_beta
@@ -48,19 +48,16 @@ from .models import (
 )
 from .riccati import solve_quadratic_model
 
-NUMERICAL_ERRORS = (
-    "ComplexKappa", "NoStabilizingSolution", "IllConditioned", "SingularSystem",
-    "NotHurwitz", "AllPathsDiverged", "SchemeUnstable", "NoFiniteRegion",
-)
-
-# Reference scenario parameters (regression targets; not user-editable).
-FIGURE1 = {
-    "alpha": 0.5, "r": 0.01, "theta": 0.16, "delta": 0.89, "a": 3.1,
-    "rho": -0.5, "mus": (0.05, 0.01, -0.05),
-}
-FIGURE2 = {
-    "alpha": 0.8, "theta": 0.16, "delta": 0.89, "a": 3.0, "sigma": 0.3,
-    "rho": -0.5, "r0": 0.01, "mus": (0.05, 0.01, -0.05),
+# Reference scenarios (regression targets; not user-editable): the model
+# class, its parameters besides the swept drift mu, alpha, the constant rate
+# (None for a stochastic-rate model) and the validation mode.  Scenario 1
+# sits outside the Feller bound on purpose, so it must validate relaxed.
+_FIGURE_MUS = (0.05, 0.01, -0.05)
+_FIGURES = {
+    1: (HestonSV, {"theta": 0.16, "a": 3.1, "delta": 0.89, "rho": -0.5, "v0": 0.16 / 3.1},
+        0.5, 0.01, True),
+    2: (GbmVasicek, {"sigma": 0.3, "theta": 0.16, "a": 3.0, "delta": 0.89, "rho": -0.5,
+                     "r0": 0.01}, 0.8, None, False),
 }
 
 
@@ -82,16 +79,14 @@ def _fmt(x) -> str:
     return f"{v:.12g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _write_csv(out_path: Path, header: list[str], rows: list[list], subcommand: str,
+               config_path: str | None, problems, extra: dict | None = None) -> None:
+    """Write the CSV and its ``<out>.manifest.json`` sidecar."""
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
-
-
-def _write_manifest(out_path: Path, subcommand: str, config_path: str | None,
-                    problems, extra: dict | None = None) -> None:
     doc = {
         "tool": "letfgrowth",
         "version": __version__,
@@ -203,10 +198,9 @@ def _cmd_growth(args) -> int:
               f"finite={1 if g.is_finite else 0}")
     if args.out:
         out = Path(args.out)
-        _write_csv(out, ["beta", "rate", "finite", "condition_lhs",
-                         "condition_threshold"], rows)
-        _write_manifest(out, "growth", args.config, [vp],
-                        {"beta": args.beta, "beta_grid": args.beta_grid})
+        _write_csv(out, ["beta", "rate", "finite", "condition_lhs", "condition_threshold"],
+                   rows, "growth", args.config, [vp],
+                   {"beta": args.beta, "beta_grid": args.beta_grid})
     return 0
 
 
@@ -229,9 +223,8 @@ def _cmd_optimal(args) -> int:
         print(f"note={note}", file=sys.stderr)
     if args.out:
         out = Path(args.out)
-        _write_csv(out, ["mu", "beta_star", "rate_at_star", "method",
-                         "C1", "C2", "C3", "D"], [row])
-        _write_manifest(out, "optimal", args.config, [vp], {"cap": args.cap})
+        _write_csv(out, ["mu", "beta_star", "rate_at_star", "method", "C1", "C2", "C3", "D"],
+                   [row], "optimal", args.config, [vp], {"cap": args.cap})
     return 0
 
 
@@ -260,8 +253,7 @@ def _cmd_riccati(args) -> int:
         print(f"{name}={_fmt(val)}")
     if args.out:
         out = Path(args.out)
-        _write_csv(out, ["name", "value"], rows)
-        _write_manifest(out, "riccati", args.config, [vp])
+        _write_csv(out, ["name", "value"], rows, "riccati", args.config, [vp])
     return 0
 
 
@@ -285,41 +277,24 @@ def _cmd_verify(args) -> int:
     if args.out:
         out = Path(args.out)
         _write_csv(out, ["checkpoint_t", "log_mean_utility", "stderr", "slope",
-                         "slope_stderr", "analytic_rate", "abs_rel_gap",
-                         "verdict"], rows)
-        _write_manifest(out, "verify", args.config, [vp],
-                        {"sim": args.sim,
-                         "sim_resolved": {"t": cfg.horizon, "steps": cfg.n_steps,
-                                          "paths": cfg.n_paths, "seed": cfg.seed}})
+                         "slope_stderr", "analytic_rate", "abs_rel_gap", "verdict"],
+                   rows, "verify", args.config, [vp],
+                   {"sim": args.sim,
+                    "sim_resolved": {"t": cfg.horizon, "steps": cfg.n_steps,
+                                     "paths": cfg.n_paths, "seed": cfg.seed}})
     ok = verdict == "PASS" or (verdict == "DIVERGED" and not analytic.is_finite)
     return 0 if ok else 4
 
 
 def figure_problems(figure_id: int):
     """The bundled reference scenarios, one validated problem per drift value."""
-    if figure_id == 1:
-        p = FIGURE1
-        out = []
-        for mu in p["mus"]:
-            model = HestonSV(mu=mu, theta=p["theta"], a=p["a"], delta=p["delta"],
-                             rho=p["rho"], v0=p["theta"] / p["a"])
-            # These parameters sit outside the Feller bound on purpose, so
-            # validation must run relaxed.
-            out.append(validate(Problem(model, Preference(p["alpha"]),
-                                        Leverage(2.0), ConstantRate(p["r"])),
-                                relax=True))
-        return out
-    if figure_id == 2:
-        p = FIGURE2
-        out = []
-        for mu in p["mus"]:
-            model = GbmVasicek(mu=mu, sigma=p["sigma"], theta=p["theta"],
-                               a=p["a"], delta=p["delta"], rho=p["rho"],
-                               r0=p["r0"])
-            out.append(validate(Problem(model, Preference(p["alpha"]),
-                                        Leverage(2.0), None)))
-        return out
-    raise ConfigError(f"unknown figure id {figure_id}; expected 1 or 2")
+    if figure_id not in _FIGURES:
+        raise ConfigError(f"unknown figure id {figure_id}; expected 1 or 2")
+    cls, params, alpha, r, relax = _FIGURES[figure_id]
+    rate = None if r is None else ConstantRate(r)
+    return [validate(Problem(cls(mu=mu, **params), Preference(alpha), Leverage(2.0), rate),
+                     relax=relax)
+            for mu in _FIGURE_MUS]
 
 
 def run_figures(figure_id: int, out_dir: Path) -> dict:
@@ -342,13 +317,13 @@ def run_figures(figure_id: int, out_dir: Path) -> dict:
                      for pt in growth_curve(vp, betas)]
         rows = list(zip(betas, rates))
         curve_path = out_dir / f"figure{figure_id}_mu_{_fmt(mu)}.csv"
-        _write_csv(curve_path, ["beta", "rate"], rows)
-        _write_manifest(curve_path, "figures", None, [vp], {"figure": figure_id})
+        _write_csv(curve_path, ["beta", "rate"], rows, "figures", None, [vp],
+                   {"figure": figure_id})
         opt = optimal_beta(vp, cap=None)
         summary.append([mu, opt.beta_star, opt.rate_at_star])
     summary_path = out_dir / f"figure{figure_id}_summary.csv"
-    _write_csv(summary_path, ["mu", "beta_star", "rate_at_star"], summary)
-    _write_manifest(summary_path, "figures", None, problems, {"figure": figure_id})
+    _write_csv(summary_path, ["mu", "beta_star", "rate_at_star"], summary, "figures", None,
+               problems, {"figure": figure_id})
     return {"summary": summary_path, "betas": betas}
 
 
@@ -417,16 +392,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (LetfGrowthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LetfGrowthError as exc:
-        code = 3 if type(exc).__name__ in NUMERICAL_ERRORS else 2
-        print(f"error: {exc}", file=sys.stderr)
-        return code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

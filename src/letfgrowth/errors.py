@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Every error raised by the library derives from ``LetfGrowthError`` so callers
-(and the CLI exit-code mapping) can distinguish configuration problems from
-numerical failures.
+Every error raised by the library derives from ``LetfGrowthError``.
+Configuration problems derive from ``ConfigError`` and numerical failures
+from ``NumericalError``, which the CLI maps to exit codes 2 and 3.
 """
 
 from __future__ import annotations
@@ -41,7 +41,11 @@ class ExtraneousRate(ConfigError):
     """A stochastic-rate model was given a constant short rate ``r``."""
 
 
-class ComplexKappa(LetfGrowthError):
+class NumericalError(LetfGrowthError):
+    """Base class for numerical failures (CLI exit code 3)."""
+
+
+class ComplexKappa(NumericalError):
     """The square-root argument of an eigenvalue exponent is negative."""
 
 
@@ -49,32 +53,32 @@ class GridOutsideDomain(LetfGrowthError):
     """A residual-check grid contains points outside the state space."""
 
 
-class NoStabilizingSolution(LetfGrowthError):
+class NoStabilizingSolution(NumericalError):
     """The Riccati equation has no stabilizing solution for the given data."""
 
 
-class IllConditioned(LetfGrowthError):
+class IllConditioned(NumericalError):
     """An invariant-subspace basis is too ill conditioned to trust."""
 
 
-class SingularSystem(LetfGrowthError):
+class SingularSystem(NumericalError):
     """A linear system of the Riccati chain (the drift shift, a Newton step,
     the Lyapunov equation) is singular."""
 
 
-class NotHurwitz(LetfGrowthError):
+class NotHurwitz(NumericalError):
     """A closed-loop matrix required to be Hurwitz has an unstable eigenvalue."""
 
 
-class AllPathsDiverged(LetfGrowthError):
+class AllPathsDiverged(NumericalError):
     """Every simulated path overflowed; no estimate is possible."""
 
 
-class SchemeUnstable(LetfGrowthError):
+class SchemeUnstable(NumericalError):
     """A discretization truncated negative states beyond its budget."""
 
 
-class NoFiniteRegion(LetfGrowthError):
+class NoFiniteRegion(NumericalError):
     """The growth rate is infinite on the whole requested leverage range."""
 
 

@@ -120,17 +120,16 @@ class SimConfig:
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])) or ts[0] <= 0.0 \
                 or ts[-1] > self.horizon * (1.0 + 1e-12):
             raise ValueError("checkpoints must be sorted inside (0, horizon]")
+        for t, i in zip(ts, self.checkpoint_steps()):
+            if abs(i * self.dt - t) > 1e-9 * max(1.0, self.horizon) or i < 1:
+                raise ValueError(f"checkpoint {t} does not land on the step grid")
 
     @property
     def dt(self) -> float:
         return self.horizon / self.n_steps
 
     def checkpoint_steps(self) -> np.ndarray:
-        idx = np.asarray([int(round(t / self.dt)) for t in self.t_checkpoints])
-        for t, i in zip(self.t_checkpoints, idx):
-            if abs(i * self.dt - t) > 1e-9 * max(1.0, self.horizon) or i < 1:
-                raise ValueError(f"checkpoint {t} does not land on the step grid")
-        return idx
+        return np.asarray([int(round(t / self.dt)) for t in self.t_checkpoints])
 
 
 def desk_config(vp_or_kind, seed: int = 42, horizon: float = 20.0,

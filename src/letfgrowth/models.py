@@ -75,15 +75,27 @@ __all__ = [
 GRID_POINTS = 50  # size of the default residual grid
 
 
-def _require(cond: bool, field: str, constraint: str, detail: str,
-             relax: bool, warnings: list[str]) -> None:
+def _violated(field: str, constraint: str, detail: str,
+              relax: bool, warnings: list[str]) -> None:
     """Raise ParameterViolation, or record a warning when relax is set."""
-    if cond:
-        return
-    if relax:
-        warnings.append(f"{field}: relaxed check failed: {constraint} ({detail})")
-    else:
+    if not relax:
         raise ParameterViolation(field, constraint, f"{constraint} fails: {detail}")
+    warnings.append(f"{field}: relaxed check failed: {constraint} ({detail})")
+
+
+# A parameter bound is a row (field, constraint text, test, failure detail);
+# test and detail take the model, so the detail is formatted only on failure.
+def _got(name: str):
+    return lambda m: f"got {getattr(m, name)}"
+
+
+def _positive(*names: str) -> tuple:
+    """One ``name > 0`` row per field, in the given order."""
+    return tuple((n, f"{n} > 0", lambda m, n=n: getattr(m, n) > 0.0, _got(n))
+                 for n in names)
+
+
+_RHO_BOUND = ("rho", "-1 <= rho <= 1", lambda m: -1.0 <= m.rho <= 1.0, _got("rho"))
 
 
 @dataclass(frozen=True)
@@ -124,7 +136,8 @@ class ConstantRate:
     r: float
 
     def check(self, relax: bool, warnings: list[str]) -> None:
-        _require(self.r > 0.0, "r", "r > 0", f"got {self.r}", relax, warnings)
+        if not self.r > 0.0:
+            _violated("r", "r > 0", f"got {self.r}", relax, warnings)
         if relax and self.r < 0.0:
             warnings.append("r < 0 accepted in relaxed mode")
 
@@ -139,12 +152,19 @@ class _Model:
     ``interval`` (finite region in beta), ``derivative`` and ``optimum`` (of
     the leverage objective) and ``grid`` (default residual grid).  A variant
     without a closed-form optimum (``optimum = None``) supplies
-    ``rate_and_slope`` for the optimizer's search instead.
+    ``rate_and_slope`` for the optimizer's search instead.  ``check`` reads
+    the parameter ``bounds`` table.
     """
 
     kind: ClassVar[str]
     stochastic_rate: ClassVar[bool] = False  # carries its own short rate
     domain: ClassVar[str] = "positive"  # state space: "positive" or "real"
+    bounds: ClassVar[tuple] = ()  # parameter bounds, checked in order
+
+    def check(self, relax: bool, warnings: list[str]) -> None:
+        for field, constraint, holds, detail in self.bounds:
+            if not holds(self):
+                _violated(field, constraint, detail(self), relax, warnings)
 
     def generator(self, alpha: float, beta: float) -> GeneratorCoefficients:
         raise TypeError(f"no scalar generator for model kind {self.kind!r}")
@@ -210,9 +230,8 @@ class Gbm(_Model):
     mu: float
     sigma: float
 
-    def check(self, relax: bool, warnings: list[str]) -> None:
-        _require(self.sigma != 0.0, "sigma", "sigma != 0", f"got {self.sigma}",
-                 relax, warnings)
+    bounds: ClassVar[tuple] = (
+        ("sigma", "sigma != 0", lambda m: m.sigma != 0.0, _got("sigma")),)
 
     def generator(self, alpha, beta):
         mu = self.mu
@@ -272,10 +291,7 @@ class Garch(_GarchFamily):
     kind: ClassVar[str] = "garch"
     _finite_if: ClassVar[str] = "2a/sigma^2 + 1 > alpha*beta"
 
-    def check(self, relax: bool, warnings: list[str]) -> None:
-        for name in ("theta", "a", "sigma"):
-            v = getattr(self, name)
-            _require(v > 0.0, name, f"{name} > 0", f"got {v}", relax, warnings)
+    bounds: ClassVar[tuple] = _positive("theta", "a", "sigma")
 
     def generator(self, alpha, beta):
         th, a = self.theta, self.a
@@ -300,12 +316,10 @@ class InverseGarch(_GarchFamily):
     kind: ClassVar[str] = "inverse_garch"
     _finite_if: ClassVar[str] = "alpha*beta + 2*theta/sigma^2 > 1"
 
-    def check(self, relax: bool, warnings: list[str]) -> None:
-        _require(self.a > 0.0, "a", "a > 0", f"got {self.a}", relax, warnings)
-        _require(self.sigma > 0.0, "sigma", "sigma > 0", f"got {self.sigma}",
-                 relax, warnings)
-        _require(self.theta > self.sigma ** 2, "theta", "theta > sigma^2",
-                 f"{self.theta} <= {self.sigma ** 2}", relax, warnings)
+    bounds: ClassVar[tuple] = (
+        *_positive("a", "sigma"),
+        ("theta", "theta > sigma^2", lambda m: m.theta > m.sigma ** 2,
+         lambda m: f"{m.theta} <= {m.sigma ** 2}"))
 
     def generator(self, alpha, beta):
         th, a = self.theta, self.a
@@ -332,12 +346,10 @@ class ExtendedCir(_Model):
     mu: float
     sigma: float
 
-    def check(self, relax: bool, warnings: list[str]) -> None:
-        _require(self.mu > 0.0, "mu", "mu > 0", f"got {self.mu}", relax, warnings)
-        _require(self.sigma > 0.0, "sigma", "sigma > 0", f"got {self.sigma}",
-                 relax, warnings)
-        _require(self.theta >= self.sigma ** 2, "theta", "theta >= sigma^2",
-                 f"{self.theta} < {self.sigma ** 2}", relax, warnings)
+    bounds: ClassVar[tuple] = (
+        *_positive("mu", "sigma"),
+        ("theta", "theta >= sigma^2", lambda m: m.theta >= m.sigma ** 2,
+         lambda m: f"{m.theta} < {m.sigma ** 2}"))
 
     def generator(self, alpha, beta):
         s2, th, mu = self.sigma ** 2, self.theta, self.mu
@@ -390,10 +402,7 @@ class ThreeHalves(_Model):
     a: float
     sigma: float
 
-    def check(self, relax: bool, warnings: list[str]) -> None:
-        for name in ("theta", "a", "sigma"):
-            v = getattr(self, name)
-            _require(v > 0.0, name, f"{name} > 0", f"got {v}", relax, warnings)
+    bounds: ClassVar[tuple] = _positive("theta", "a", "sigma")
 
     def generator(self, alpha, beta):
         s2, th, a = self.sigma ** 2, self.theta, self.a
@@ -493,15 +502,10 @@ class HestonSV(_StochasticVolatility):
     _finite_if: ClassVar[str] = (
         "exp-moment convergence: sqrt(...) + (a - alpha*beta*delta*rho) > 0")
 
-    def check(self, relax: bool, warnings: list[str]) -> None:
-        for name in ("mu", "theta", "a", "delta", "v0"):
-            v = getattr(self, name)
-            _require(v > 0.0, name, f"{name} > 0", f"got {v}", relax, warnings)
-        _require(-1.0 <= self.rho <= 1.0, "rho", "-1 <= rho <= 1",
-                 f"got {self.rho}", relax, warnings)
-        _require(2.0 * self.theta > self.delta ** 2, "delta",
-                 "2*theta > delta^2",
-                 f"{2.0 * self.theta} <= {self.delta ** 2}", relax, warnings)
+    bounds: ClassVar[tuple] = (
+        *_positive("mu", "theta", "a", "delta", "v0"), _RHO_BOUND,
+        ("delta", "2*theta > delta^2", lambda m: 2.0 * m.theta > m.delta ** 2,
+         lambda m: f"{2.0 * m.theta} <= {m.delta ** 2}"))
 
     def generator(self, alpha, beta):
         d2, th = self.delta ** 2, self.theta
@@ -546,12 +550,7 @@ class ThreeHalvesSV(_StochasticVolatility):
 
     kind: ClassVar[str] = "three_halves_sv"
 
-    def check(self, relax: bool, warnings: list[str]) -> None:
-        for name in ("theta", "a", "delta", "v0"):
-            v = getattr(self, name)
-            _require(v > 0.0, name, f"{name} > 0", f"got {v}", relax, warnings)
-        _require(-1.0 <= self.rho <= 1.0, "rho", "-1 <= rho <= 1",
-                 f"got {self.rho}", relax, warnings)
+    bounds: ClassVar[tuple] = (*_positive("theta", "a", "delta", "v0"), _RHO_BOUND)
 
     def generator(self, alpha, beta):
         d2, th = self.delta ** 2, self.theta
@@ -667,12 +666,7 @@ class GbmVasicek(_StochasticRate):
     kind: ClassVar[str] = "gbm_vasicek"
     domain: ClassVar[str] = "real"
 
-    def check(self, relax: bool, warnings: list[str]) -> None:
-        for name in ("sigma", "theta", "a", "delta"):
-            v = getattr(self, name)
-            _require(v > 0.0, name, f"{name} > 0", f"got {v}", relax, warnings)
-        _require(-1.0 <= self.rho <= 1.0, "rho", "-1 <= rho <= 1",
-                 f"got {self.rho}", relax, warnings)
+    bounds: ClassVar[tuple] = (*_positive("sigma", "theta", "a", "delta"), _RHO_BOUND)
 
     def generator(self, alpha, beta):
         d2, a = self.delta ** 2, self.a
@@ -704,17 +698,11 @@ class GbmInverseGarchRate(_StochasticRate):
     _finite_if: ClassVar[str] = (
         "alpha*(1-beta)/a + (2/delta^2)*(theta + alpha*beta*delta*sigma*rho) > 1")
 
-    def check(self, relax: bool, warnings: list[str]) -> None:
-        for name in ("mu", "a", "delta"):
-            v = getattr(self, name)
-            _require(v > 0.0, name, f"{name} > 0", f"got {v}", relax, warnings)
-        _require(self.sigma > 0.0, "sigma", "sigma > 0", f"got {self.sigma}",
-                 relax, warnings)
-        _require(self.theta > self.delta ** 2, "theta", "theta > delta^2",
-                 f"{self.theta} <= {self.delta ** 2}", relax, warnings)
-        _require(self.r0 > 0.0, "r0", "r0 > 0", f"got {self.r0}", relax, warnings)
-        _require(-1.0 <= self.rho <= 1.0, "rho", "-1 <= rho <= 1",
-                 f"got {self.rho}", relax, warnings)
+    bounds: ClassVar[tuple] = (
+        *_positive("mu", "a", "delta", "sigma"),
+        ("theta", "theta > delta^2", lambda m: m.theta > m.delta ** 2,
+         lambda m: f"{m.theta} <= {m.delta ** 2}"),
+        *_positive("r0"), _RHO_BOUND)
 
     def generator(self, alpha, beta):
         d2, a = self.delta ** 2, self.a
@@ -786,8 +774,9 @@ class Quadratic(_Model):
                                      f"b has length {d}, Bmat {self.Bmat.shape}, "
                                      f"sigma {self.sigma.shape}")
         eig_min = float(np.linalg.eigvalsh(self.a).min())
-        _require(eig_min > 0.0, "sigma", "sigma*sigma^T strictly positive definite",
-                 f"min eigenvalue {eig_min}", relax, warnings)
+        if not eig_min > 0.0:
+            _violated("sigma", "sigma*sigma^T strictly positive definite",
+                      f"min eigenvalue {eig_min}", relax, warnings)
 
     def __eq__(self, other):
         if not isinstance(other, Quadratic):
@@ -1048,12 +1037,10 @@ def load_problem(source: dict | str | Path, relax: bool = False) -> ValidatedPro
 def problem_to_config(vp: ValidatedProblem) -> dict:
     """Inverse of :func:`load_problem`, for manifests and round-trips."""
     model = vp.model
-    if isinstance(model, Quadratic):
-        mdoc = {"kind": model.kind, "b": model.b.tolist(),
-                "Bmat": model.Bmat.tolist(), "sigma": model.sigma.tolist()}
-    else:
-        mdoc = {"kind": model.kind}
-        mdoc.update({f.name: getattr(model, f.name) for f in fields(model)})
+    mdoc = {"kind": model.kind}
+    for f in fields(model):
+        v = getattr(model, f.name)
+        mdoc[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
     doc = {"model": mdoc, "alpha": vp.alpha, "beta": vp.beta}
     if vp.r is not None:
         doc["r"] = vp.r

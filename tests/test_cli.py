@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import letfgrowth.cli as cli
+import letfgrowth.errors as errors
 from letfgrowth.growth import growth_rate
 from letfgrowth.mc import GrowthEstimate
 from letfgrowth.models import load_problem
@@ -159,12 +160,51 @@ def test_config_validation_exit_code(tmp_path, capsys, text, relax, message):
     ["verify", "--sim=paths=10"],
     ["verify", "--sim=t=abc"],
     ["verify", "--sim=t=inf"],
+    # GBM's 50 desk steps/yr at t=0.5 give dt = 0.02; checkpoint 0.05 misses it.
+    ["verify", "--sim=t=0.5,paths=2000"],
 ])
 def test_malformed_option_exit_code(gbm_cfg, capsys, argv):
     # Malformed --cap, --beta-grid and --sim values are configuration
     # errors: exit 2 with a message, not a traceback.
     assert cli.main(argv + ["--config", str(gbm_cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: --")
+
+
+# Exit code of every library error a subcommand can raise.
+ERROR_EXIT_CODES = [
+    (errors.ComplexKappa("x"), 3),
+    (errors.NoStabilizingSolution("x"), 3),
+    (errors.IllConditioned("x"), 3),
+    (errors.SingularSystem("x"), 3),
+    (errors.NotHurwitz("x"), 3),
+    (errors.AllPathsDiverged("x"), 3),
+    (errors.SchemeUnstable("x"), 3),
+    (errors.NoFiniteRegion("x"), 3),
+    (errors.ConfigError("x"), 2),
+    (errors.ParameterViolation("mu", "mu > 0"), 2),
+    (errors.MissingRate("x"), 2),
+    (errors.ExtraneousRate("x"), 2),
+    (errors.ConditionUnmet("x > 0"), 2),
+    (errors.GridOutsideDomain("x"), 2),
+]
+
+
+@pytest.mark.parametrize("exc, code", ERROR_EXIT_CODES,
+                         ids=[type(e).__name__ for e, _ in ERROR_EXIT_CODES])
+def test_error_exit_code_mapping(gbm_cfg, monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_eigenpair", fail)
+    assert cli.main(["eigenpair", "--config", str(gbm_cfg)]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
+
+
+def test_error_exit_codes_cover_every_concrete_error():
+    bases = {errors.LetfGrowthError, errors.NumericalError}
+    concrete = {c for c in vars(errors).values()
+                if isinstance(c, type) and issubclass(c, errors.LetfGrowthError)} - bases
+    assert {type(e) for e, _ in ERROR_EXIT_CODES} == concrete
 
 
 def test_growth_single_beta_raises_numerical_failure(tmp_path, capsys):

@@ -71,6 +71,10 @@ def test_sim_config_validation():
     for block_size in (1, 0, -2):  # 0 and below would fuse lanes without end
         with pytest.raises(ValueError):
             SimConfig(horizon=1.0, n_steps=100, n_paths=2000, seed=1, block_size=block_size)
+    with pytest.raises(ValueError, match="step grid"):  # dt = 0.02 misses t = 0.05
+        SimConfig(horizon=0.5, n_steps=25, n_paths=2000, seed=1)
+    with pytest.raises(ValueError, match="step grid"):
+        SimConfig(horizon=1.0, n_steps=100, n_paths=2000, seed=1, t_checkpoints=(0.005, 1.0))
     cfg = SimConfig(horizon=10.0, n_steps=500, n_paths=2000, seed=1)
     assert cfg.t_checkpoints[-1] == 10.0 and len(cfg.t_checkpoints) == 10
 

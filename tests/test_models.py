@@ -1,5 +1,7 @@
 """Catalog validation, the fund's log-price assembly, and config round-trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,152 @@ def test_rate_positive_unless_relaxed():
         validate(prob(BASE_MODELS["gbm"], r=0.0))
     relaxed = validate(prob(BASE_MODELS["gbm"], r=0.0), relax=True)
     assert relaxed.warnings
+
+
+# Every bound row of the nine scalar kinds, written out: the parameters
+# changed from BASE_MODELS and the (field, constraint, detail) of each bound
+# they break, in check order.  Strict validation raises the first; relaxed
+# validation warns for each.  The last case per kind breaks every row, so a
+# reordered row fails too.
+BOUND_CASES = [
+    ("gbm", dict(sigma=0.0),
+     [("sigma", "sigma != 0", "got 0.0")]),
+    ("garch", dict(theta=-0.08),
+     [("theta", "theta > 0", "got -0.08")]),
+    ("garch", dict(a=0.0),
+     [("a", "a > 0", "got 0.0")]),
+    ("garch", dict(sigma=-0.2),
+     [("sigma", "sigma > 0", "got -0.2")]),
+    ("garch", dict(theta=-1.0, a=-1.0, sigma=-1.0),
+     [("theta", "theta > 0", "got -1.0"),
+      ("a", "a > 0", "got -1.0"),
+      ("sigma", "sigma > 0", "got -1.0")]),
+    ("inverse_garch", dict(a=-0.52),
+     [("a", "a > 0", "got -0.52")]),
+    ("inverse_garch", dict(sigma=-0.2),
+     [("sigma", "sigma > 0", "got -0.2")]),
+    ("inverse_garch", dict(theta=0.04),
+     [("theta", "theta > sigma^2", "0.04 <= 0.04000000000000001")]),
+    ("inverse_garch", dict(theta=-1.0, a=-1.0, sigma=-1.0),
+     [("a", "a > 0", "got -1.0"),
+      ("sigma", "sigma > 0", "got -1.0"),
+      ("theta", "theta > sigma^2", "-1.0 <= 1.0")]),
+    ("extended_cir", dict(mu=0.0),
+     [("mu", "mu > 0", "got 0.0")]),
+    ("extended_cir", dict(sigma=0.0),
+     [("sigma", "sigma > 0", "got 0.0")]),
+    ("extended_cir", dict(theta=0.03),
+     [("theta", "theta >= sigma^2", "0.03 < 0.04000000000000001")]),
+    ("extended_cir", dict(theta=-1.0, mu=-1.0, sigma=-1.0),
+     [("mu", "mu > 0", "got -1.0"),
+      ("sigma", "sigma > 0", "got -1.0"),
+      ("theta", "theta >= sigma^2", "-1.0 < 1.0")]),
+    ("three_halves", dict(theta=0.0),
+     [("theta", "theta > 0", "got 0.0")]),
+    ("three_halves", dict(a=-1.0),
+     [("a", "a > 0", "got -1.0")]),
+    ("three_halves", dict(sigma=0.0),
+     [("sigma", "sigma > 0", "got 0.0")]),
+    ("three_halves", dict(theta=-1.0, a=-1.0, sigma=-1.0),
+     [("theta", "theta > 0", "got -1.0"),
+      ("a", "a > 0", "got -1.0"),
+      ("sigma", "sigma > 0", "got -1.0")]),
+    ("heston_sv", dict(mu=-0.05),
+     [("mu", "mu > 0", "got -0.05")]),
+    ("heston_sv", dict(theta=0.0),
+     [("theta", "theta > 0", "got 0.0"),
+      ("delta", "2*theta > delta^2", "0.0 <= 0.16000000000000003")]),
+    ("heston_sv", dict(a=0.0),
+     [("a", "a > 0", "got 0.0")]),
+    ("heston_sv", dict(delta=-0.4),
+     [("delta", "delta > 0", "got -0.4")]),
+    ("heston_sv", dict(v0=0.0),
+     [("v0", "v0 > 0", "got 0.0")]),
+    ("heston_sv", dict(rho=1.5),
+     [("rho", "-1 <= rho <= 1", "got 1.5")]),
+    ("heston_sv", dict(delta=0.89),
+     [("delta", "2*theta > delta^2", "0.32 <= 0.7921")]),
+    ("heston_sv", dict(mu=-1.0, theta=-1.0, a=-1.0, delta=-1.0, v0=-1.0, rho=2.0),
+     [("mu", "mu > 0", "got -1.0"),
+      ("theta", "theta > 0", "got -1.0"),
+      ("a", "a > 0", "got -1.0"),
+      ("delta", "delta > 0", "got -1.0"),
+      ("v0", "v0 > 0", "got -1.0"),
+      ("rho", "-1 <= rho <= 1", "got 2.0"),
+      ("delta", "2*theta > delta^2", "-2.0 <= 1.0")]),
+    ("three_halves_sv", dict(theta=0.0),
+     [("theta", "theta > 0", "got 0.0")]),
+    ("three_halves_sv", dict(a=-4.0),
+     [("a", "a > 0", "got -4.0")]),
+    ("three_halves_sv", dict(delta=0.0),
+     [("delta", "delta > 0", "got 0.0")]),
+    ("three_halves_sv", dict(v0=-0.25),
+     [("v0", "v0 > 0", "got -0.25")]),
+    ("three_halves_sv", dict(rho=-1.01),
+     [("rho", "-1 <= rho <= 1", "got -1.01")]),
+    ("three_halves_sv", dict(theta=-1.0, a=-1.0, delta=-1.0, v0=-1.0, rho=2.0),
+     [("theta", "theta > 0", "got -1.0"),
+      ("a", "a > 0", "got -1.0"),
+      ("delta", "delta > 0", "got -1.0"),
+      ("v0", "v0 > 0", "got -1.0"),
+      ("rho", "-1 <= rho <= 1", "got 2.0")]),
+    ("gbm_vasicek", dict(sigma=0.0),
+     [("sigma", "sigma > 0", "got 0.0")]),
+    ("gbm_vasicek", dict(theta=-0.06),
+     [("theta", "theta > 0", "got -0.06")]),
+    ("gbm_vasicek", dict(a=0.0),
+     [("a", "a > 0", "got 0.0")]),
+    ("gbm_vasicek", dict(delta=-0.05),
+     [("delta", "delta > 0", "got -0.05")]),
+    ("gbm_vasicek", dict(rho=1.2),
+     [("rho", "-1 <= rho <= 1", "got 1.2")]),
+    ("gbm_vasicek", dict(sigma=-1.0, theta=-1.0, a=-1.0, delta=-1.0, rho=2.0),
+     [("sigma", "sigma > 0", "got -1.0"),
+      ("theta", "theta > 0", "got -1.0"),
+      ("a", "a > 0", "got -1.0"),
+      ("delta", "delta > 0", "got -1.0"),
+      ("rho", "-1 <= rho <= 1", "got 2.0")]),
+    ("gbm_inverse_garch_rate", dict(mu=0.0),
+     [("mu", "mu > 0", "got 0.0")]),
+    ("gbm_inverse_garch_rate", dict(a=-5.0),
+     [("a", "a > 0", "got -5.0")]),
+    ("gbm_inverse_garch_rate", dict(delta=-0.2),
+     [("delta", "delta > 0", "got -0.2")]),
+    ("gbm_inverse_garch_rate", dict(sigma=0.0),
+     [("sigma", "sigma > 0", "got 0.0")]),
+    ("gbm_inverse_garch_rate", dict(theta=0.03),
+     [("theta", "theta > delta^2", "0.03 <= 0.04000000000000001")]),
+    ("gbm_inverse_garch_rate", dict(r0=0.0),
+     [("r0", "r0 > 0", "got 0.0")]),
+    ("gbm_inverse_garch_rate", dict(rho=-2.0),
+     [("rho", "-1 <= rho <= 1", "got -2.0")]),
+    ("gbm_inverse_garch_rate", dict(mu=-1.0, a=-1.0, delta=-1.0, sigma=-1.0, theta=-1.0, r0=-1.0, rho=2.0),
+     [("mu", "mu > 0", "got -1.0"),
+      ("a", "a > 0", "got -1.0"),
+      ("delta", "delta > 0", "got -1.0"),
+      ("sigma", "sigma > 0", "got -1.0"),
+      ("theta", "theta > delta^2", "-1.0 <= 1.0"),
+      ("r0", "r0 > 0", "got -1.0"),
+      ("rho", "-1 <= rho <= 1", "got 2.0")]),
+
+]
+
+
+@pytest.mark.parametrize("kind,changes,broken", BOUND_CASES,
+                         ids=[f"{k}-{'+'.join(c)}" for k, c, _ in BOUND_CASES])
+def test_bound_rows_messages_and_warnings(kind, changes, broken):
+    model = dataclasses.replace(BASE_MODELS[kind], **changes)
+    field, constraint, detail = broken[0]
+    with pytest.raises(ParameterViolation) as exc:
+        validate(prob(model))
+    assert (exc.value.field, exc.value.constraint) == (field, constraint)
+    assert str(exc.value) == f"{constraint} fails: {detail}"
+    assert validate(prob(model), relax=True).warnings == tuple(
+        f"{f}: relaxed check failed: {c} ({d})" for f, c, d in broken)
+
+
+def test_every_scalar_kind_bounds_tested():
+    assert {k for k, _, _ in BOUND_CASES} == set(BASE_MODELS) - {"quadratic"}
 
 
 # ---------------------------------------------------------------------------
