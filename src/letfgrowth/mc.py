@@ -37,7 +37,9 @@ not depend on its lane.  Utilities are stored checkpoint-major,
 firsts come first, in block order, and their mates (the negated draws)
 follow in the same order.  Statistics treat pair averages as the
 independent units and reduce them in that fixed order, so results are
-bit-identical for a given SimConfig.  A call keeps no state outside its
+bit-identical for a given SimConfig.  A call holds one float64 matrix of
+checkpoints x paths plus O(paths) temporaries: lanes write into it in place
+and the pair statistics reuse its head rows.  It keeps no state outside its
 own arrays, so calls from several threads do not interact.
 
 Utilities are accumulated in log space and exponentiated against a global
@@ -237,9 +239,10 @@ class _Draw:
 
 
 def _simulate(cfg: SimConfig, rows: int, kernel):
-    """Run ``kernel(draw, out)`` once per lane, ``out`` being (rows, lane
-    paths); return the rows of all paths, pair firsts before mates, and the
-    sum of the kernel's return values."""
+    """Run ``kernel(draw, put)`` once per lane, ``put(row, values)`` writing
+    one row of the lane's paths straight into its pair-first and mate
+    columns; return the (rows, paths) matrix, pair firsts before mates, and
+    the sum of the kernel's return values."""
     n = cfg.n_paths
     half = n // 2
     vals = np.empty((rows, n))
@@ -247,11 +250,13 @@ def _simulate(cfg: SimConfig, rows: int, kernel):
     done = 0  # pairs stored so far
     for lane in _lanes(n, cfg.block_size):
         draw = _Draw(cfg, lane)
-        out = np.empty((rows, draw.nb))
-        total += kernel(draw, out)
         h = draw.nb // 2
-        vals[:, done:done + h] = out[:, :h]
-        vals[:, half + done:half + done + h] = out[:, h:]
+        firsts, mates = vals[:, done:done + h], vals[:, half + done:half + done + h]
+
+        def put(row, values):
+            firsts[row] = values[:h]
+            mates[row] = values[h:]
+        total += kernel(draw, put)
         done += h
     return vals, total
 
@@ -601,9 +606,9 @@ def _collect(vp: ValidatedProblem, cfg: SimConfig):
     scheme = _SCHEMES[vp.model.kind]
     cols = {int(s): k for k, s in enumerate(cfg.checkpoint_steps())}
 
-    def kernel(draw, out):
+    def kernel(draw, put):
         def emit(row, t, state, volint, rate_int=None):
-            out[row] = _log_utility(vp, t, state, volint, rate_int)
+            put(row, _log_utility(vp, t, state, volint, rate_int))
         return scheme.growth(vp.model, cfg, cols, draw, emit, scheme.inverse)
 
     vals, trunc_events = _simulate(cfg, len(cfg.t_checkpoints), kernel)
@@ -647,42 +652,56 @@ def simulate_growth(vp: ValidatedProblem, cfg: SimConfig) -> GrowthEstimate:
     """
     vals, trunc_frac = _collect(vp, cfg)   # (K, paths)
     firsts, mates = _pairs(vals)           # (K, P) each
-    K = vals.shape[0]
+    K, n = vals.shape
     t = np.asarray(cfg.t_checkpoints)
 
-    finite = np.isfinite(vals)
-    overflow_fraction = float(np.max(np.mean(~finite, axis=1)))
-    ok_first, ok_mate = _pairs(np.all(finite, axis=0))
-    pair_ok = ok_first & ok_mate
+    # Finiteness row by row, so no boolean array of the matrix's size exists.
+    pair_ok = np.ones(n // 2, dtype=bool)
+    worst = 0
+    for row in vals:
+        finite = np.isfinite(row)
+        worst = max(worst, n - int(np.count_nonzero(finite)))
+        pair_ok &= finite[:n // 2] & finite[n // 2:]
+    overflow_fraction = worst / n
     n_good = int(np.count_nonzero(pair_ok))
     all_ok = n_good == pair_ok.size
     if n_good == 0:
         raise AllPathsDiverged("no finite utility path at the checkpoints")
 
     # The WLS fit and the acceleration test read only the tail checkpoints'
-    # covariance.
+    # covariance.  Their normalised weights go into a contiguous block of
+    # the head rows, which are read by then; row j of the block ends before
+    # row tail + j of ``vals`` starts.
     tail = K // 2
     lm = np.empty(K)
     se = np.empty(K)
     ess = np.empty(K)
-    g_rows = np.empty((K - tail, n_good))
+    g_rows = (vals.reshape(-1)[:(K - tail) * n_good].reshape(K - tail, n_good)
+              if tail else np.empty((1, n_good)))
+    wp, buf = np.empty(n_good), np.empty(n_good)
     for k in range(K):
         x1, x2 = firsts[k], mates[k]
         if not all_ok:
-            x1, x2 = x1[pair_ok], x2[pair_ok]
+            x1, x2 = np.compress(pair_ok, x1, out=wp), np.compress(pair_ok, x2, out=buf)
         shift = max(float(np.max(x1)), float(np.max(x2)))
-        wp = 0.5 * (np.exp(x1 - shift) + np.exp(x2 - shift))
+        np.exp(np.subtract(x1, shift, out=wp), out=wp)
+        np.exp(np.subtract(x2, shift, out=buf), out=buf)
+        np.multiply(0.5, np.add(wp, buf, out=wp), out=wp)
         mean_w = float(np.mean(wp))
         lm[k] = math.log(mean_w) + shift
         sd = float(np.std(wp, ddof=1)) if n_good > 1 else 0.0
         se[k] = sd / (mean_w * math.sqrt(n_good))
         s1 = float(np.sum(wp))
-        s2 = float(np.sum(wp * wp))
+        s2 = float(np.sum(np.multiply(wp, wp, out=buf)))
         ess[k] = s1 * s1 / s2 if s2 > 0 else 0.0
         if k >= tail:
-            g_rows[k - tail] = wp / mean_w
+            np.divide(wp, mean_w, out=g_rows[k - tail])
 
-    cov = np.atleast_2d(np.cov(g_rows, ddof=1) / n_good)  # tail x tail
+    # np.cov(g_rows, ddof=1) / n_good, centred in place rather than on a copy.
+    g_rows -= g_rows.mean(axis=1)[:, None]
+    cov = np.dot(g_rows, g_rows.T)
+    cov *= np.true_divide(1, n_good - 1)
+    cov /= n_good  # tail x tail
     slope, slope_se = _wls_slope(t[tail:], lm[tail:], cov)
 
     reasons = []
@@ -749,8 +768,8 @@ def martingale_check(vp: ValidatedProblem, pair: Eigenpair, t: float,
         raise ValueError(f"cfg.horizon {cfg.horizon} differs from t {t}")
     scheme = _SCHEMES[vp.model.kind]
 
-    def kernel(draw, out):
-        out[0] = scheme.martingale(vp, pair, cfg, draw, scheme.inverse)
+    def kernel(draw, put):
+        put(0, scheme.martingale(vp, pair, cfg, draw, scheme.inverse))
         return 0
 
     logm, _ = _simulate(cfg, 1, kernel)

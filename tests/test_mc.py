@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -565,6 +566,84 @@ def test_concurrent_calls_match_serial():
             assert (got.slope, got.slope_stderr) == (want_g.slope, want_g.slope_stderr)
         else:
             assert (got.mean, got.stderr) == (want_m.mean, want_m.stderr)
+
+
+def test_pair_statistics_hold_one_utility_matrix():
+    # Lanes write into the (checkpoints, paths) utility matrix and the pair
+    # statistics reuse it, so a call holds that matrix plus O(paths) arrays.
+    ts = tuple(20.0 * k / 100 for k in range(1, 101))
+    cfg = SimConfig(horizon=20.0, n_steps=1000, n_paths=20_000, seed=3, t_checkpoints=ts)
+    vp = vp_of(BASE_MODELS["gbm"])
+    simulate_growth(vp, cfg)  # first-call costs stay outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        simulate_growth(vp, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * len(ts) * cfg.n_paths * 8
+
+
+def reference_pair_statistics(vals, t):
+    """The pair statistics written out with whole-matrix finiteness masks,
+    fresh per-checkpoint arrays and np.cov, as a reference for the in-place
+    ones."""
+    h = vals.shape[1] // 2
+    finite = np.isfinite(vals)
+    overflow = float(np.max(np.mean(~finite, axis=1)))
+    ok = np.all(finite, axis=0)
+    pair_ok = ok[:h] & ok[h:]
+    n_good = int(np.count_nonzero(pair_ok))
+    K, tail = len(t), len(t) // 2
+    lm, se, ess = np.empty(K), np.empty(K), np.empty(K)
+    g_rows = np.empty((K - tail, n_good))
+    for k in range(K):
+        x1, x2 = vals[k, :h][pair_ok], vals[k, h:][pair_ok]
+        shift = max(float(np.max(x1)), float(np.max(x2)))
+        wp = 0.5 * (np.exp(x1 - shift) + np.exp(x2 - shift))
+        mean_w = float(np.mean(wp))
+        lm[k] = math.log(mean_w) + shift
+        se[k] = float(np.std(wp, ddof=1)) / (mean_w * math.sqrt(n_good))
+        s1, s2 = float(np.sum(wp)), float(np.sum(wp * wp))
+        ess[k] = s1 * s1 / s2
+        if k >= tail:
+            g_rows[k - tail] = wp / mean_w
+    cov = np.atleast_2d(np.cov(g_rows, ddof=1) / n_good)
+    slope, slope_se = mc._wls_slope(t[tail:], lm[tail:], cov)
+    diverged = overflow > mc.OVERFLOW_BUDGET or ess[-1] < max(50.0, 1e-3 * n_good)
+    if K - tail >= 4:
+        mid = tail + (K - tail) // 2
+        s1, se1 = mc._wls_slope(t[tail:mid], lm[tail:mid], cov[:mid - tail, :mid - tail])
+        s2, se2 = mc._wls_slope(t[mid:], lm[mid:], cov[mid - tail:, mid - tail:])
+        diverged |= s2 - s1 > 4.0 * max(math.hypot(se1, se2), 1e-12)
+    return dict(overflow_fraction=overflow, log_mean_utility=lm, stderr=se, ess=ess,
+                diverged=diverged, slope=slope, slope_stderr=slope_se)
+
+
+@pytest.mark.parametrize("n_bad, n_checkpoints", [(1, 10), (40, 10), (40, 1)])
+def test_non_finite_pairs_match_reference_statistics(monkeypatch, n_bad, n_checkpoints):
+    # No golden case overflows, so inf and nan are injected into a seeded
+    # matrix: as pair firsts, as mates and as both of one pair.
+    cfg = SimConfig(horizon=2.0, n_steps=200, n_paths=4000, seed=11,
+                    t_checkpoints=tuple(2.0 * k / n_checkpoints
+                                        for k in range(1, n_checkpoints + 1)))
+    vp = vp_of(BASE_MODELS["heston_sv"])
+    vals, _ = mc._collect(vp, cfg)
+    rng = np.random.default_rng(n_bad)
+    K, n = vals.shape
+    cols = rng.choice(n, size=n_bad, replace=False)
+    vals[rng.integers(0, K, size=n_bad), cols] = rng.choice([np.inf, -np.inf, np.nan], size=n_bad)
+    vals[K - 1, [n // 2 - 1, n - 1]] = np.nan
+    want = reference_pair_statistics(vals.copy(), np.asarray(cfg.t_checkpoints))
+    monkeypatch.setattr(mc, "_collect", lambda vp, cfg: (vals.copy(), 0.0))
+    est = simulate_growth(vp, cfg)
+    assert est.overflow_fraction.hex() == want["overflow_fraction"].hex()
+    assert est.diverged == want["diverged"] == (n_bad > 1)
+    for key in ("log_mean_utility", "stderr", "ess"):
+        assert getattr(est, key).tobytes() == want[key].tobytes(), key
+    for key in ("slope", "slope_stderr"):
+        assert getattr(est, key) == pytest.approx(want[key], rel=1e-12, abs=1e-300), key
 
 
 if __name__ == "__main__":
