@@ -58,7 +58,6 @@ from .growth import (
     growth_curve,
     growth_rate,
     inverse_garch_discount_growth,
-    stationary_power_moment_garch,
 )
 from .leverage import OptimalLeverage, lambda_derivative, optimal_beta
 from .riccati import (
@@ -72,9 +71,7 @@ from .mc import (
     GrowthEstimate,
     MartingaleEstimate,
     SimConfig,
-    cir_density,
     desk_config,
-    garch_stationary_density,
     martingale_check,
     simulate_growth,
     verdict_for,

@@ -113,8 +113,11 @@ def _parse_beta_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"--beta-grid expects lo:hi:step, got {spec!r}") from exc
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ConfigError("--beta-grid needs finite values with step > 0 and hi >= lo")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    try:
+        # numpy refuses an array too large to build before allocating it.
+        return lo + step * np.arange(int(math.floor((hi - lo) / step + 1e-9)) + 1)
+    except (OverflowError, MemoryError) as exc:
+        raise ConfigError(f"--beta-grid {spec!r} has too many points: {exc}") from exc
 
 
 def _parse_cap(spec: str) -> tuple[float, float]:
@@ -261,7 +264,10 @@ def _cmd_verify(args) -> int:
     vp = load_problem(args.config, relax=args.relax)
     cfg = _parse_sim(args.sim, vp.model.kind)
     analytic = growth_rate(vp)
-    est = simulate_growth(vp, cfg)
+    try:
+        est = simulate_growth(vp, cfg)
+    except MemoryError as exc:  # numpy refuses the path matrix before allocating it
+        raise ConfigError(f"--sim {args.sim!r}: too many paths: {exc}") from exc
     verdict = verdict_for(est, analytic)
     rate = analytic.rate if analytic.is_finite else math.inf
     gap = (abs(est.slope - analytic.rate) / max(abs(analytic.rate), 1e-300)

@@ -8,22 +8,22 @@ in the catalog admits a closed-form pair in one of five parametric families;
 this module produces the pair and certifies it numerically by evaluating the
 generator residual with exact derivatives of the family.  That residual
 cannot tell the admissible exponent root from the other one; the test suite
-checks the scalar eigenvalues independently against the top of the spectrum
-of each model's discretised generator.
+checks every eigenvalue but gbm's independently against the top of the
+spectrum of the model's discretised generator.
 
 The state G and the measure under which its generator is taken vary by
-variant (the reference itself, or the variance or rate driver after an
-exponential tilt has absorbed the reference Brownian).  Each model class in
-``models`` states its own generator coefficients, eigenpair and default
-grid; this module is model-agnostic: it calls those methods, and its
-residual code is keyed on the eigenfunction family (scalar, or the
-d-dimensional exponential-quadratic one).
+variant (the reference itself, the variance or rate driver after an
+exponential tilt has absorbed the reference Brownian, or the quadratic
+model's OU state in R^d).  Each model class in ``models`` states its own
+generator coefficients, eigenpair and default grid, and each eigenfunction
+family turns generator coefficients into L phi / phi; the residual here
+only combines the two.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
@@ -52,30 +52,67 @@ RESIDUAL_EPS = 1e-300
 
 
 # ---------------------------------------------------------------------------
-# Eigenfunction families (exact log-values and derivative ratios)
+# Generator coefficients and eigenfunction families (exact log-values,
+# derivative ratios and L phi / phi)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Constant:
-    """phi(x) = 1."""
+class GeneratorCoefficients:
+    """Generator L f = tr(variance Hess f)/2 + drift . grad f - killing f.
+
+    Each coefficient is a function of the grid.  On a scalar state (grid of
+    shape (n,)) each returns an (n,) array, and ``domain`` ("positive" or
+    "real") is checked against the grid.  On the quadratic model's state in
+    R^d (grid of shape (n, d)) drift returns (n, d), killing (n,), and
+    variance the constant matrix a = sigma sigma^T.
+    """
+
+    variance: Callable[[np.ndarray], np.ndarray]
+    drift: Callable[[np.ndarray], np.ndarray]
+    killing: Callable[[np.ndarray], np.ndarray]
+    domain: str
+
+
+def _grid(points, ndim: int) -> np.ndarray:
+    """The grid as a float array with ``ndim`` axes, nonempty and finite."""
+    x = np.asarray(points, dtype=float)
+    x = np.atleast_2d(x) if ndim == 2 else x
+    if x.ndim != ndim or x.size == 0 or not np.isfinite(x).all():
+        raise GridOutsideDomain(
+            f"grid must be a nonempty finite {ndim}-axis array, got shape {x.shape}")
+    return x
+
+
+class _ScalarFamily:
+    """L phi / phi and ``describe`` for the families on a scalar state."""
+
+    def generator_ratio(self, gen: GeneratorCoefficients, x) -> np.ndarray:
+        """L phi / phi on the grid, through the derivative ratios."""
+        x = _grid(x, 1)
+        if gen.domain == "positive" and np.any(x <= 0.0):
+            raise GridOutsideDomain("grid contains non-positive points for a positive-state model")
+        return (0.5 * gen.variance(x) * self.d2_ratio(x) + gen.drift(x) * self.d1_ratio(x)
+                - gen.killing(x))
+
+    def describe(self) -> str:
+        params = ", ".join(f"{f.name}={getattr(self, f.name):.12g}" for f in fields(self))
+        return f"{self.name}({params})" if params else self.name
+
+
+@dataclass(frozen=True)
+class Constant(_ScalarFamily):
+    """phi(x) = 1: its log and both derivative ratios vanish."""
 
     name = "constant"
 
     def log_phi(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def d1_ratio(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def d2_ratio(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def describe(self) -> str:
-        return "constant"
+    d1_ratio = d2_ratio = log_phi
 
 
 @dataclass(frozen=True)
-class Power:
+class Power(_ScalarFamily):
     """phi(x) = x**p on x > 0."""
 
     p: float
@@ -91,12 +128,9 @@ class Power:
         x = np.asarray(x, dtype=float)
         return self.p * (self.p - 1.0) / (x * x)
 
-    def describe(self) -> str:
-        return f"power(p={self.p:.12g})"
-
 
 @dataclass(frozen=True)
-class ExpLinear:
+class ExpLinear(_ScalarFamily):
     """phi(x) = exp(-c x).  Negative c gives a growing exponential."""
 
     c: float
@@ -111,12 +145,9 @@ class ExpLinear:
     def d2_ratio(self, x):
         return np.full_like(np.asarray(x, dtype=float), self.c * self.c)
 
-    def describe(self) -> str:
-        return f"exp_linear(c={self.c:.12g})"
-
 
 @dataclass(frozen=True)
-class ExpLinearPower:
+class ExpLinearPower(_ScalarFamily):
     """phi(x) = exp(-c x) * x**p on x > 0."""
 
     c: float
@@ -134,9 +165,6 @@ class ExpLinearPower:
         x = np.asarray(x, dtype=float)
         g = self.p / x - self.c
         return g * g - self.p / (x * x)
-
-    def describe(self) -> str:
-        return f"exp_linear_power(c={self.c:.12g}, p={self.p:.12g})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +197,15 @@ class ExpQuadratic:
         g = self.u[None, :] + 2.0 * y @ self.V
         return np.einsum("ni,nj->nij", g, g) - 2.0 * self.V[None, :, :]
 
+    def generator_ratio(self, gen: GeneratorCoefficients, y) -> np.ndarray:
+        """L phi / phi on the (n, d) grid, through the gradient and Hessian ratios."""
+        y = _grid(y, 2)
+        if y.shape[1] != self.u.shape[0]:
+            raise GridOutsideDomain(f"grid dimension {y.shape[1]} != d={self.u.shape[0]}")
+        return (np.einsum("ni,ni->n", self.grad_ratio(y), gen.drift(y))
+                + 0.5 * np.einsum("nij,ij->n", self.hess_ratio(y), gen.variance(y))
+                - gen.killing(y))
+
     def describe(self) -> str:
         return f"exp_quadratic(d={self.u.shape[0]})"
 
@@ -183,23 +220,6 @@ class Eigenpair:
     lam: float
     phi: EigenFunction
     kappa: float | None = None
-
-
-# ---------------------------------------------------------------------------
-# Generator coefficient tables
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeneratorCoefficients:
-    """Scalar generator L f = variance/2 f'' + drift f' - killing f.
-
-    ``domain`` is "positive" or "real"; grids are checked against it.
-    """
-
-    variance: Callable[[np.ndarray], np.ndarray]
-    drift: Callable[[np.ndarray], np.ndarray]
-    killing: Callable[[np.ndarray], np.ndarray]
-    domain: str
 
 
 def _sqrt_or_raise(radicand: float, context: str) -> float:
@@ -273,30 +293,10 @@ def generator_residual(vp: ValidatedProblem, pair: Eigenpair,
     Raises
     ------
     GridOutsideDomain
-        If any grid point leaves the state space.
+        If the grid is empty, has a non-finite point or the wrong shape for
+        the state, or if a point leaves the state space.
     """
-    m = vp.model
-    if isinstance(pair.phi, ExpQuadratic):
-        y = np.atleast_2d(np.asarray(grid, dtype=float))
-        if y.shape[1] != m.d:
-            raise GridOutsideDomain(f"grid dimension {y.shape[1]} != d={m.d}")
-        g = pair.phi.grad_ratio(y)
-        Hr = pair.phi.hess_ratio(y)
-        a = m.a
-        q_coeff = 2.0 * vp.alpha * vp.beta * (vp.beta - 1.0)
-        drift = m.b[None, :] + y @ m.Bmat.T
-        gen = (np.einsum("ni,ni->n", g, drift)
-               + 0.5 * np.einsum("nij,ij->n", Hr, a)
-               - q_coeff * np.einsum("ni,ij,nj->n", y, a, y))
-        resid = np.abs(gen + pair.lam) / (abs(pair.lam) + RESIDUAL_EPS)
-        return GeneratorResidual(max_abs_residual=float(np.max(resid)))
-
-    x = np.asarray(grid, dtype=float)
-    coeffs = m.generator(vp.alpha, vp.beta)
-    if coeffs.domain == "positive" and np.any(x <= 0.0):
-        raise GridOutsideDomain("grid contains non-positive points for a positive-state model")
-    d1 = pair.phi.d1_ratio(x)
-    d2 = pair.phi.d2_ratio(x)
-    gen = 0.5 * coeffs.variance(x) * d2 + coeffs.drift(x) * d1 - coeffs.killing(x)
-    resid = np.abs(gen + pair.lam) / (abs(pair.lam) + RESIDUAL_EPS)
+    gen = vp.model.generator(vp.alpha, vp.beta)
+    resid = (np.abs(pair.phi.generator_ratio(gen, grid) + pair.lam)
+             / (abs(pair.lam) + RESIDUAL_EPS))
     return GeneratorResidual(max_abs_residual=float(np.max(resid)))

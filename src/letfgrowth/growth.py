@@ -6,9 +6,8 @@ For a validated problem this module evaluates
 
 in closed form together with the inequality that decides whether the limit
 is finite, plus standalone growth results used by the oracle suite
-(exponential moments of a mean-reverting square-root process, the
-discounting rate under an inverse-GARCH short rate, and GARCH stationary
-power moments).  The module is model-agnostic: each model class in
+(exponential moments of a mean-reverting square-root process and the
+discounting rate under an inverse-GARCH short rate).  The module is model-agnostic: each model class in
 ``models`` supplies its finiteness condition and rate components, and the
 code here classifies them, collects per-point errors along a curve and
 formats the result.
@@ -31,7 +30,6 @@ identity exact in floating point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -51,7 +49,6 @@ __all__ = [
     "display_growth_value",
     "cir_exponential_moment_growth",
     "inverse_garch_discount_growth",
-    "stationary_power_moment_garch",
 ]
 
 BOUNDARY_REL_TOL = 1e-12
@@ -219,23 +216,3 @@ def inverse_garch_discount_growth(c: float, theta: float, a: float,
         "convexity_term": 0.5 * sigma ** 2 * kappa * (kappa + 1.0),
     }
     return _finite(cond, comps)
-
-
-def stationary_power_moment_garch(p: float, theta: float, a: float,
-                                  sigma: float) -> float:
-    """Limit of E[X_t^p] for the GARCH diffusion, via its Gamma stationary law.
-
-    2 theta / (sigma^2 X) converges to a Gamma variable with shape
-    gamma = 2 a / sigma^2 + 1, so the limit is
-    (2 theta / sigma^2)**p * Gamma(gamma - p) / Gamma(gamma) when gamma > p,
-    and +inf otherwise.
-    """
-    from scipy.special import gammaln
-
-    if theta <= 0.0 or a <= 0.0 or sigma <= 0.0:
-        raise ValueError("theta, a, sigma must be positive")
-    gamma = 2.0 * a / sigma ** 2 + 1.0
-    if gamma <= p:
-        return math.inf
-    scale = 2.0 * theta / sigma ** 2
-    return float(scale ** p * math.exp(gammaln(gamma - p) - gammaln(gamma)))

@@ -70,9 +70,6 @@ __all__ = [
     "MartingaleEstimate",
     "simulate_growth",
     "martingale_check",
-    "cir_density",
-    "cir_transition_mean",
-    "garch_stationary_density",
     "verdict_for",
 ]
 
@@ -563,7 +560,7 @@ def _mart_rate(vp, pair, cfg, draw, inverse):
 def _mart_ou(vp, pair, cfg, draw, inverse):
     m = vp.model
     trap = 0.5 * cfg.dt
-    q_coeff = 2.0 * vp.alpha * vp.beta * (vp.beta - 1.0)
+    q_coeff = m.killing_coeff(vp.alpha, vp.beta)[0]
     kint = np.zeros(draw.nb)
     for Y, s_prev, s in _ou(draw, cfg, m):
         kint += trap * q_coeff * (s_prev + s)
@@ -784,70 +781,3 @@ def martingale_check(vp: ValidatedProblem, pair: Eigenpair, t: float,
     return MartingaleEstimate(t=cfg.horizon, mean=mean,
                               stderr=sd / math.sqrt(n_good),
                               n_paths=cfg.n_paths)
-
-
-# ---------------------------------------------------------------------------
-# Reference densities
-# ---------------------------------------------------------------------------
-
-def cir_log_density(x, t: float, ell: float, mu: float, sigma: float,
-                    x0: float = 1.0):
-    """Log transition density of dX = (ell - mu X) dt + sigma sqrt(X) dW.
-
-    g(x; t) = h exp(-u - v) (v/u)^(q/2) I_q(2 sqrt(u v)) with
-    h = 2 mu / (sigma^2 (1 - exp(-mu t))), q = 2 ell / sigma^2 - 1,
-    u = h x0 exp(-mu t), v = h x.  Evaluated entirely in log scale through
-    the exponentially scaled Bessel function, so neither tail can overflow
-    or corrupt downstream log-domain integrands.
-    """
-    from scipy.special import ive
-
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    q = 2.0 * ell / sigma ** 2 - 1.0
-    if q <= -1.0:
-        raise ValueError("need 2*ell/sigma^2 - 1 > -1")
-    x = np.asarray(x, dtype=float)
-    h = 2.0 * mu / (sigma ** 2 * (1.0 - math.exp(-mu * t)))
-    u = h * x0 * math.exp(-mu * t)
-    v = h * x
-    z = 2.0 * np.sqrt(u * v)
-    with np.errstate(divide="ignore"):
-        # ive(q, z) ~ z**q / (2**q q!) for small z, so log(ive) + z is the
-        # exact log Bessel; at z = 0 the q > 0 case is a genuine -inf.
-        log_bessel = np.log(ive(q, z)) + z
-        log_g = (math.log(h) - u - v
-                 + 0.5 * q * (np.log(v) - math.log(u)) + log_bessel)
-    return log_g
-
-
-def cir_density(x, t: float, ell: float, mu: float, sigma: float,
-                x0: float = 1.0):
-    """Transition density of dX = (ell - mu X) dt + sigma sqrt(X) dW at time t.
-
-    See :func:`cir_log_density` for the closed form and scaling strategy.
-    """
-    return np.exp(cir_log_density(x, t, ell, mu, sigma, x0))
-
-
-def cir_transition_mean(t: float, ell: float, mu: float, x0: float = 1.0) -> float:
-    """E[X_t] = ell/mu + (x0 - ell/mu) exp(-mu t) for the density above."""
-    lvl = ell / mu
-    return lvl + (x0 - lvl) * math.exp(-mu * t)
-
-
-def garch_stationary_density(y, theta: float, a: float, sigma: float):
-    """Stationary density of the scaled reciprocal 2 theta / (sigma^2 X).
-
-    The GARCH diffusion's scaled reciprocal converges to a Gamma law with
-    shape 2 a / sigma^2 + 1 and unit rate; theta only enters the scaling,
-    not the limiting shape, but is kept in the signature for symmetry with
-    the transformation.
-    """
-    from scipy.special import gammaln
-
-    if theta <= 0.0 or a <= 0.0 or sigma <= 0.0:
-        raise ValueError("theta, a, sigma must be positive")
-    y = np.asarray(y, dtype=float)
-    gamma = 2.0 * a / sigma ** 2 + 1.0
-    return np.exp((gamma - 1.0) * np.log(y) - y - gammaln(gamma))

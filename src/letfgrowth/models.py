@@ -147,13 +147,13 @@ class ConstantRate:
 # ---------------------------------------------------------------------------
 
 class _Model:
-    """Shared defaults of the closed forms each variant carries: ``generator``,
-    ``eigenpair``, ``growth`` (finiteness condition and rate components),
+    """Closed forms each variant carries: its own ``generator`` and
+    ``eigenpair``, and ``growth`` (finiteness condition and rate components),
     ``interval`` (finite region in beta), ``derivative`` and ``optimum`` (of
-    the leverage objective) and ``grid`` (default residual grid).  A variant
-    without a closed-form optimum (``optimum = None``) supplies
-    ``rate_and_slope`` for the optimizer's search instead.  ``check`` reads
-    the parameter ``bounds`` table.
+    the leverage objective) and ``grid`` (default residual grid), some with
+    shared defaults here.  A variant without a closed-form optimum
+    (``optimum = None``) supplies ``rate_and_slope`` for the optimizer's
+    search instead.  ``check`` reads the parameter ``bounds`` table.
     """
 
     kind: ClassVar[str]
@@ -165,9 +165,6 @@ class _Model:
         for field, constraint, holds, detail in self.bounds:
             if not holds(self):
                 _violated(field, constraint, detail(self), relax, warnings)
-
-    def generator(self, alpha: float, beta: float) -> GeneratorCoefficients:
-        raise TypeError(f"no scalar generator for model kind {self.kind!r}")
 
     def rate_term(self, alpha: float, beta: float, r: float) -> float:
         """Constant-rate financing part of the growth rate."""
@@ -784,6 +781,18 @@ class Quadratic(_Model):
         return (np.array_equal(self.b, other.b)
                 and np.array_equal(self.Bmat, other.Bmat)
                 and np.array_equal(self.sigma, other.sigma))
+
+    @staticmethod
+    def killing_coeff(alpha, beta):
+        """q of the killing rate q y^T a y, and dq/dbeta; elementwise in beta."""
+        return 2.0 * alpha * beta * (beta - 1.0), 2.0 * alpha * (2.0 * beta - 1.0)
+
+    def generator(self, alpha, beta):
+        """L f = tr(a Hess f)/2 + (b + B y) . grad f - q y^T a y f on R^d."""
+        a, b, Bmat, q = self.a, self.b, self.Bmat, self.killing_coeff(alpha, beta)[0]
+        return GeneratorCoefficients(
+            variance=lambda y: a, drift=lambda y: b + y @ Bmat.T,
+            killing=lambda y: q * np.einsum("ni,ij,nj->n", y, a, y), domain=self.domain)
 
     def eigenpair(self, alpha, beta):
         sol = solve_quadratic_model(self, alpha, beta)

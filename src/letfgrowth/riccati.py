@@ -5,7 +5,7 @@ d-dimensional OU state Y with dY = (b + B Y) dt + sigma dW and a = sigma
 sigma^T.  Its exponential-quadratic eigenfunction exp(-u^T y - y^T V y) is
 admissible when V is the *stabilizing* solution of
 
-    2 V a V - B^T V - V B - q a = 0,          q = 2 alpha beta (beta - 1),
+    2 V a V - B^T V - V B - q a = 0,          q y^T a y the killing rate,
 
 meaning V is symmetric and the closed loop F = B - 2 a V is Hurwitz, and u
 solves the linear system (2 V a - B^T) u = 2 V b.
@@ -65,7 +65,8 @@ which is the only public route to u, lambda and the convergence matrices.
 The leverage derivative of lambda comes from the solved chain by Riccati
 sensitivity: V' solves the Lyapunov equation F^T V' + V' F = -q' a with
 the polish's Kronecker operator, then u' one linear system (see
-``eigenvalue_slope``).
+``eigenvalue_slope``).  q and q' = dq/dbeta come from the model's
+``killing_coeff``, the coefficient its ``generator`` kills with.
 
 The factor on the lower-left block is -q a, not -2 q a: with it, the scalar
 case a=1, B=-1 gives V = (-1 + sqrt(1 + 2q))/2 and closed loop
@@ -474,7 +475,7 @@ def solve_stabilizing_riccati(a: np.ndarray, Bmat: np.ndarray,
     Bmat : (d, d) array
         State-feedback matrix of the OU drift.
     q_coeff : float
-        Coefficient of the quadratic killing rate, 2*alpha*beta*(beta-1).
+        Coefficient q of the quadratic killing rate q y^T a y.
         Existence is guaranteed for q_coeff >= 0 with B stabilizable;
         negative values are attempted and may raise.
 
@@ -550,8 +551,8 @@ class QuadraticSolution:
 
 
 def _solve_chunk(model: Quadratic, alpha: float, betas: np.ndarray) -> list:
-    a, Bmat, b = _sym(model.a), model.Bmat, model.b
-    qs = 2.0 * alpha * betas * (betas - 1.0)
+    a, Bmat, b = model.a, model.Bmat, model.b
+    qs = model.killing_coeff(alpha, betas)[0]
     batch = _Batch(len(betas))
     V, F, res = _riccati_stack(a, Bmat, qs, batch)
     u, errors = _drift_shift(V, a, Bmat, b)
@@ -582,8 +583,8 @@ def eigenvalue_slope(model: Quadratic, alpha: float, beta: float,
     Raises ``SingularSystem`` where a sensitivity system is singular.
     """
     dlam, errors = _eigenvalue_slope_stack(
-        sol.V[None], sol.riccati.closed_loop[None], sol.u[None], _sym(model.a),
-        model.Bmat, model.b, np.array([2.0 * alpha * (2.0 * beta - 1.0)]))
+        sol.V[None], sol.riccati.closed_loop[None], sol.u[None], model.a,
+        model.Bmat, model.b, np.array([model.killing_coeff(alpha, beta)[1]]))
     _raise_first(errors)
     return float(dlam[0])
 

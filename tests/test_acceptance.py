@@ -46,7 +46,6 @@ from letfgrowth.growth import (
 from letfgrowth.leverage import optimal_beta
 from letfgrowth.mc import (
     SimConfig,
-    cir_log_density,
     desk_config,
     martingale_check,
     simulate_growth,
@@ -66,6 +65,7 @@ from letfgrowth.riccati import (
     solve_stabilizing_riccati,
 )
 
+from reference_laws import cir_log_density
 from test_models import BASE_MODELS, prob
 
 

@@ -162,10 +162,16 @@ def test_config_validation_exit_code(tmp_path, capsys, text, relax, message):
     ["verify", "--sim=t=inf"],
     # GBM's 50 desk steps/yr at t=0.5 give dt = 0.02; checkpoint 0.05 misses it.
     ["verify", "--sim=t=0.5,paths=2000"],
+    # Sizes numpy refuses before allocating anything (petabytes, or a point
+    # count past any integer).
+    ["growth", "--beta-grid=0:1:1e-15"],
+    ["growth", "--beta-grid=0:1e300:1e-300"],
+    ["verify", "--sim=paths=100000000000000"],
 ])
 def test_malformed_option_exit_code(gbm_cfg, capsys, argv):
-    # Malformed --cap, --beta-grid and --sim values are configuration
-    # errors: exit 2 with a message, not a traceback.
+    # Malformed --cap, --beta-grid and --sim values, and grids or path
+    # counts too large to build, are configuration errors: exit 2 with a
+    # message, not a traceback.
     assert cli.main(argv + ["--config", str(gbm_cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: --")
 

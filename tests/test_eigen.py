@@ -234,6 +234,14 @@ def test_grid_domain_check():
         vp = vp_of(BASE_MODELS[kind])
         with pytest.raises(GridOutsideDomain):
             generator_residual(vp, eigenpair(vp), np.array([-1.0, 1.0]))
+    # A non-finite point, or a grid of the wrong shape for the state, is
+    # rejected too instead of reading as a nan or a zero residual.
+    for kind, grid in (("gbm", np.array([1.0, np.nan])), ("gbm", np.ones((3, 2))),
+                       ("quadratic", np.array([[0.0, np.nan]])),
+                       ("quadratic", np.ones((3, 3)))):
+        vp = vp_of(BASE_MODELS[kind])
+        with pytest.raises(GridOutsideDomain):
+            generator_residual(vp, eigenpair(vp), grid)
 
 
 def test_real_state_accepts_negative_grid():

@@ -13,7 +13,6 @@ from letfgrowth.growth import (
     growth_curve,
     growth_rate,
     inverse_garch_discount_growth,
-    stationary_power_moment_garch,
 )
 from letfgrowth.eigen import eigenpair
 from letfgrowth.models import (
@@ -29,6 +28,7 @@ from letfgrowth.models import (
     validate,
 )
 
+from reference_laws import stationary_power_moment_garch
 from test_models import BASE_MODELS, prob
 
 

@@ -20,10 +20,7 @@ from letfgrowth.mc import (
     _SCHEMES,
     SimConfig,
     _Draw,
-    cir_density,
-    cir_transition_mean,
     desk_config,
-    garch_stationary_density,
     martingale_check,
     simulate_growth,
     verdict_for,
@@ -38,6 +35,12 @@ from letfgrowth.models import (
     validate,
 )
 
+from reference_laws import (
+    cir_density,
+    cir_log_density,
+    cir_transition_mean,
+    garch_stationary_density,
+)
 from test_models import BASE_MODELS, prob
 
 
@@ -264,7 +267,6 @@ def test_cir_density_matches_noncentral_chi2():
 def test_cir_density_tail_log_slope_bound():
     # log g(x;t) ~ -(h_t - O(sqrt)) x for large x: the measured log-slope
     # must come out between -h_t and -h_t plus the Bessel's sqrt correction.
-    from letfgrowth.mc import cir_log_density
     t, ell, mu, sigma = 1.0, 0.08, 1.0, 0.2
     h = 2 * mu / (sigma ** 2 * (1 - math.exp(-mu * t)))
     xs = np.array([20.0, 24.0])

@@ -1,4 +1,4 @@
-"""Spectral certificate of the scalar eigenvalues.
+"""Spectral certificate of the eigenvalues.
 
 The growth rate rests on the eigenvalue that martingale extraction picks
 out: the recurrent one, at the top of the spectrum of the generator with
@@ -26,6 +26,25 @@ reflects (zero flux, the chain cannot leave), a natural end absorbs
 (Dirichlet), since any condition there vanishes as the domain grows.  A
 point counts only when the reading agrees across two nested domains and two
 grid sizes; a point that does not is unconverged and fails, never passes.
+
+The quadratic model's generator L f = tr(a Hess f)/2 + (b + B y) . grad f -
+q y^T a y f on R^d is read from ``Quadratic.generator`` the same way, and
+its lambda comes from the stabilizing Riccati solution.  At d = 1 the
+symmetrised eigenfunction phi sqrt(speed density) decays exactly when the
+closed loop B - 2 a V is negative, so that branch gives the top of the
+spectrum; the anti-stabilizing branch's lambda differs by about |tr B| and
+fails every point.  The scalar scheme applies with both ends natural
+(Dirichlet).  For
+d = 2 the coordinates z = P^T y, with a = P diag(w) P^T, make the
+diffusion diagonal, so the same fitted rates along each axis give a
+five-point operator on a square with Dirichlet edges.  It is not symmetric
+(B need not be), but its off-diagonal entries are positive, so its top
+eigenvalue is real, simple and below every row sum (Perron-Frobenius);
+shift-invert ``scipy.sparse.linalg.eigs`` about a shift above the largest
+row sum returns it.  Where no stabilizing solution exists (beta in (0, 1)
+with a weak reversion, q < 0), the quadratic growth of the killing beats
+the confinement of the OU drift and the truncated top eigenvalue grows
+with the box instead of converging.
 """
 
 import math
@@ -35,8 +54,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.sparse import csr_matrix, diags
+from scipy.sparse.linalg import eigs
 
-from letfgrowth.eigen import eigenpair
+from letfgrowth.eigen import GeneratorCoefficients, eigenpair
+from letfgrowth.errors import NoStabilizingSolution
 from letfgrowth.models import (
     ExtendedCir,
     Garch,
@@ -44,6 +66,7 @@ from letfgrowth.models import (
     GbmVasicek,
     HestonSV,
     InverseGarch,
+    Quadratic,
     ThreeHalves,
     ThreeHalvesSV,
     validate,
@@ -150,9 +173,13 @@ def spectral_lambda(gen, ends) -> tuple[float, float]:
 
 
 def check_point(kind, model, alpha, beta):
+    assert_agrees(model, alpha, beta, lambda gen: spectral_lambda(gen, ENDS[kind]), TOL[kind])
+
+
+def assert_agrees(model, alpha, beta, reading, tol):
+    """``reading(generator)`` = (spectral lambda, spread) against the closed form."""
     lam = eigenpair(validate(prob(model, alpha=alpha, beta=beta))).lam
-    got, spread = spectral_lambda(model.generator(alpha, beta), ENDS[kind])
-    tol = TOL[kind]
+    got, spread = reading(model.generator(alpha, beta))
     assert spread <= tol * max(0.01, abs(got)), (
         f"unconverged at alpha={alpha}, beta={beta}: readings spread {spread:.3e}")
     assert abs(got - lam) <= tol * max(0.01, abs(lam)), (
@@ -218,3 +245,105 @@ _BETA = st.one_of(st.floats(-4.0, 0.0), st.floats(1.0, 4.0))
 def test_sampled_parameters_match_closed_form(kind, data):
     model = data.draw(SAMPLERS[kind], label="model")
     check_point(kind, model, data.draw(_ALPHA, label="alpha"), data.draw(_BETA, label="beta"))
+
+
+# ---------------------------------------------------------------------------
+# The quadratic model
+# ---------------------------------------------------------------------------
+
+# d = 1: a fast and a slow OU state.  The slow one has no stabilizing
+# solution for beta in (0, 1) at these alphas, so it runs criterion 3's
+# sweep only; BRANCH_MISSING is one of its missing points.
+QUAD_1D = {
+    "fast": (Quadratic(b=[0.1], Bmat=[[-1.0]], sigma=[[0.3]]),
+             SWEEP + [(alpha, beta) for alpha in (0.3, 0.7, 1.0) for beta in (0.25, 0.5)]),
+    "slow": (Quadratic(b=[0.0], Bmat=[[-0.3]], sigma=[[1.0]]), SWEEP),
+}
+BRANCH_MISSING = (0.5, 0.5)
+QUAD_2D_POINTS = [(0.5, 2.0), (1.0, -3.0), (0.7, 0.5)]
+QUAD_2D_BOXES = (2.0, 1.5)  # (wide, narrow) half-widths in z = P^T y
+QUAD_2D_NODES = (121, 181)  # (coarse, fine) nodes per axis
+# About ten times the worst discretisation error measured on these points,
+# on the scale of TOL.
+QUAD_TOL = {1: 8e-5, 2: 4e-3}
+
+
+def line_generator(gen):
+    """The d = 1 quadratic generator as scalar coefficients of x = y_1."""
+    a = float(gen.variance(np.zeros((1, 1)))[0, 0])
+    return GeneratorCoefficients(variance=lambda x: np.full(x.shape, a),
+                                 drift=lambda x: gen.drift(x[:, None])[:, 0],
+                                 killing=lambda x: gen.killing(x[:, None]), domain=gen.domain)
+
+
+def top_eigenvalue_2d(gen, half: float, n: int) -> float:
+    """Top eigenvalue of the fitted five-point discretisation of a d = 2
+    generator on n x n nodes spanning [-half, half]^2 in z = P^T y; the
+    edge nodes are dropped (Dirichlet)."""
+    w, P = np.linalg.eigh(gen.variance(np.zeros((1, 2))))
+    z = np.linspace(-half, half, n)
+    h = z[1] - z[0]
+    Z = np.stack(np.meshgrid(z, z, indexing="ij"), axis=-1)
+    killing = gen.killing(Z.reshape(-1, 2) @ P.T).reshape(n, n)
+    diag = -killing
+    idx = np.arange(n * n).reshape(n, n)
+    src, dst, rate = [], [], []
+    for ax in range(2):
+        lo = (slice(None),) * ax + (slice(0, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        mid = 0.5 * (Z[lo] + Z[hi])
+        drift = (gen.drift(mid.reshape(-1, 2) @ P.T) @ P)[:, ax].reshape(mid.shape[:2])
+        diff = 0.5 * w[ax]
+        peclet = drift * h / diff
+        up = diff / (h * h) * _bernoulli(-peclet)  # node -> its neighbour along +z_ax
+        down = diff / (h * h) * _bernoulli(peclet)
+        diag[lo] -= up
+        diag[hi] -= down
+        src += [idx[lo], idx[hi]]
+        dst += [idx[hi], idx[lo]]
+        rate += [up, down]
+    flat = lambda parts: np.concatenate([p.ravel() for p in parts])  # noqa: E731
+    A = csr_matrix((flat(rate), (flat(src), flat(dst))), shape=(n * n, n * n))
+    inner = idx[1:-1, 1:-1].ravel()
+    A = (A + diags(diag.ravel()))[inner][:, inner].tocsc()
+    shift = float(np.max(-killing)) + 1.0  # above every row sum
+    (top,) = eigs(A, k=1, sigma=shift, which="LM", return_eigenvectors=False)
+    return float(top.real)
+
+
+def spectral_lambda_2d(gen) -> tuple[float, float]:
+    """As :func:`spectral_lambda`, on the d = 2 boxes and grids."""
+    wide, narrow = QUAD_2D_BOXES
+    coarse, fine = QUAD_2D_NODES
+    readings = [-top_eigenvalue_2d(gen, wide, fine),
+                -top_eigenvalue_2d(gen, wide, coarse),
+                -top_eigenvalue_2d(gen, narrow, fine)]
+    return readings[0], max(readings) - min(readings)
+
+
+@pytest.mark.parametrize("name", sorted(QUAD_1D))
+def test_quadratic_line_matches_closed_form(name):
+    model, sweep = QUAD_1D[name]
+    for alpha, beta in sweep:
+        assert_agrees(model, alpha, beta,
+                      lambda gen: spectral_lambda(line_generator(gen), (ABSORB, ABSORB)),
+                      QUAD_TOL[1])
+
+
+def test_quadratic_plane_matches_closed_form():
+    for alpha, beta in QUAD_2D_POINTS:
+        assert_agrees(BASE_MODELS["quadratic"], alpha, beta, spectral_lambda_2d, QUAD_TOL[2])
+
+
+def test_quadratic_missing_branch_has_no_top_eigenvalue():
+    # No stabilizing solution, and no converged spectral reading either:
+    # the truncated top eigenvalue grows with the box (about 4.4, 24 and
+    # 110 here).
+    model, _ = QUAD_1D["slow"]
+    alpha, beta = BRANCH_MISSING
+    with pytest.raises(NoStabilizingSolution):
+        eigenpair(validate(prob(model, alpha=alpha, beta=beta)))
+    gen = line_generator(model.generator(alpha, beta))
+    tops = [top_eigenvalue(gen, -half, half, NODES[1], (ABSORB, ABSORB))
+            for half in (6.0, 12.0, 24.0)]
+    assert tops[0] > 1.0 and tops[1] > 4.0 * tops[0] and tops[2] > 4.0 * tops[1], tops
