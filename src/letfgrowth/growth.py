@@ -134,12 +134,14 @@ class GrowthCurvePoint:
 
 
 def growth_curve(vp: ValidatedProblem, beta_grid) -> list[GrowthCurvePoint]:
-    """Map :func:`growth_rate` over a sorted beta grid.
+    """The growth rate at each beta of a sorted grid.
 
     Per-point library errors (e.g. no stabilizing Riccati solution at some
     beta) are collected, not fatal; infinite points are flagged, never
-    interpolated.  The quadratic model solves its Riccati chain for the
-    whole grid in batches.
+    interpolated.  Each point is :func:`growth_rate` at its beta, except
+    that the quadratic model solves its Riccati chain in stacks of betas
+    whose BLAS products round by row: its points keep the classification but
+    may differ in the last bits (up to about 2e-14 relative, catalog model).
     """
     betas = np.asarray(beta_grid, dtype=float)
     if betas.ndim != 1 or betas.size == 0:

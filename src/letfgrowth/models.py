@@ -42,12 +42,7 @@ from .errors import (
 )
 from .growth import _ALWAYS, FinitenessCondition, GrowthRate, _classified, _condition
 from .leverage import ConcavityProfile, Optimum
-from .riccati import (
-    QuadraticSolution,
-    eigenvalue_slope,
-    solve_quadratic_grid,
-    solve_quadratic_model,
-)
+from .riccati import _eigenvalue_slope_stack, _solve_chains, solve_quadratic_model
 
 __all__ = [
     "Preference",
@@ -798,33 +793,45 @@ class Quadratic(_Model):
         sol = solve_quadratic_model(self, alpha, beta)
         return Eigenpair(lam=sol.lam, phi=ExpQuadratic(sol.u, sol.V), kappa=None)
 
-    def growth(self, alpha, beta, r, sol: QuadraticSolution | None = None):
-        """Condition and components from the solved Riccati chain at beta."""
-        if sol is None:
-            sol = solve_quadratic_model(self, alpha, beta)
-        uau, tr_av, ub = sol.lambda_terms
-        max_eig = float(sol.convergence.eigs_precision[-1])
-        cond = _condition(
-            "all eigenvalues of V + alpha*beta*I - inv(Sigma_inf)/2 negative "
-            "(lhs = -max eigenvalue)",
-            -max_eig, 0.0)
-        return cond, {
-            "rate_term": self.rate_term(alpha, beta, r),
-            "half_uau": 0.5 * uau,
-            "trace_aV": -tr_av,
-            "u_b": -ub,
-        }
+    def _growth_terms(self, alpha, r, chain):
+        """(condition, components) at each beta of a solved Riccati chain, or
+        the library error the chain met there."""
+        rows = zip(chain.e_prec[:, -1].tolist(), chain.uau.tolist(),
+                   chain.tr_av.tolist(), chain.ub.tolist())
+        for beta, exc in zip(chain.betas.tolist(), chain.errors):
+            if exc is not None:
+                yield exc
+                continue
+            max_eig, uau, tr_av, ub = next(rows)
+            cond = _condition(
+                "all eigenvalues of V + alpha*beta*I - inv(Sigma_inf)/2 negative "
+                "(lhs = -max eigenvalue)",
+                -max_eig, 0.0)
+            yield cond, {
+                "rate_term": self.rate_term(alpha, beta, r),
+                "half_uau": 0.5 * uau,
+                "trace_aV": -tr_av,
+                "u_b": -ub,
+            }
+
+    def growth(self, alpha, beta, r):
+        """Condition and components from the Riccati chain solved at beta."""
+        (terms,) = self._growth_terms(alpha, r, *_solve_chains(self, alpha, [beta]))
+        if isinstance(terms, LetfGrowthError):
+            raise terms
+        return terms
 
     def rate_and_slope(self, alpha, beta, r):
         """Growth rate at beta and its beta-derivative from one Riccati chain,
         or (-inf, nan) where growth is infinite or the chain fails there."""
-        try:
-            sol = solve_quadratic_model(self, alpha, beta)
-            g = _classified(*self.growth(alpha, beta, r, sol))
-            if g.is_finite:
-                return g.rate, -r * alpha - eigenvalue_slope(self, alpha, beta, sol)
-        except LetfGrowthError:
-            pass
+        (chain,) = _solve_chains(self, alpha, [beta])
+        (terms,) = self._growth_terms(alpha, r, chain)
+        if not isinstance(terms, LetfGrowthError) and (g := _classified(*terms)).is_finite:
+            dlam, errors = _eigenvalue_slope_stack(
+                chain.V, chain.F, chain.u, self.a, self.Bmat, self.b,
+                self.killing_coeff(alpha, chain.betas)[1])
+            if errors[0] is None:
+                return g.rate, -r * alpha - float(dlam[0])
         return -math.inf, math.nan
 
     def derivative(self, alpha, beta, r):
@@ -834,14 +841,14 @@ class Quadratic(_Model):
         # One batched Riccati chain for the grid; beta = 0 keeps the
         # money-market short-circuit of growth_rate.
         moved = betas != 0.0
-        solved = solve_quadratic_grid(self, alpha, betas[moved])
+        solved = (terms for chain in _solve_chains(self, alpha, betas[moved])
+                  for terms in self._growth_terms(alpha, r, chain))
         for b, solve in zip(betas.tolist(), moved):
             if not solve:
                 yield self.growth_rate(alpha, b, r)
                 continue
-            sol = next(solved)
-            yield (sol if isinstance(sol, LetfGrowthError)
-                   else _classified(*self.growth(alpha, b, r, sol)))
+            terms = next(solved)
+            yield terms if isinstance(terms, LetfGrowthError) else _classified(*terms)
 
     def grid(self):
         """A lattice over [-5, 5]^d with about GRID_POINTS points in total."""

@@ -50,17 +50,24 @@ Every step after the seed -- the subspace dimension, conditioning and
 symmetry checks, V = W U^{-1}, the polish and its residual gate, the
 Hurwitz test, u, lambda, the Lyapunov covariance, the mean and the
 convergence matrices -- runs once on the stack of all betas of a call, so a
-beta grid costs a fixed number of numpy calls per chunk instead of about
-fifteen per beta.  The betas are taken in chunks of ``_chunk_size(d)``: 64,
-or fewer where a stack of Kronecker matrices would pass 2^16 entries
-(512 KB), which keeps the memory of a call flat in the grid size.  A beta
-that fails a check leaves the stack; when a batched solve meets a singular
-member, or a batched eig a member that does not converge, the stack is run
-again one member at a time, so the error lands on that beta alone.  The
-single-beta functions below are the batch-of-one case of the same kernels:
-the stabilizing solve and its mirrored branch, the stationary law, the
-eigenvalue slope, and the whole chain at one beta (``solve_quadratic_model``),
-which is the only public route to u, lambda and the convergence matrices.
+beta grid costs a fixed number of numpy calls per chunk, and a check builds
+per-beta errors only when a member fails it.  The betas are taken in chunks
+of ``_chunk_size(d)``: 64, or fewer where a stack of Kronecker matrices
+would pass 2^16 entries (512 KB), which keeps the memory of a call flat in
+the grid size.  A beta that fails a check leaves the stack; when a batched
+solve meets a singular member, or a batched eig a member that does not
+converge, the stack is run again one member at a time, so the error lands
+on that beta alone.  A chunk's chain is one stacked record (``_Chain``);
+the model's curve, growth and slope read its rows, and only the public
+functions build per-beta ``QuadraticSolution`` objects from it.  A stack's
+BLAS products (``u @ b``, ``u @ a.T``) round a member by its row, so a beta
+solved in a grid may differ in the last bits (up to about 2e-14 relative on
+the catalog model), never in classification, from the same beta solved
+alone.  The single-beta functions below are the batch-of-one case of the
+same kernels: the stabilizing solve and its mirrored branch, the stationary
+law, the eigenvalue slope, and the whole chain at one beta
+(``solve_quadratic_model``), which is the only public route to u, lambda
+and the convergence matrices.
 
 The leverage derivative of lambda comes from the solved chain by Riccati
 sensitivity: V' solves the Lyapunov equation F^T V' + V' F = -q' a with
@@ -76,6 +83,7 @@ case a=1, B=-1 gives V = (-1 + sqrt(1 + 2q))/2 and closed loop
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -230,7 +238,7 @@ class _Batch:
 
     def drop(self, errors, *stacks):
         """Retire the live betas with an error; return the stacks without them."""
-        if all(exc is None for exc in errors):
+        if not any(errors):
             return stacks
         bad = np.array([exc is not None for exc in errors], dtype=bool)
         for j in np.flatnonzero(bad):
@@ -238,6 +246,12 @@ class _Batch:
         keep = ~bad
         self.idx = self.idx[keep]
         return tuple(s[keep] for s in stacks)
+
+    def keep(self, ok, make_error, values, *stacks):
+        """``drop`` the betas where ``ok`` is false, each with make_error(its
+        entry of ``values``); no error is built when every member passes."""
+        return stacks if ok.all() else self.drop([None if good else make_error(v) for good, v
+                                                  in zip(ok.tolist(), values.tolist())], *stacks)
 
 
 def _residual_matrix(V, a, Bmat, q_coeff):
@@ -298,24 +312,19 @@ def _subspace_solutions(Z, d: int, batch: _Batch):
     """V = W U^{-1} from each basis [U; W], with its checks."""
     U, W = Z[:, :d, :d], Z[:, d:, :d]
     cond = np.linalg.cond(U)
-    ok = np.isfinite(cond) & (cond <= COND_LIMIT)
-    U, W = batch.drop([None if good else
-                       IllConditioned(f"subspace basis condition number {c:.3e}")
-                       for good, c in zip(ok.tolist(), cond.tolist())], U, W)
+    U, W = batch.keep(np.isfinite(cond) & (cond <= COND_LIMIT), lambda c: IllConditioned(
+        f"subspace basis condition number {c:.3e}"), cond, U, W)
     Vt, errors = _solve_stack(np.swapaxes(U, -1, -2), np.swapaxes(W, -1, -2),
                               "subspace basis U")
     (V,) = batch.drop(errors, np.swapaxes(Vt, -1, -2))
     asym = _max_abs(V - np.swapaxes(V, -1, -2))
-    ok = asym <= 1e-6 * np.maximum(1.0, _max_abs(V))
-    (V,) = batch.drop([None if good else NoStabilizingSolution(
-        f"subspace solution not symmetric (skew {s:.3e})")
-        for good, s in zip(ok.tolist(), asym.tolist())], V)
+    (V,) = batch.keep(asym <= 1e-6 * np.maximum(1.0, _max_abs(V)), lambda s: (
+        NoStabilizingSolution(f"subspace solution not symmetric (skew {s:.3e})")), asym, V)
     if np.iscomplexobj(V):
         imag = _max_abs(V.imag)
-        ok = imag <= 1e-6 * np.maximum(1.0, _max_abs(V))
-        (V,) = batch.drop([None if good else NoStabilizingSolution(
-            f"subspace solution not real (imaginary part {s:.3e})")
-            for good, s in zip(ok.tolist(), imag.tolist())], V)
+        (V,) = batch.keep(imag <= 1e-6 * np.maximum(1.0, _max_abs(V)), lambda s: (
+            NoStabilizingSolution(f"subspace solution not real (imaginary part {s:.3e})")),
+            imag, V)
         V = V.real
     return _sym(V)
 
@@ -348,10 +357,8 @@ def _polish(V, a, Bmat, qs, batch: _Batch):
         for j, exc in zip(redo, step_errors):
             errors[j] = exc
         V, res, scale = batch.drop(errors, V, res, scale)
-    ok = res <= RESIDUAL_TOL * scale
-    return batch.drop([None if good else
-                       IllConditioned(f"Riccati residual {r:.3e} after refinement")
-                       for good, r in zip(ok.tolist(), res.tolist())], V, res)
+    return batch.keep(res <= RESIDUAL_TOL * scale, lambda r: IllConditioned(
+        f"Riccati residual {r:.3e} after refinement"), res, V, res)
 
 
 def _riccati_stack(a, Bmat, qs, batch: _Batch):
@@ -373,10 +380,9 @@ def _riccati_stack(a, Bmat, qs, batch: _Batch):
     V = _subspace_solutions(Z, d, batch)
     V, res = _polish(V, a, Bmat, qs, batch)
     F = Bmat - 2.0 * a @ V
-    hurwitz = np.linalg.eigvals(F).real.max(axis=-1) < 0.0
-    return batch.drop([None if ok else NoStabilizingSolution(
-        f"closed loop is not Hurwitz (q_coeff={q})")
-        for ok, q in zip(hurwitz.tolist(), qs[batch.idx].tolist())], V, F, res)
+    return batch.keep(np.linalg.eigvals(F).real.max(axis=-1) < 0.0, lambda q: (
+        NoStabilizingSolution(f"closed loop is not Hurwitz (q_coeff={q})")),
+        qs[batch.idx], V, F, res)
 
 
 def _drift_shift(V, a, Bmat, b):
@@ -447,17 +453,6 @@ def _convergence_stack(V, alpha: float, betas, sigma_inf):
     c_cov = _sym(V + shift - 0.5 * sigma_inf)
     c_prec = _sym(V + shift - 0.5 * precision)
     return c_cov, c_prec, np.linalg.eigvalsh(c_cov), np.linalg.eigvalsh(c_prec), errors
-
-
-def _convergence_matrix(c_cov, c_prec, e_cov, e_prec) -> ConvergenceMatrix:
-    return ConvergenceMatrix(
-        c_covariance=c_cov,
-        c_precision=c_prec,
-        eigs_covariance=e_cov,
-        eigs_precision=e_prec,
-        all_negative_covariance=bool(e_cov[-1] < -EIG_MARGIN),
-        all_negative_precision=bool(e_prec[-1] < -EIG_MARGIN),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +545,27 @@ class QuadraticSolution:
         return self.riccati.lam
 
 
-def _solve_chunk(model: Quadratic, alpha: float, betas: np.ndarray) -> list:
+class _Chain(namedtuple("_Chain", "betas errors q V F res u uau tr_av ub lam sig lres "
+                                  "mean c_cov c_prec e_cov e_prec")):
+    """The chain solved on one chunk of ``betas``, stacked: one error slot per
+    beta (None where it solved), one row per solved beta in every other field."""
+
+    def solutions(self) -> list:
+        """Each beta's ``QuadraticSolution``, or its error."""
+        out = list(self.errors)
+        for j, i in enumerate([i for i, exc in enumerate(out) if exc is None]):
+            e_cov, e_prec = self.e_cov[j], self.e_prec[j]
+            out[i] = QuadraticSolution(
+                RiccatiSolution(self.V[j], self.F[j], float(self.res[j]), self.u[j],
+                                float(self.lam[j])),
+                StationaryGaussian(self.mean[j], self.sig[j], float(self.lres[j])),
+                ConvergenceMatrix(self.c_cov[j], self.c_prec[j], e_cov, e_prec,
+                                  bool(e_cov[-1] < -EIG_MARGIN), bool(e_prec[-1] < -EIG_MARGIN)),
+                float(self.q[j]), (float(self.uau[j]), float(self.tr_av[j]), float(self.ub[j])))
+        return out
+
+
+def _solve_chunk(model: Quadratic, alpha: float, betas: np.ndarray) -> _Chain:
     a, Bmat, b = model.a, model.Bmat, model.b
     qs = model.killing_coeff(alpha, betas)[0]
     batch = _Batch(len(betas))
@@ -558,22 +573,20 @@ def _solve_chunk(model: Quadratic, alpha: float, betas: np.ndarray) -> list:
     u, errors = _drift_shift(V, a, Bmat, b)
     V, F, res, u = batch.drop(errors, V, F, res, u)
     uau, tr_av, ub = _lambda_terms(V, u, a, b)
-    lam = -0.5 * uau + tr_av + ub
     sig, lres, mean, stat_errors = _stationary_stack(F, a, b - u @ a.T)
-    c_cov, c_prec, e_cov, e_prec, conv_errors = _convergence_stack(
-        V, alpha, betas[batch.idx], sig)
-    out = list(batch.errors)
-    for j, i in enumerate(batch.idx):
-        late = stat_errors[j] or conv_errors[j]
-        out[i] = late if late is not None else QuadraticSolution(
-            riccati=RiccatiSolution(V=V[j], closed_loop=F[j], residual=float(res[j]),
-                                    u=u[j], lam=float(lam[j])),
-            stationary=StationaryGaussian(mean=mean[j], covariance=sig[j],
-                                          lyapunov_residual=float(lres[j])),
-            convergence=_convergence_matrix(c_cov[j], c_prec[j], e_cov[j], e_prec[j]),
-            q_coeff=float(qs[i]),
-            lambda_terms=(float(uau[j]), float(tr_av[j]), float(ub[j])))
-    return out
+    *conv, conv_errors = _convergence_stack(V, alpha, betas[batch.idx], sig)
+    stacks = batch.drop([s or c for s, c in zip(stat_errors, conv_errors)],
+                        qs[batch.idx], V, F, res, u, uau, tr_av, ub,
+                        -0.5 * uau + tr_av + ub, sig, lres, mean, *conv)
+    return _Chain(betas, batch.errors, *stacks)
+
+
+def _solve_chains(model: Quadratic, alpha: float, betas) -> Iterator[_Chain]:
+    """The chain of each ``_chunk_size(d)`` betas of a grid, solved lazily."""
+    betas = np.asarray(betas, dtype=float).reshape(-1)
+    step = _chunk_size(model.d)
+    for start in range(0, betas.size, step):
+        yield _solve_chunk(model, alpha, betas[start:start + step])
 
 
 def eigenvalue_slope(model: Quadratic, alpha: float, beta: float,
@@ -598,10 +611,8 @@ def solve_quadratic_grid(model: Quadratic, alpha: float,
     solved when the previous one has been consumed, so a caller that keeps
     only what it derives from each solution holds one chunk at a time.
     """
-    betas = np.asarray(betas, dtype=float).reshape(-1)
-    step = _chunk_size(model.d)
-    for start in range(0, betas.size, step):
-        yield from _solve_chunk(model, alpha, betas[start:start + step])
+    for chain in _solve_chains(model, alpha, betas):
+        yield from chain.solutions()
 
 
 def solve_quadratic_model(model: Quadratic, alpha: float, beta: float) -> QuadraticSolution:

@@ -6,10 +6,11 @@ import scipy.linalg
 
 from letfgrowth import riccati
 from letfgrowth.errors import LetfGrowthError, NoStabilizingSolution, NotHurwitz, SingularSystem
-from letfgrowth.growth import growth_curve
+from letfgrowth.growth import _classified, _condition, growth_curve, growth_rate
 from letfgrowth.models import ConstantRate, Leverage, Preference, Problem, Quadratic, validate
 from letfgrowth.riccati import (
     anti_stabilizing_riccati,
+    eigenvalue_slope,
     scalar_stabilizing_v,
     solve_quadratic_grid,
     solve_quadratic_model,
@@ -250,6 +251,81 @@ def test_grid_matches_single_beta_solves():
     m1 = Quadratic(b=[0.0], Bmat=[[-0.3]], sigma=[[1.0]])
     assert all(isinstance(s, NoStabilizingSolution)
                for s in solve_quadratic_grid(m1, 0.5, np.linspace(0.1, 0.9, 5)))
+
+
+def growth_from_solution(alpha, beta, r, sol):
+    """The classification a QuadraticSolution gives at beta: the precision
+    form's top eigenvalue decides, and the rate is alpha r (1 - beta) - lambda
+    split into the chain's lambda terms."""
+    uau, tr_av, ub = sol.lambda_terms
+    cond = _condition("", -float(sol.convergence.eigs_precision[-1]), 0.0)
+    return _classified(cond, {"rate_term": r * alpha * (1.0 - beta), "half_uau": 0.5 * uau,
+                              "trace_aV": -tr_av, "u_b": -ub})
+
+
+def growth_hex(g):
+    return (g.classification, None if g.rate is None else g.rate.hex(),
+            g.condition.lhs.hex(), {k: v.hex() for k, v in g.components.items()})
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_curve_and_slope_match_the_solution_objects(d):
+    # growth_curve and rate_and_slope read the stacked chain; each value must
+    # be, bit for bit, what the per-beta QuadraticSolution of the same grid
+    # (or of the same single beta) gives.
+    rng = np.random.default_rng([20261019, d])
+    m = Quadratic(b=rng.normal(scale=0.1, size=d), Bmat=random_hurwitz(rng, d),
+                  sigma=np.linalg.cholesky(4.0 * random_spd(rng, d)))
+    alpha, r = 0.5, 0.01
+    betas = np.linspace(-2.05, 3.0, 2 * riccati._chunk_size(d) + 3)  # three chunks
+    assert np.all(betas != 0.0)
+    vp = validate(Problem(m, Preference(alpha), Leverage(1.0), ConstantRate(r)))
+    n_failed = 0
+    for point, sol in zip(growth_curve(vp, betas), solve_quadratic_grid(m, alpha, betas)):
+        if isinstance(sol, LetfGrowthError):
+            n_failed += 1
+            assert point.error == f"{type(sol).__name__}: {sol}"
+            continue
+        assert growth_hex(point.growth) == growth_hex(
+            growth_from_solution(alpha, point.beta, r, sol))
+    assert 0 < n_failed < betas.size
+    for beta in betas[::7].tolist():
+        try:
+            sol = solve_quadratic_model(m, alpha, beta)
+            g = growth_from_solution(alpha, beta, r, sol)
+            want = ((g.rate, -r * alpha - eigenvalue_slope(m, alpha, beta, sol))
+                    if g.is_finite else (-np.inf, np.nan))
+        except LetfGrowthError:
+            want = (-np.inf, np.nan)
+        got = m.rate_and_slope(alpha, beta, r)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+
+
+def test_curve_points_match_growth_rate_up_to_stack_rounding():
+    # A curve point is solved in a stack of up to 64 betas, growth_rate in a
+    # stack of one, and the BLAS products of the drift shift round by a
+    # member's row in the stack: the two agree in classification, and in
+    # value to well below 1e-13 relative.
+    rng = np.random.default_rng(20261019)
+    models = [Quadratic(b=[0.1, -0.05], Bmat=[[-1.0, 0.2], [0.0, -0.8]],
+                        sigma=[[0.3, 0.0], [0.1, 0.25]])]
+    for d in (2, 4):
+        models.append(Quadratic(b=rng.normal(scale=0.1, size=d), Bmat=random_hurwitz(rng, d),
+                                sigma=np.linalg.cholesky(random_spd(rng, d) / (10 * d))))
+    betas = -3.0 + 0.01 * np.arange(601)
+    n_differ = 0
+    for m in models:
+        vp = validate(Problem(m, Preference(0.5), Leverage(1.0), ConstantRate(0.01)))
+        for point in growth_curve(vp, betas):
+            g = growth_rate(validate(Problem(m, Preference(0.5), Leverage(point.beta),
+                                             ConstantRate(0.01))))
+            assert point.growth.classification == g.classification
+            for x, y in ((point.growth.rate, g.rate), (point.growth.condition.lhs,
+                                                       g.condition.lhs)):
+                if y is not None:
+                    assert abs(x - y) <= 1e-13 * abs(y)
+                    n_differ += x != y
+    assert n_differ > 0  # the gap is real, so the curve docs must state it
 
 
 def unit_model(b):
