@@ -95,6 +95,7 @@ def _write_csv(out_path: Path, header: list[str], rows: list[list], subcommand: 
         "problems": [problem_to_config(vp) for vp in problems],
         "out": str(out_path),
         "relax": any(vp.relaxed for vp in problems),
+        "warnings": [w for vp in problems for w in vp.warnings],
         "timestamp": datetime.datetime.now(datetime.timezone.utc)
                      .replace(microsecond=0).isoformat(),
     }
@@ -162,21 +163,27 @@ def _parse_sim(spec: str | None, kind: str) -> SimConfig:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_eigenpair(args) -> int:
+def _load(args):
+    """The ``--config`` problem; each relaxed-mode warning goes to stderr."""
     vp = load_problem(args.config, relax=args.relax)
+    for w in vp.warnings:
+        print(f"warning={w}", file=sys.stderr)
+    return vp
+
+
+def _cmd_eigenpair(args) -> int:
+    vp = _load(args)
     pair = eigenpair(vp)
     res = generator_residual(vp, pair, default_grid(vp))
     print(f"lambda={_fmt(pair.lam)}")
     print(f"kappa={_fmt(pair.kappa)}")
     print(f"family={pair.phi.describe()}")
     print(f"residual={_fmt(res.max_abs_residual)}")
-    for w in vp.warnings:
-        print(f"warning={w}", file=sys.stderr)
     return 0
 
 
 def _cmd_growth(args) -> int:
-    vp = load_problem(args.config, relax=args.relax)
+    vp = _load(args)
     if args.beta is not None and args.beta_grid is not None:
         raise ConfigError("--beta and --beta-grid are mutually exclusive")
     if args.beta_grid is not None:
@@ -208,7 +215,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
-    vp = load_problem(args.config, relax=args.relax)
+    vp = _load(args)
     cap = _parse_cap(args.cap) if args.cap else None
     opt = optimal_beta(vp, cap=cap)
     method = opt.method if opt.boundary_side is None \
@@ -232,7 +239,7 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_riccati(args) -> int:
-    vp = load_problem(args.config, relax=args.relax)
+    vp = _load(args)
     if not isinstance(vp.model, Quadratic):
         raise ConfigError("the riccati subcommand needs a quadratic model config")
     sol = solve_quadratic_model(vp.model, vp.alpha, vp.beta)
@@ -261,7 +268,7 @@ def _cmd_riccati(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    vp = load_problem(args.config, relax=args.relax)
+    vp = _load(args)
     cfg = _parse_sim(args.sim, vp.model.kind)
     analytic = growth_rate(vp)
     try:

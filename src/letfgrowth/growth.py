@@ -98,16 +98,12 @@ class GrowthRate:
         return self.classification == "finite"
 
 
-def _finite(condition: FinitenessCondition, components: dict[str, float]) -> GrowthRate:
-    return GrowthRate("finite", float(sum(components.values())), condition,
-                      dict(components))
-
-
 def _classified(condition: FinitenessCondition,
                 components: dict[str, float]) -> GrowthRate:
+    """Classify by ``condition``; the result keeps ``components``, uncopied."""
     if condition.satisfied:
-        return _finite(condition, components)
-    return GrowthRate("infinite", None, condition, dict(components))
+        return GrowthRate("finite", float(sum(components.values())), condition, components)
+    return GrowthRate("infinite", None, condition, components)
 
 
 def growth_rate(vp: ValidatedProblem) -> GrowthRate:
@@ -209,12 +205,10 @@ def inverse_garch_discount_growth(c: float, theta: float, a: float,
     if a <= 0.0 or sigma <= 0.0:
         raise ValueError("a and sigma must be positive")
     kappa = c / a
-    bound = (kappa + 1.0) * sigma ** 2
-    if not theta > bound or abs(theta - bound) <= BOUNDARY_REL_TOL * max(1.0, abs(theta)):
-        raise ConditionUnmet(f"theta > (kappa+1)*sigma^2 (got {theta} vs {bound})")
-    cond = _condition("theta > (kappa+1)*sigma^2", theta, bound)
-    comps = {
+    cond = _condition("theta > (kappa+1)*sigma^2", theta, (kappa + 1.0) * sigma ** 2)
+    if not cond.satisfied:
+        raise ConditionUnmet(f"theta > (kappa+1)*sigma^2 (got {theta} vs {cond.threshold})")
+    return _classified(cond, {
         "level_term": -theta * kappa,
         "convexity_term": 0.5 * sigma ** 2 * kappa * (kappa + 1.0),
-    }
-    return _finite(cond, comps)
+    })

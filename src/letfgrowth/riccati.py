@@ -58,22 +58,22 @@ the grid size.  A beta that fails a check leaves the stack; when a batched
 solve meets a singular member, or a batched eig a member that does not
 converge, the stack is run again one member at a time, so the error lands
 on that beta alone.  A chunk's chain is one stacked record (``_Chain``);
-the model's curve, growth and slope read its rows, and only the public
-functions build per-beta ``QuadraticSolution`` objects from it.  A stack's
-BLAS products (``u @ b``, ``u @ a.T``) round a member by its row, so a beta
-solved in a grid may differ in the last bits (up to about 2e-14 relative on
-the catalog model), never in classification, from the same beta solved
-alone.  The single-beta functions below are the batch-of-one case of the
-same kernels: the stabilizing solve and its mirrored branch, the stationary
-law, the eigenvalue slope, and the whole chain at one beta
-(``solve_quadratic_model``), which is the only public route to u, lambda
-and the convergence matrices.
+the model's curve, growth and slope read its rows, and only
+``solve_quadratic_grid`` and ``solve_quadratic_model`` build per-beta
+``QuadraticSolution`` objects from it.  A stack's BLAS products (``u @ b``,
+``u @ a.T``) round a member by its row, so a beta solved in a grid may
+differ in the last bits (up to about 2e-14 relative on the catalog model),
+never in classification, from the same beta solved alone.  The other
+single-beta functions are the batch-of-one case of the same kernels: the
+stabilizing solve and its mirrored branch, which give a ``RiccatiSolution``
+(V, closed loop, residual), and the stationary law.
 
 The leverage derivative of lambda comes from the solved chain by Riccati
-sensitivity: V' solves the Lyapunov equation F^T V' + V' F = -q' a with
-the polish's Kronecker operator, then u' one linear system (see
-``eigenvalue_slope``).  q and q' = dq/dbeta come from the model's
-``killing_coeff``, the coefficient its ``generator`` kills with.
+sensitivity (``_eigenvalue_slope_stack``): V' solves the Lyapunov equation
+F^T V' + V' F = -q' a with the polish's Kronecker operator, then u' one
+linear system.  q and q' = dq/dbeta come from the model's
+``killing_coeff``, the coefficient its ``generator`` kills with; the public
+route to the slope is ``leverage.lambda_derivative``.
 
 The factor on the lower-left block is -q a, not -2 q a: with it, the scalar
 case a=1, B=-1 gives V = (-1 + sqrt(1 + 2q))/2 and closed loop
@@ -111,7 +111,6 @@ __all__ = [
     "stationary_covariance",
     "solve_quadratic_model",
     "solve_quadratic_grid",
-    "eigenvalue_slope",
 ]
 
 RESIDUAL_TOL = 1e-10
@@ -131,8 +130,6 @@ class RiccatiSolution:
     V: np.ndarray
     closed_loop: np.ndarray
     residual: float
-    u: np.ndarray | None = None
-    lam: float | None = None
 
 
 @dataclass(frozen=True)
@@ -524,9 +521,12 @@ def stationary_covariance(closed_loop: np.ndarray, a: np.ndarray,
 
 @dataclass(frozen=True)
 class QuadraticSolution:
-    """Everything the quadratic model needs downstream, solved once."""
+    """The chain at one beta: the Riccati solution, u and lambda of the eigenfunction
+    exp(-u^T y - y^T V y), the stationary law and both convergence matrices."""
 
     riccati: RiccatiSolution
+    u: np.ndarray
+    lam: float
     stationary: StationaryGaussian
     convergence: ConvergenceMatrix
     q_coeff: float
@@ -535,14 +535,6 @@ class QuadraticSolution:
     @property
     def V(self) -> np.ndarray:
         return self.riccati.V
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.riccati.u
-
-    @property
-    def lam(self) -> float:
-        return self.riccati.lam
 
 
 class _Chain(namedtuple("_Chain", "betas errors q V F res u uau tr_av ub lam sig lres "
@@ -556,8 +548,8 @@ class _Chain(namedtuple("_Chain", "betas errors q V F res u uau tr_av ub lam sig
         for j, i in enumerate([i for i, exc in enumerate(out) if exc is None]):
             e_cov, e_prec = self.e_cov[j], self.e_prec[j]
             out[i] = QuadraticSolution(
-                RiccatiSolution(self.V[j], self.F[j], float(self.res[j]), self.u[j],
-                                float(self.lam[j])),
+                RiccatiSolution(self.V[j], self.F[j], float(self.res[j])),
+                self.u[j], float(self.lam[j]),
                 StationaryGaussian(self.mean[j], self.sig[j], float(self.lres[j])),
                 ConvergenceMatrix(self.c_cov[j], self.c_prec[j], e_cov, e_prec,
                                   bool(e_cov[-1] < -EIG_MARGIN), bool(e_prec[-1] < -EIG_MARGIN)),
@@ -587,19 +579,6 @@ def _solve_chains(model: Quadratic, alpha: float, betas) -> Iterator[_Chain]:
     step = _chunk_size(model.d)
     for start in range(0, betas.size, step):
         yield _solve_chunk(model, alpha, betas[start:start + step])
-
-
-def eigenvalue_slope(model: Quadratic, alpha: float, beta: float,
-                     sol: QuadraticSolution) -> float:
-    """d lambda / d beta at one beta, from the chain ``sol`` solved there.
-
-    Raises ``SingularSystem`` where a sensitivity system is singular.
-    """
-    dlam, errors = _eigenvalue_slope_stack(
-        sol.V[None], sol.riccati.closed_loop[None], sol.u[None], model.a,
-        model.Bmat, model.b, np.array([model.killing_coeff(alpha, beta)[1]]))
-    _raise_first(errors)
-    return float(dlam[0])
 
 
 def solve_quadratic_grid(model: Quadratic, alpha: float,

@@ -115,6 +115,28 @@ def test_riccati_rejects_non_quadratic(gbm_cfg):
     assert cli.main(["riccati", "--config", str(gbm_cfg)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eigenpair"], ["growth", "--beta-grid=-1:3:1"], ["optimal", "--cap=-3:3"], ["riccati"],
+    ["verify", "--sim", "t=2,steps=100,paths=2000,seed=1"]], ids=lambda a: a[0])
+def test_relaxed_warnings_printed_once_and_recorded(tmp_path, capsys, argv):
+    # A negative rate validates only relaxed, with two warnings: every
+    # --config subcommand prints each once, and every manifest records them.
+    cfg = tmp_path / "q.json"
+    cfg.write_text(json.dumps({**QUAD, "r": -0.01}))
+    warnings = list(load_problem(cfg, relax=True).warnings)
+    assert len(warnings) == 2
+    out = tmp_path / "o.csv"
+    code = cli.main([argv[0], "--config", str(cfg), "--relax", *argv[1:]]
+                    + ([] if argv[0] == "eigenpair" else ["--out", str(out)]))
+    assert code in ((0, 4) if argv[0] == "verify" else (0,))
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("warning=")] == [
+        f"warning={w}" for w in warnings]
+    if argv[0] != "eigenpair":
+        man = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+        assert man["relax"] is True and man["warnings"] == warnings
+
+
 GBM_TEXT = json.dumps(GBM)
 QUAD_TEXT = json.dumps(QUAD)
 
@@ -294,6 +316,7 @@ def test_figures_scenario_one(tmp_path):
     for path in out_dir.glob("*.manifest.json"):
         man = json.loads(path.read_text())
         assert man["relax"] is True and "seed" not in man
+        assert any("2*theta > delta^2" in w for w in man["warnings"])
 
 
 def test_figures_scenario_two(tmp_path):
@@ -307,7 +330,7 @@ def test_figures_scenario_two(tmp_path):
     assert len(read_csv(out_dir / "figure2_mu_0.01.csv")) == 601
     for path in out_dir.glob("*.manifest.json"):
         man = json.loads(path.read_text())
-        assert man["relax"] is False and "seed" not in man
+        assert man["relax"] is False and "seed" not in man and man["warnings"] == []
 
 
 def test_figures_determinism(tmp_path):

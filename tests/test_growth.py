@@ -236,6 +236,23 @@ def test_growth_curve_input_validation():
         growth_curve(vp, np.array([np.nan]))
 
 
+@pytest.mark.parametrize("kind", list(BASE_MODELS))
+def test_components_are_a_fresh_dict_per_result(kind):
+    # A GrowthRate keeps its components dict uncopied, so each result must
+    # get its own: mutating one never shows in another, across growth_rate
+    # and growth_curve (beta = 0 is the money-market short-circuit).
+    vp = vp_of(BASE_MODELS[kind], beta=1.5)
+    betas = np.array([-1.0, 0.0, 1.5, 2.0])
+    want_rate = dict(growth_rate(vp).components)
+    want_curve = [dict(p.growth.components) for p in growth_curve(vp, betas)]
+    results = [growth_rate(vp)] + [p.growth for p in growth_curve(vp, betas)]
+    assert len({id(g.components) for g in results}) == len(results)
+    for g in results:
+        g.components["mutated"] = 1.0
+    assert growth_rate(vp).components == want_rate
+    assert [p.growth.components for p in growth_curve(vp, betas)] == want_curve
+
+
 # ---------------------------------------------------------------------------
 # Standalone growth results
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from letfgrowth import leverage, riccati
-from letfgrowth.errors import NoFiniteRegion
+from letfgrowth.errors import ComplexKappa, NoFiniteRegion
 from letfgrowth.growth import growth_rate
 from letfgrowth.leverage import lambda_derivative, objective_value, optimal_beta
 from letfgrowth.models import (
@@ -417,3 +417,37 @@ def test_finite_interval_agrees_with_growth_condition(model, alpha, beta):
         g = growth_rate(vp_of(model, alpha=alpha, beta=b))
         if not g.condition.near_boundary:
             assert g.is_finite == (lo < b < hi)
+
+
+_RHO = st.floats(-1.0, 1.0)
+_WHOLE_LINE_MODELS = st.one_of(
+    st.builds(Gbm, mu=st.floats(-1.0, 1.0), sigma=_POSITIVE),
+    # theta >= sigma^2 and 2 theta > delta^2 are drawn as multiples (1 + excess).
+    st.builds(lambda mu, sigma, excess: ExtendedCir(theta=sigma ** 2 * (1.0 + excess), mu=mu,
+                                                    sigma=sigma),
+              _POSITIVE, _POSITIVE, _POSITIVE),
+    st.builds(ThreeHalves, theta=_POSITIVE, a=_POSITIVE, sigma=_POSITIVE),
+    st.builds(lambda mu, a, delta, excess, rho: HestonSV(
+                  mu=mu, theta=0.5 * delta ** 2 * (1.0 + excess), a=a, delta=delta, rho=rho,
+                  v0=0.1),
+              _POSITIVE, _POSITIVE, _POSITIVE, _POSITIVE, _RHO),
+    st.builds(ThreeHalvesSV, mu=st.floats(-1.0, 1.0), theta=_POSITIVE, a=_POSITIVE,
+              delta=_POSITIVE, rho=_RHO, v0=st.just(0.1)),
+    st.builds(GbmVasicek, mu=st.floats(-1.0, 1.0), sigma=_POSITIVE, theta=_POSITIVE,
+              a=_POSITIVE, delta=_POSITIVE, rho=_RHO, r0=st.just(0.02)),
+)
+
+
+@given(model=_WHOLE_LINE_MODELS, alpha=st.floats(0.01, 1.0), beta=st.floats(-20.0, 20.0))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_whole_line_interval_agrees_with_growth_condition(model, alpha, beta):
+    # These kinds give the whole line as the optimizer's finite region (Heston
+    # only below alpha = 1), so growth_rate's condition must hold at every
+    # admissible point whose exponent is real.
+    assume(alpha < 1.0 or model.kind != "heston_sv")
+    assert model.interval(alpha)[:2] == (-math.inf, math.inf)
+    try:
+        g = growth_rate(vp_of(model, alpha=alpha, beta=beta))
+    except ComplexKappa:
+        return
+    assert g.is_finite, (model, alpha, beta, g.condition)

@@ -1,5 +1,7 @@
 """Stabilizing Riccati solver, drift-shift system, stationary covariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +12,6 @@ from letfgrowth.growth import _classified, _condition, growth_curve, growth_rate
 from letfgrowth.models import ConstantRate, Leverage, Preference, Problem, Quadratic, validate
 from letfgrowth.riccati import (
     anti_stabilizing_riccati,
-    eigenvalue_slope,
     scalar_stabilizing_v,
     solve_quadratic_grid,
     solve_quadratic_model,
@@ -132,6 +133,20 @@ def test_anti_stable_branch_is_not_stabilizing():
         V = sol.V
         assert sol.residual == np.max(np.abs(2.0 * V @ a @ V - B.T @ V - V @ B - q * a))
         assert np.min(np.linalg.eigvals(sol.closed_loop).real) > 0.0
+
+
+def test_every_route_gives_one_riccati_shape():
+    # The stabilizing solve, its mirrored branch and the whole chain hand
+    # back the same (V, closed loop, residual); u and lambda are the chain's.
+    m = Quadratic(b=[0.1, -0.05], Bmat=[[-1.0, 0.2], [0.0, -0.8]],
+                  sigma=[[0.3, 0.0], [0.1, 0.25]])
+    sol = solve_quadratic_model(m, 0.5, 2.0)
+    for ric in (sol.riccati, solve_stabilizing_riccati(m.a, m.Bmat, sol.q_coeff),
+                anti_stabilizing_riccati(m.a, m.Bmat, sol.q_coeff)):
+        assert [f.name for f in dataclasses.fields(ric)] == ["V", "closed_loop", "residual"]
+    assert sol.V is sol.riccati.V
+    uau, tr_av, ub = sol.lambda_terms
+    assert sol.lam == -0.5 * uau + tr_av + ub
 
 
 def test_no_stabilizing_solution_for_strongly_negative_killing():
@@ -290,13 +305,15 @@ def test_curve_and_slope_match_the_solution_objects(d):
             growth_from_solution(alpha, point.beta, r, sol))
     assert 0 < n_failed < betas.size
     for beta in betas[::7].tolist():
-        try:
-            sol = solve_quadratic_model(m, alpha, beta)
-            g = growth_from_solution(alpha, beta, r, sol)
-            want = ((g.rate, -r * alpha - eigenvalue_slope(m, alpha, beta, sol))
-                    if g.is_finite else (-np.inf, np.nan))
-        except LetfGrowthError:
-            want = (-np.inf, np.nan)
+        want = (-np.inf, np.nan)
+        (sol,) = solve_quadratic_grid(m, alpha, [beta])
+        if (not isinstance(sol, LetfGrowthError)
+                and (g := growth_from_solution(alpha, beta, r, sol)).is_finite):
+            dlam, errors = riccati._eigenvalue_slope_stack(
+                sol.V[None], sol.riccati.closed_loop[None], sol.u[None], m.a, m.Bmat, m.b,
+                np.array([m.killing_coeff(alpha, beta)[1]]))
+            if errors[0] is None:
+                want = (g.rate, -r * alpha - float(dlam[0]))
         got = m.rate_and_slope(alpha, beta, r)
         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
