@@ -79,9 +79,13 @@ def _fmt(x) -> str:
     return f"{v:.12g}"
 
 
-def _write_csv(out_path: Path, header: list[str], rows: list[list], subcommand: str,
-               config_path: str | None, problems, extra: dict | None = None) -> None:
-    """Write the CSV and its ``<out>.manifest.json`` sidecar."""
+def _write_csv(out_path: Path | str | None, header: list[str], rows: list[list],
+               subcommand: str, config_path: str | None, problems,
+               extra: dict | None = None) -> None:
+    """Write the CSV and its ``<out>.manifest.json`` sidecar; nothing without a path."""
+    if not out_path:
+        return
+    out_path = Path(out_path)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
@@ -202,15 +206,11 @@ def _cmd_growth(args) -> int:
                      1 if g.is_finite else 0,
                      g.condition.lhs, g.condition.threshold])
     if args.beta_grid is None:
-        g = points[0].growth
-        rate_txt = _fmt(g.rate) if g.is_finite else "inf"
-        print(f"beta={_fmt(points[0].beta)} rate={rate_txt} "
-              f"finite={1 if g.is_finite else 0}")
-    if args.out:
-        out = Path(args.out)
-        _write_csv(out, ["beta", "rate", "finite", "condition_lhs", "condition_threshold"],
-                   rows, "growth", args.config, [vp],
-                   {"beta": args.beta, "beta_grid": args.beta_grid})
+        beta, rate, finite = rows[0][:3]
+        print(f"beta={_fmt(beta)} rate={_fmt(rate)} finite={finite}")
+    _write_csv(args.out, ["beta", "rate", "finite", "condition_lhs", "condition_threshold"],
+               rows, "growth", args.config, [vp],
+               {"beta": args.beta, "beta_grid": args.beta_grid})
     return 0
 
 
@@ -231,10 +231,8 @@ def _cmd_optimal(args) -> int:
           f"method={method}")
     for note in opt.notes:
         print(f"note={note}", file=sys.stderr)
-    if args.out:
-        out = Path(args.out)
-        _write_csv(out, ["mu", "beta_star", "rate_at_star", "method", "C1", "C2", "C3", "D"],
-                   [row], "optimal", args.config, [vp], {"cap": args.cap})
+    _write_csv(args.out, ["mu", "beta_star", "rate_at_star", "method", "C1", "C2", "C3", "D"],
+               [row], "optimal", args.config, [vp], {"cap": args.cap})
     return 0
 
 
@@ -261,9 +259,7 @@ def _cmd_riccati(args) -> int:
     rows.append(["c_precision_negdef", sol.convergence.all_negative_precision])
     for name, val in rows:
         print(f"{name}={_fmt(val)}")
-    if args.out:
-        out = Path(args.out)
-        _write_csv(out, ["name", "value"], rows, "riccati", args.config, [vp])
+    _write_csv(args.out, ["name", "value"], rows, "riccati", args.config, [vp])
     return 0
 
 
@@ -287,14 +283,12 @@ def _cmd_verify(args) -> int:
           f"analytic={_fmt(rate)} verdict={verdict}")
     for reason in est.divergence_reasons:
         print(f"divergence: {reason}", file=sys.stderr)
-    if args.out:
-        out = Path(args.out)
-        _write_csv(out, ["checkpoint_t", "log_mean_utility", "stderr", "slope",
-                         "slope_stderr", "analytic_rate", "abs_rel_gap", "verdict"],
-                   rows, "verify", args.config, [vp],
-                   {"sim": args.sim,
-                    "sim_resolved": {"t": cfg.horizon, "steps": cfg.n_steps,
-                                     "paths": cfg.n_paths, "seed": cfg.seed}})
+    _write_csv(args.out, ["checkpoint_t", "log_mean_utility", "stderr", "slope",
+                          "slope_stderr", "analytic_rate", "abs_rel_gap", "verdict"],
+               rows, "verify", args.config, [vp],
+               {"sim": args.sim,
+                "sim_resolved": {"t": cfg.horizon, "steps": cfg.n_steps,
+                                 "paths": cfg.n_paths, "seed": cfg.seed}})
     ok = verdict == "PASS" or (verdict == "DIVERGED" and not analytic.is_finite)
     return 0 if ok else 4
 

@@ -222,12 +222,6 @@ class Eigenpair:
     kappa: float | None = None
 
 
-def _sqrt_or_raise(radicand: float, context: str) -> float:
-    if radicand < 0.0:
-        raise ComplexKappa(f"negative square-root argument {radicand:.6g} in {context}")
-    return math.sqrt(radicand)
-
-
 def _stable_root_minus(h: float, q: float, context: str) -> float:
     """sqrt(h**2 + q) - h without cancellation for h > 0.
 
@@ -235,7 +229,10 @@ def _stable_root_minus(h: float, q: float, context: str) -> float:
     difference loses most of its digits when |q| << h^2, which happens for
     strongly mean-reverting parameters.
     """
-    root = _sqrt_or_raise(h * h + q, context)
+    radicand = h * h + q
+    if radicand < 0.0:
+        raise ComplexKappa(f"negative square-root argument {radicand:.6g} in {context}")
+    root = math.sqrt(radicand)
     if h > 0.0:
         return q / (root + h)
     return root - h

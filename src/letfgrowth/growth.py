@@ -207,7 +207,8 @@ def inverse_garch_discount_growth(c: float, theta: float, a: float,
     kappa = c / a
     cond = _condition("theta > (kappa+1)*sigma^2", theta, (kappa + 1.0) * sigma ** 2)
     if not cond.satisfied:
-        raise ConditionUnmet(f"theta > (kappa+1)*sigma^2 (got {theta} vs {cond.threshold})")
+        raise ConditionUnmet(cond.description, f"assumption not met: {cond.description} "
+                                               f"(got {theta} vs {cond.threshold})")
     return _classified(cond, {
         "level_term": -theta * kappa,
         "convexity_term": 0.5 * sigma ** 2 * kappa * (kappa + 1.0),

@@ -93,6 +93,22 @@ def _positive(*names: str) -> tuple:
 _RHO_BOUND = ("rho", "-1 <= rho <= 1", lambda m: -1.0 <= m.rho <= 1.0, _got("rho"))
 
 
+def _check(obj, relax: bool, warnings: list[str]) -> None:
+    """Check the rows of ``obj.bounds`` in order (see :func:`_violated`)."""
+    for field, constraint, holds, detail in obj.bounds:
+        if not holds(obj):
+            _violated(field, constraint, detail(obj), relax, warnings)
+
+
+def _monotone(slope: float, profile, flat_note: str, side_note: str,
+              method: str = "closed_form") -> Optimum:
+    """Flat at zero slope, otherwise the side the slope rises towards."""
+    if slope == 0.0:
+        return Optimum(method=method, profile=profile, note=flat_note)
+    return Optimum(side="+" if slope > 0.0 else "-", method=method, profile=profile,
+                   note=side_note)
+
+
 @dataclass(frozen=True)
 class Preference:
     """Power-utility preference u(w) = w**alpha with alpha in (0, 1].
@@ -105,7 +121,7 @@ class Preference:
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
-            raise ParameterViolation("alpha", "0 < alpha <= 1", f"got {self.alpha}")
+            _violated("alpha", "0 < alpha <= 1", f"got {self.alpha}", False, [])
 
 
 @dataclass(frozen=True)
@@ -121,7 +137,8 @@ class Leverage:
 
     def __post_init__(self):
         if not math.isfinite(self.beta):
-            raise ParameterViolation("beta", "finite real", f"got {self.beta}")
+            raise ParameterViolation("beta", "finite real",
+                                     f"beta must be finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -130,11 +147,7 @@ class ConstantRate:
 
     r: float
 
-    def check(self, relax: bool, warnings: list[str]) -> None:
-        if not self.r > 0.0:
-            _violated("r", "r > 0", f"got {self.r}", relax, warnings)
-        if relax and self.r < 0.0:
-            warnings.append("r < 0 accepted in relaxed mode")
+    bounds: ClassVar[tuple] = _positive("r")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +161,8 @@ class _Model:
     the leverage objective) and ``grid`` (default residual grid), some with
     shared defaults here.  A variant without a closed-form optimum
     (``optimum = None``) supplies ``rate_and_slope`` for the optimizer's
-    search instead.  ``check`` reads the parameter ``bounds`` table.
+    search instead.  ``check`` reads the parameter ``bounds`` table.  A
+    variant whose finite region is a half-line states its ``edge``.
     """
 
     kind: ClassVar[str]
@@ -156,28 +170,22 @@ class _Model:
     domain: ClassVar[str] = "positive"  # state space: "positive" or "real"
     bounds: ClassVar[tuple] = ()  # parameter bounds, checked in order
 
-    def check(self, relax: bool, warnings: list[str]) -> None:
-        for field, constraint, holds, detail in self.bounds:
-            if not holds(self):
-                _violated(field, constraint, detail(self), relax, warnings)
+    check = _check
 
-    def rate_term(self, alpha: float, beta: float, r: float) -> float:
-        """Constant-rate financing part of the growth rate."""
-        return r * alpha * (1.0 - beta)
+    def drift_terms(self, alpha: float, beta: float, r: float | None) -> dict[str, float]:
+        """Rate components besides the eigenvalue term: here constant-rate financing."""
+        return {"rate_term": r * alpha * (1.0 - beta)}
 
     def finiteness(self, alpha: float, beta: float, pair: Eigenpair) -> FinitenessCondition:
         return _ALWAYS
 
     def growth(self, alpha: float, beta: float, r: float | None):
-        """(finiteness condition, named additive rate components) at beta.
-
-        The generic shape is the constant-rate factor minus the eigenvalue.
-        """
+        """(finiteness condition, named additive rate components) at beta:
+        the drift terms minus the eigenvalue."""
         pair = self.eigenpair(alpha, beta)
-        return self.finiteness(alpha, beta, pair), {
-            "rate_term": self.rate_term(alpha, beta, r),
-            "eigenvalue_term": -pair.lam,
-        }
+        terms = self.drift_terms(alpha, beta, r)
+        terms["eigenvalue_term"] = -pair.lam
+        return self.finiteness(alpha, beta, pair), terms
 
     def growth_rate(self, alpha: float, beta: float, r: float | None) -> GrowthRate:
         if not self.stochastic_rate and beta == 0.0:
@@ -193,15 +201,29 @@ class _Model:
             except LetfGrowthError as exc:  # per-point collection by contract
                 yield exc
 
+    def edge(self, alpha: float) -> tuple[float, float] | None:
+        """(s, c): growth is finite exactly where s*beta + c > 0; None: everywhere."""
+        return None
+
     def interval(self, alpha: float) -> tuple[float, float, str | None]:
         """Finite-classification region (lo, hi, condition text or None) in beta."""
-        return (-math.inf, math.inf, None)
+        s, c = self.edge(alpha) or (0.0, 1.0)
+        if s > 0.0:
+            return (-c / s, math.inf, self._finite_if)
+        if s < 0.0:
+            return (-math.inf, -c / s, self._finite_if)
+        return (-math.inf, math.inf, None) if c > 0.0 else (math.nan, math.nan, self._finite_if)
 
     def grid(self) -> np.ndarray:
         """Default residual grid: log-spaced on (0, inf) states, linear on R."""
         if self.domain == "real":
             return np.linspace(-5.0, 5.0, GRID_POINTS)
         return np.geomspace(0.01, 100.0, GRID_POINTS)
+
+    def _linear_killing(self, k: float, variance, drift) -> GeneratorCoefficients:
+        """Generator with the killing rate k times the state."""
+        return GeneratorCoefficients(variance, drift, lambda x: k * np.asarray(x, float),
+                                     self.domain)
 
 
 def _lognormal_generator(alpha: float, beta: float, sigma: float,
@@ -246,10 +268,8 @@ class Gbm(_Model):
                                          C2=alpha * (self.mu - r),
                                          const=alpha * r))
         # alpha = 1: rate is linear in beta with slope mu - r.
-        if self.mu == r:
-            return Optimum(note="objective constant in beta (alpha = 1, mu = r)")
-        return Optimum(side="+" if self.mu > r else "-",
-                       note="rate linear in beta at alpha = 1")
+        return _monotone(self.mu - r, None, "objective constant in beta (alpha = 1, mu = r)",
+                         "rate linear in beta at alpha = 1")
 
 
 @dataclass(frozen=True)
@@ -293,8 +313,8 @@ class Garch(_GarchFamily):
         return _condition(self._finite_if, 2.0 * self.a / self.sigma ** 2 + 1.0,
                           alpha * beta)
 
-    def interval(self, alpha):
-        return (-math.inf, (2.0 * self.a / self.sigma ** 2 + 1.0) / alpha, self._finite_if)
+    def edge(self, alpha):
+        return (-alpha, 2.0 * self.a / self.sigma ** 2 + 1.0)
 
 
 @dataclass(frozen=True)
@@ -321,8 +341,8 @@ class InverseGarch(_GarchFamily):
         return _condition(self._finite_if, alpha * beta + 2.0 * self.theta / self.sigma ** 2,
                           1.0)
 
-    def interval(self, alpha):
-        return ((1.0 - 2.0 * self.theta / self.sigma ** 2) / alpha, math.inf, self._finite_if)
+    def edge(self, alpha):
+        return (alpha, 2.0 * self.theta / self.sigma ** 2 - 1.0)
 
 
 @dataclass(frozen=True)
@@ -367,22 +387,19 @@ class ExtendedCir(_Model):
         # rate is an extra component.
         pair = self.eigenpair(alpha, beta)
         lhs = alpha * beta + 2.0 * self.theta / self.sigma ** 2 + pair.kappa
-        return _condition("alpha*beta + 2*theta/sigma^2 + kappa > 0", lhs, 0.0), {
-            "rate_term": self.rate_term(alpha, beta, r),
-            "eigenvalue_term": -pair.lam,
-            "moment_growth_term": lhs * self.mu,
-        }
+        terms = self.drift_terms(alpha, beta, r)
+        terms["eigenvalue_term"] = -pair.lam
+        terms["moment_growth_term"] = lhs * self.mu
+        return _condition("alpha*beta + 2*theta/sigma^2 + kappa > 0", lhs, 0.0), terms
 
     def derivative(self, alpha, beta, r):
         return alpha * (self.mu - r)
 
     def optimum(self, alpha, r):
         slope = alpha * (self.mu - r)
-        prof = ConcavityProfile(shape="linear", D=slope)
-        if slope == 0.0:
-            return Optimum(profile=prof, note="rate constant in beta (mu = r)")
-        return Optimum(side="+" if slope > 0.0 else "-", profile=prof,
-                       note="rate affine in beta; a boundary leverage is preferred")
+        return _monotone(slope, ConcavityProfile(shape="linear", D=slope),
+                         "rate constant in beta (mu = r)",
+                         "rate affine in beta; a boundary leverage is preferred")
 
 
 @dataclass(frozen=True)
@@ -398,12 +415,8 @@ class ThreeHalves(_Model):
 
     def generator(self, alpha, beta):
         s2, th, a = self.sigma ** 2, self.theta, self.a
-        kc = 0.5 * alpha * beta * (beta - 1.0) * s2
-        return GeneratorCoefficients(
-            variance=lambda x: s2 * x ** 3,
-            drift=lambda x: (th - a * x) * x,
-            killing=lambda x: kc * np.asarray(x, float),
-            domain=self.domain)
+        return self._linear_killing(0.5 * alpha * beta * (beta - 1.0) * s2,
+                                    lambda x: s2 * x ** 3, lambda x: (th - a * x) * x)
 
     def eigenpair(self, alpha, beta):
         half_plus = 0.5 + self.a / self.sigma ** 2
@@ -446,17 +459,12 @@ class _StochasticVolatility(_Model):
         return self.a - alpha * beta * self.delta * self.rho
 
     def _generator(self, alpha, beta, variance, drift):
-        kc = 0.5 * alpha * (1.0 - alpha) * beta * beta
-        return GeneratorCoefficients(variance, drift, lambda v: kc * np.asarray(v, float),
-                                     self.domain)
+        return self._linear_killing(0.5 * alpha * (1.0 - alpha) * beta * beta, variance, drift)
 
-    def growth(self, alpha, beta, r):
-        pair = self.eigenpair(alpha, beta)
-        return self.finiteness(alpha, beta, pair), {
-            "rate_term": self.rate_term(alpha, beta, r),
-            "reference_drift_term": alpha * beta * self.mu,
-            "eigenvalue_term": -pair.lam,
-        }
+    def drift_terms(self, alpha, beta, r):
+        terms = _Model.drift_terms(self, alpha, beta, r)
+        terms["reference_drift_term"] = alpha * beta * self.mu
+        return terms
 
     def derivative(self, alpha, beta, r):
         prof = self.profile(alpha, r)
@@ -474,11 +482,8 @@ class _StochasticVolatility(_Model):
             spread = (0.0 if alpha == 1.0
                       else math.sqrt(max(0.0, c1 * c3 - c2 * c2) / (c1 - dd * dd)))
             return Optimum(vertex=-c2 / c1 + (dd / c1) * spread, profile=prof)
-        if dd == 0.0:
-            return Optimum(profile=prof,
-                           note="degenerate flat objective (C1 <= D^2 with D = 0)")
-        return Optimum(side="+" if dd > 0.0 else "-", profile=prof,
-                       note="no interior critical point (C1 <= D^2); rate monotone in beta")
+        return _monotone(dd, prof, "degenerate flat objective (C1 <= D^2 with D = 0)",
+                         "no interior critical point (C1 <= D^2); rate monotone in beta")
 
 
 @dataclass(frozen=True)
@@ -519,14 +524,10 @@ class HestonSV(_StochasticVolatility):
         root = math.sqrt(a_t ** 2 + alpha * (1.0 - alpha) * beta ** 2 * self.delta ** 2)
         return _condition(self._finite_if, root + a_t, 0.0)
 
-    def interval(self, alpha):
+    def edge(self, alpha):
         # At alpha = 1 the root is |a - beta*delta*rho|, so the condition is
-        # a - beta*delta*rho > 0: a half-line in beta when rho != 0.
-        if alpha < 1.0 or self.rho == 0.0:
-            return super().interval(alpha)
-        edge = self.a / (self.delta * self.rho)
-        return ((-math.inf, edge, self._finite_if) if self.rho > 0.0
-                else (edge, math.inf, self._finite_if))
+        # a - beta*delta*rho > 0 (the whole line when rho = 0).
+        return None if alpha < 1.0 else (-(self.delta * self.rho), self.a)
 
     def profile(self, alpha, r):
         c1 = alpha * (1.0 - alpha) * self.delta ** 2 + (alpha * self.delta * self.rho) ** 2
@@ -593,16 +594,12 @@ class _StochasticRate(_Model):
         return self.theta + alpha * beta * self.delta * self.sigma * self.rho
 
     def _generator(self, alpha, beta, variance, drift):
-        c = alpha * (beta - 1.0)
-        return GeneratorCoefficients(variance, drift, lambda r: c * np.asarray(r, float),
-                                     self.domain)
+        return self._linear_killing(alpha * (beta - 1.0), variance, drift)
 
-    def growth(self, alpha, beta, r):
-        pair = self.eigenpair(alpha, beta)
-        return self.finiteness(alpha, beta, pair), {
+    def drift_terms(self, alpha, beta, r):
+        return {
             "reference_drift_term": alpha * beta * self.mu,
             "volatility_drag_term": -0.5 * alpha * (1.0 - alpha) * beta ** 2 * self.sigma ** 2,
-            "eigenvalue_term": -pair.lam,
         }
 
     def display(self, alpha, beta):
@@ -636,11 +633,8 @@ class _StochasticRate(_Model):
         if c1 < 0.0:
             return Optimum(vertex=-c2 / (2.0 * c1), method="quadratic_vertex", profile=prof)
         if c1 == 0.0:
-            if c2 == 0.0:
-                return Optimum(method="quadratic_vertex", profile=prof,
-                               note="reference curve constant in beta")
-            return Optimum(side="+" if c2 > 0.0 else "-", profile=prof,
-                           note="reference curve linear in beta (C1 = 0)")
+            return _monotone(c2, prof, "reference curve constant in beta",
+                             "reference curve linear in beta (C1 = 0)", "quadratic_vertex")
         # Convex parabola: favored direction is away from the vertex.
         return Optimum(side="+" if c2 / (2.0 * c1) > 0.0 else "-", profile=prof,
                        note="reference curve convex in beta (C1 > 0)")
@@ -714,16 +708,10 @@ class GbmInverseGarchRate(_StochasticRate):
                + (2.0 / self.delta ** 2) * self._tilted_level(alpha, beta))
         return _condition(self._finite_if, lhs, 1.0)
 
-    def interval(self, alpha):
+    def edge(self, alpha):
         # The condition is linear in beta: s*beta + c0 > 1.
         s = -alpha / self.a + 2.0 * alpha * self.sigma * self.rho / self.delta
-        c0 = alpha / self.a + 2.0 * self.theta / self.delta ** 2
-        if s > 0.0:
-            return ((1.0 - c0) / s, math.inf, self._finite_if)
-        if s < 0.0:
-            return (-math.inf, (1.0 - c0) / s, self._finite_if)
-        return ((-math.inf, math.inf, None) if c0 > 1.0
-                else (math.nan, math.nan, self._finite_if))
+        return (s, alpha / self.a + 2.0 * self.theta / self.delta ** 2 - 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -807,12 +795,11 @@ class Quadratic(_Model):
                 "all eigenvalues of V + alpha*beta*I - inv(Sigma_inf)/2 negative "
                 "(lhs = -max eigenvalue)",
                 -max_eig, 0.0)
-            yield cond, {
-                "rate_term": self.rate_term(alpha, beta, r),
-                "half_uau": 0.5 * uau,
-                "trace_aV": -tr_av,
-                "u_b": -ub,
-            }
+            terms = self.drift_terms(alpha, beta, r)
+            terms["half_uau"] = 0.5 * uau
+            terms["trace_aV"] = -tr_av
+            terms["u_b"] = -ub
+            yield cond, terms
 
     def growth(self, alpha, beta, r):
         """Condition and components from the Riccati chain solved at beta."""
@@ -967,7 +954,7 @@ def validate(problem: Problem | ValidatedProblem, relax: bool = False) -> Valida
     warnings: list[str] = []
     model.check(relax, warnings)
     if problem.rate is not None:
-        problem.rate.check(relax, warnings)
+        _check(problem.rate, relax, warnings)
     return ValidatedProblem(problem, relaxed=relax, warnings=tuple(warnings))
 
 

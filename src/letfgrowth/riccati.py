@@ -78,6 +78,8 @@ route to the slope is ``leverage.lambda_derivative``.
 The factor on the lower-left block is -q a, not -2 q a: with it, the scalar
 case a=1, B=-1 gives V = (-1 + sqrt(1 + 2q))/2 and closed loop
 -sqrt(1 + 2q), which is the unique stabilizing root of 2V^2 + 2V - q = 0.
+The tests check every d = 1 solve against that closed form, which lives in
+``tests/reference_laws.py`` because no library path needs it.
 """
 
 from __future__ import annotations
@@ -107,7 +109,6 @@ __all__ = [
     "ConvergenceMatrix",
     "QuadraticSolution",
     "solve_stabilizing_riccati",
-    "scalar_stabilizing_v",
     "stationary_covariance",
     "solve_quadratic_model",
     "solve_quadratic_grid",
@@ -255,18 +256,6 @@ def _residual_matrix(V, a, Bmat, q_coeff):
     """2VaV - B^T V - V B - q a for one V, or for a stack with one q each."""
     q = np.asarray(q_coeff, dtype=float)[..., None, None]
     return 2.0 * V @ a @ V - Bmat.T @ V - V @ Bmat - q * a
-
-
-def scalar_stabilizing_v(a: float, B: float, q_coeff: float) -> float:
-    """Closed-form stabilizing root for d = 1 (independent check path).
-
-    2 a V^2 - 2 B V - q a = 0 has roots (B +- sqrt(B^2 + 2 q a^2)) / (2a);
-    the '+' root makes B - 2 a V = -sqrt(B^2 + 2 q a^2) < 0.
-    """
-    disc = B * B + 2.0 * q_coeff * a * a
-    if disc < 0.0:
-        raise NoStabilizingSolution(f"negative discriminant {disc}")
-    return (B + np.sqrt(disc)) / (2.0 * a)
 
 
 def _hamiltonians(a, Bmat, qs):

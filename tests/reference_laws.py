@@ -1,15 +1,17 @@
 """Reference laws that the tests check the library and the oracle against.
 
 The CIR transition density (and its mean), the stationary law of the GARCH
-diffusion's scaled reciprocal and the GARCH stationary power moment are
-closed forms that no library code path needs; the tests use them as
-independent oracles.
+diffusion's scaled reciprocal, the GARCH stationary power moment and the
+scalar stabilizing Riccati root are closed forms that no library code path
+needs; the tests use them as independent oracles.
 """
 
 import math
 
 import numpy as np
 from scipy.special import gammaln, ive
+
+from letfgrowth.errors import NoStabilizingSolution
 
 
 def cir_log_density(x, t: float, ell: float, mu: float, sigma: float,
@@ -87,3 +89,15 @@ def stationary_power_moment_garch(p: float, theta: float, a: float,
         return math.inf
     scale = 2.0 * theta / sigma ** 2
     return float(scale ** p * math.exp(gammaln(gamma - p) - gammaln(gamma)))
+
+
+def scalar_stabilizing_v(a: float, B: float, q_coeff: float) -> float:
+    """Closed-form stabilizing Riccati root for d = 1.
+
+    2 a V^2 - 2 B V - q a = 0 has roots (B +- sqrt(B^2 + 2 q a^2)) / (2a);
+    the '+' root makes B - 2 a V = -sqrt(B^2 + 2 q a^2) < 0.
+    """
+    disc = B * B + 2.0 * q_coeff * a * a
+    if disc < 0.0:
+        raise NoStabilizingSolution(f"negative discriminant {disc}")
+    return (B + np.sqrt(disc)) / (2.0 * a)

@@ -59,13 +59,9 @@ from letfgrowth.models import (
     Quadratic,
     validate,
 )
-from letfgrowth.riccati import (
-    scalar_stabilizing_v,
-    solve_quadratic_model,
-    solve_stabilizing_riccati,
-)
+from letfgrowth.riccati import solve_quadratic_model, solve_stabilizing_riccati
 
-from reference_laws import cir_log_density
+from reference_laws import cir_log_density, scalar_stabilizing_v
 from test_models import BASE_MODELS, prob
 
 

@@ -76,6 +76,20 @@ def test_growth_grid_rows(gbm_cfg, tmp_path):
     assert float(rows[0]["beta"]) == -3.0 and float(rows[-1]["beta"]) == 3.0
 
 
+def test_growth_beta_and_grid_exclusive(gbm_cfg, capsys):
+    assert cli.main(["growth", "--config", str(gbm_cfg), "--beta", "1",
+                     "--beta-grid=0:1:0.5"]) == 2
+    assert "mutually exclusive" in capsys.readouterr().err
+
+
+def test_empty_out_writes_nothing(gbm_cfg, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["growth"], ["optimal"]):
+        assert cli.main(argv + ["--config", str(gbm_cfg), "--out", ""]) == 0
+    assert "rate=0.025" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gbm.json"]
+
+
 def test_growth_infinite_row(tmp_path):
     cfg = tmp_path / "garch.json"
     cfg.write_text(json.dumps({"model": {"kind": "garch", "theta": 0.08,
@@ -119,12 +133,13 @@ def test_riccati_rejects_non_quadratic(gbm_cfg):
     ["eigenpair"], ["growth", "--beta-grid=-1:3:1"], ["optimal", "--cap=-3:3"], ["riccati"],
     ["verify", "--sim", "t=2,steps=100,paths=2000,seed=1"]], ids=lambda a: a[0])
 def test_relaxed_warnings_printed_once_and_recorded(tmp_path, capsys, argv):
-    # A negative rate validates only relaxed, with two warnings: every
-    # --config subcommand prints each once, and every manifest records them.
+    # A negative rate validates only relaxed, with one warning for its one
+    # bound: every --config subcommand prints it once, and every manifest
+    # records it.
     cfg = tmp_path / "q.json"
     cfg.write_text(json.dumps({**QUAD, "r": -0.01}))
     warnings = list(load_problem(cfg, relax=True).warnings)
-    assert len(warnings) == 2
+    assert warnings == ["r: relaxed check failed: r > 0 (got -0.01)"]
     out = tmp_path / "o.csv"
     code = cli.main([argv[0], "--config", str(cfg), "--relax", *argv[1:]]
                     + ([] if argv[0] == "eigenpair" else ["--out", str(out)]))
@@ -162,6 +177,10 @@ QUAD_TEXT = json.dumps(QUAD)
                  id="relaxed_r_nan"),
     pytest.param(QUAD_TEXT.replace('"kind": "quadratic"', '"kind": "quadratic", "d": 2.7'),
                  False, "declared d=2.7", id="quadratic_d_not_integral"),
+    pytest.param(GBM_TEXT.replace('"alpha": 0.5', '"alpha": 1.5'), False,
+                 "0 < alpha <= 1 fails: got 1.5", id="alpha_above_one"),
+    pytest.param(GBM_TEXT.replace('"beta": 2.0', '"beta": NaN'), False,
+                 "beta must be finite, got nan", id="beta_nan"),
 ])
 def test_config_validation_exit_code(tmp_path, capsys, text, relax, message):
     # Malformed or non-finite configuration values are configuration errors
@@ -289,6 +308,26 @@ def test_verify_fail_exit_code(gbm_cfg, monkeypatch):
     assert cli.main(["verify", "--config", str(gbm_cfg)]) == 4
 
 
+def test_verify_diverged_prints_each_reason(gbm_cfg, monkeypatch, capsys):
+    # A DIVERGED estimate against a finite closed form fails (exit 4), and
+    # each divergence reason goes to stderr on its own line.
+    reasons = ("overflow in 3% of paths", "ESS collapsed at t = 2")
+
+    def fake_sim(vp, cfg):
+        return GrowthEstimate(
+            t=np.array([1.0, 2.0]), log_mean_utility=np.array([0.5, 1.0]),
+            stderr=np.array([1e-4, 1e-4]), ess=np.array([1e4, 2.0]),
+            slope=0.5, slope_stderr=1e-4, diverged=True,
+            overflow_fraction=0.03, truncation_fraction=0.0,
+            n_paths=2000, scheme="s", divergence_reasons=reasons)
+    monkeypatch.setattr(cli, "simulate_growth", fake_sim)
+    assert cli.main(["verify", "--config", str(gbm_cfg)]) == 4
+    captured = capsys.readouterr()
+    assert "verdict=DIVERGED" in captured.out
+    assert [line for line in captured.err.splitlines()
+            if line.startswith("divergence:")] == [f"divergence: {r}" for r in reasons]
+
+
 def test_verify_determinism(gbm_cfg, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for p in (a, b):
@@ -339,6 +378,11 @@ def test_figures_determinism(tmp_path):
     assert cli.main(["figures", "2", "--out-dir", str(d2)]) == 0
     for name in ("figure2_summary.csv", "figure2_mu_0.05.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_unknown_figure_id():
+    with pytest.raises(errors.ConfigError, match="unknown figure id 3"):
+        cli.figure_problems(3)
 
 
 def test_option_surface():

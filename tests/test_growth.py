@@ -271,8 +271,11 @@ def test_inverse_garch_discount_growth():
     assert inverse_garch_discount_growth(c=0.0, theta=0.3, a=1.0, sigma=0.2).rate == 0.0
     g = inverse_garch_discount_growth(c=1.0, theta=0.3, a=1.0, sigma=0.2)
     assert g.rate == pytest.approx(-0.26, rel=1e-14)
-    with pytest.raises(ConditionUnmet):
+    with pytest.raises(ConditionUnmet) as exc:
         inverse_garch_discount_growth(c=1.0, theta=0.08, a=1.0, sigma=0.2)
+    assert exc.value.condition == "theta > (kappa+1)*sigma^2"
+    assert str(exc.value) == ("assumption not met: theta > (kappa+1)*sigma^2 "
+                              "(got 0.08 vs 0.08000000000000002)")
 
 
 def test_stationary_power_moment_garch():

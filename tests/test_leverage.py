@@ -451,3 +451,67 @@ def test_whole_line_interval_agrees_with_growth_condition(model, alpha, beta):
     except ComplexKappa:
         return
     assert g.is_finite, (model, alpha, beta, g.condition)
+
+
+# Branches of the closed-form optimizer that no catalog problem reaches.
+
+def test_gigr_region_when_the_edge_slope_vanishes():
+    # s = alpha*(2*sigma*rho/delta - 1/a) is exactly 0 here, so the finite
+    # region is the whole line when theta puts c0 above 1 and empty otherwise.
+    kw = dict(mu=0.05, sigma=1.0, a=1.0, delta=0.25, rho=0.125, r0=0.05)
+    m = GbmInverseGarchRate(theta=0.1, **kw)
+    assert m.interval(0.5) == (-math.inf, math.inf, None)
+    opt = optimal_beta(vp_of(m, alpha=0.5))
+    assert opt.method == "quadratic_vertex" and opt.notes == ()
+    assert opt.beta_star == -opt.profile.C2 / (2.0 * opt.profile.C1)
+    bad = GbmInverseGarchRate(theta=0.01, **kw)
+    assert all(math.isnan(x) for x in bad.interval(0.5)[:2])
+    with pytest.raises(NoFiniteRegion, match="infinite for all beta"):
+        optimal_beta(vp_of(bad, alpha=0.5, relax=True))
+
+
+def test_garch_cap_beyond_the_finite_region():
+    m = Garch(theta=0.08, a=1.0, sigma=0.2)  # finite for beta < 51 at alpha = 1
+    with pytest.raises(NoFiniteRegion, match="does not meet the cap"):
+        optimal_beta(vp_of(m, alpha=1.0), cap=(60.0, 70.0))
+
+
+@pytest.mark.parametrize("at", ["lo", "hi"])
+def test_gbm_vertex_exactly_at_the_cap_edge(at):
+    vp = vp_of(Gbm(mu=0.05, sigma=0.2))
+    vertex = optimal_beta(vp).beta_star
+    opt = optimal_beta(vp, cap=(vertex, 3.0) if at == "lo" else (-3.0, vertex))
+    assert (opt.method, opt.beta_star) == ("closed_form", vertex)
+    assert opt.notes == ("interior vertex exactly at the cap edge",)
+
+
+@pytest.mark.parametrize("cap", [None, (-3.0, 3.0)])
+def test_heston_alpha_one_flat_objective(cap):
+    # alpha = 1, rho = 0 and mu = r make C1 = D = 0: beta = 0 is reported.
+    m = HestonSV(mu=0.01, theta=0.16, a=3.1, delta=0.4, rho=0.0, v0=0.05)
+    opt = optimal_beta(vp_of(m, alpha=1.0, r=0.01), cap=cap)
+    assert (opt.method, opt.beta_star, opt.rate_at_star) == ("closed_form", 0.0, 0.01)
+    assert opt.notes == ("degenerate flat objective (C1 <= D^2 with D = 0)",)
+
+
+def test_vasicek_reference_curve_without_curvature():
+    # C1 = 1/2 - 1/2 = 0 exactly at alpha = 1; C2 = mu - 1/4.
+    kw = dict(sigma=0.5, theta=0.25, a=1.0, delta=1.0, rho=-1.0, r0=0.02)
+    flat = optimal_beta(vp_of(GbmVasicek(mu=0.25, **kw), alpha=1.0))
+    assert (flat.profile.C1, flat.profile.C2) == (0.0, 0.0)
+    assert (flat.method, flat.beta_star, flat.rate_at_star) == ("quadratic_vertex", 0.0, 0.25)
+    assert flat.notes == ("reference curve constant in beta",)
+    linear = vp_of(GbmVasicek(mu=0.3, **kw), alpha=1.0)
+    for cap, want in [(None, ("+inf", None)), ((-3.0, 3.0), ("+cap", 3.0))]:
+        opt = optimal_beta(linear, cap=cap)
+        assert (opt.method, opt.boundary_side, opt.beta_star) == ("boundary", *want)
+        assert opt.notes == ("reference curve linear in beta (C1 = 0)",)
+
+
+def test_quadratic_scan_maximum_at_the_cap_edge():
+    vp = vp_of(BASE_MODELS["quadratic"])
+    opt = optimal_beta(vp, cap=(-1.0, -0.5))
+    assert (opt.method, opt.boundary_side, opt.beta_star) == ("boundary", "+cap", -0.5)
+    assert opt.rate_at_star == objective_value(vp, -0.5)
+    assert opt.notes == ("refinement left the scan maximum; best evaluated point returned",
+                         "scan maximum at the cap edge")

@@ -12,12 +12,13 @@ from letfgrowth.growth import _classified, _condition, growth_curve, growth_rate
 from letfgrowth.models import ConstantRate, Leverage, Preference, Problem, Quadratic, validate
 from letfgrowth.riccati import (
     anti_stabilizing_riccati,
-    scalar_stabilizing_v,
     solve_quadratic_grid,
     solve_quadratic_model,
     solve_stabilizing_riccati,
     stationary_covariance,
 )
+
+from reference_laws import scalar_stabilizing_v
 
 
 def _rng():
