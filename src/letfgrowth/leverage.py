@@ -233,6 +233,9 @@ def optimal_beta(vp: ValidatedProblem,
         return objective_value(vp, b)
 
     if m.optimum is not None:
+        f_lo, f_hi, cond_txt = m.interval(alpha)
+        if math.isnan(f_lo):
+            raise NoFiniteRegion(f"growth rate infinite for all beta ({cond_txt})")
         opt = m.optimum(alpha, r)
         if opt.note is not None:
             notes.append(opt.note)
@@ -243,9 +246,6 @@ def optimal_beta(vp: ValidatedProblem,
                                    notes=tuple(notes))
         # Interior vertex of a concave objective, clamped to cap and finite region.
         vertex = opt.vertex
-        f_lo, f_hi, cond_txt = m.interval(alpha)
-        if math.isnan(f_lo):
-            raise NoFiniteRegion(f"growth rate infinite for all beta ({cond_txt})")
         lo = f_lo if cap is None else max(cap[0], f_lo)
         hi = f_hi if cap is None else min(cap[1], f_hi)
         if lo > hi:

@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 GRID_POINTS = 50  # size of the default residual grid
+_GRIDS: dict[str, np.ndarray] = {}  # scalar default residual grids, by state space
 
 
 def _violated(field: str, constraint: str, detail: str,
@@ -215,10 +216,14 @@ class _Model:
         return (-math.inf, math.inf, None) if c > 0.0 else (math.nan, math.nan, self._finite_if)
 
     def grid(self) -> np.ndarray:
-        """Default residual grid: log-spaced on (0, inf) states, linear on R."""
-        if self.domain == "real":
-            return np.linspace(-5.0, 5.0, GRID_POINTS)
-        return np.geomspace(0.01, 100.0, GRID_POINTS)
+        """Default residual grid, built on first use and shared read-only:
+        log-spaced on (0, inf) states, linear on R."""
+        if self.domain not in _GRIDS:
+            grid = np.linspace(-5.0, 5.0, GRID_POINTS) if self.domain == "real" \
+                else np.geomspace(0.01, 100.0, GRID_POINTS)
+            grid.flags.writeable = False
+            _GRIDS[self.domain] = grid
+        return _GRIDS[self.domain]
 
     def _linear_killing(self, k: float, variance, drift) -> GeneratorCoefficients:
         """Generator with the killing rate k times the state."""

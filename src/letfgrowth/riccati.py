@@ -46,27 +46,20 @@ used by negative tests only, is the stabilizing solution for -B mirrored:
 V -> -V leaves the residual matrix unchanged and negates the closed loop.
 The module needs numpy only.
 
-Every step after the seed -- the subspace dimension, conditioning and
-symmetry checks, V = W U^{-1}, the polish and its residual gate, the
-Hurwitz test, u, lambda, the Lyapunov covariance, the mean and the
-convergence matrices -- runs once on the stack of all betas of a call, so a
-beta grid costs a fixed number of numpy calls per chunk, and a check builds
-per-beta errors only when a member fails it.  The betas are taken in chunks
-of ``_chunk_size(d)``: 64, or fewer where a stack of Kronecker matrices
-would pass 2^16 entries (512 KB), which keeps the memory of a call flat in
-the grid size.  A beta that fails a check leaves the stack; when a batched
-solve meets a singular member, or a batched eig a member that does not
-converge, the stack is run again one member at a time, so the error lands
-on that beta alone.  A chunk's chain is one stacked record (``_Chain``);
-the model's curve, growth and slope read its rows, and only
-``solve_quadratic_grid`` and ``solve_quadratic_model`` build per-beta
-``QuadraticSolution`` objects from it.  A stack's BLAS products (``u @ b``,
-``u @ a.T``) round a member by its row, so a beta solved in a grid may
-differ in the last bits (up to about 2e-14 relative on the catalog model),
-never in classification, from the same beta solved alone.  The other
-single-beta functions are the batch-of-one case of the same kernels: the
-stabilizing solve and its mirrored branch, which give a ``RiccatiSolution``
-(V, closed loop, residual), and the stationary law.
+Every step runs once on a stack of betas: a grid costs a fixed number of
+numpy calls per chunk of ``_chunk_size(d)`` betas, as many as keep a stack
+of d^2 x d^2 Kronecker matrices within 2^16 entries (512 KB), in whole
+groups of SEED_GROUP.  An eig stack is complex when any member is, and
+V = W U^{-1} rounds differently in complex arithmetic, so each group takes
+the complex path exactly when a member needs it.  A failing beta leaves the
+stack with its error; a failed batched solve or eig is rerun per member.
+A chunk's ``_Chain`` holds what the growth rate and its slope read (V, F,
+residual, u, lambda terms, Sigma_inf, precision-form convergence matrix and
+eigenvalues); ``_Chain.solutions``, the one constructor of
+``QuadraticSolution``, adds the mean, Lyapunov residual and covariance
+form.  BLAS rounds the products ``u @ b`` and ``u @ a.T`` by row, so a beta
+solved in a grid may differ in the last bits (about 2e-14 relative on the
+catalog model), never in classification, from the same beta solved alone.
 
 The leverage derivative of lambda comes from the solved chain by Riccati
 sensitivity (``_eigenvalue_slope_stack``): V' solves the Lyapunov equation
@@ -117,8 +110,8 @@ __all__ = [
 RESIDUAL_TOL = 1e-10
 EIG_MARGIN = 1e-10
 COND_LIMIT = 1e12
-CHUNK_BETAS = 64
 KRONECKER_ENTRIES = 2 ** 16
+SEED_GROUP = 64
 
 
 @dataclass(frozen=True)
@@ -177,9 +170,10 @@ def _max_abs(M: np.ndarray) -> np.ndarray:
 
 
 def _chunk_size(d: int) -> int:
-    """Betas per batched pass: at most CHUNK_BETAS, and few enough that a
-    stack of d^2 x d^2 Kronecker matrices has at most KRONECKER_ENTRIES."""
-    return max(1, min(CHUNK_BETAS, KRONECKER_ENTRIES // d ** 4))
+    """Betas per batched pass: as many as keep a stack of d^2 x d^2 Kronecker
+    matrices within KRONECKER_ENTRIES, rounded down to whole seed groups."""
+    fit = max(1, KRONECKER_ENTRIES // d ** 4)
+    return fit if fit < SEED_GROUP else fit - fit % SEED_GROUP
 
 
 def _kron_sum(A: np.ndarray) -> np.ndarray:
@@ -270,10 +264,9 @@ def _hamiltonians(a, Bmat, qs):
 
 
 def _eig_seeds(H, qs):
-    """Eigenvectors of each Hamiltonian's d stable eigenvalues, from one
-    batched eig; a member whose spectrum does not split d/d gets an error.
-    A batched eig raises for the whole stack when any member does not
-    converge, so that case is run again member by member."""
+    """Eigenvectors of each Hamiltonian's d stable eigenvalues from one batched
+    eig (rerun per member if one fails), the members of the SEED_GROUPs with a
+    non-real spectrum or a failure, and an error where it does not split d/d."""
     n, d = len(qs), H.shape[-1] // 2
     errors: list = [None] * n
     try:
@@ -289,7 +282,11 @@ def _eig_seeds(H, qs):
     re = w.real
     stable_first = np.argsort(re, axis=-1)[:, :d]
     Z = np.swapaxes(X[np.arange(n)[:, None], :, stable_first], -1, -2)
-    return Z, [exc or (None if k == d else NoStabilizingSolution(
+    cplx = np.zeros(n, dtype=bool)
+    if np.iscomplexobj(X):
+        own = (w.imag != 0.0).any(axis=-1) | [exc is not None for exc in errors]
+        cplx = np.logical_or.reduceat(own, np.arange(0, n, SEED_GROUP)).repeat(SEED_GROUP)[:n]
+    return Z, cplx, [exc or (None if k == d else NoStabilizingSolution(
         f"stable eigenspace has dimension {k}, expected {d} (q_coeff={q})"))
         for exc, k, q in zip(errors, (re < 0.0).sum(axis=-1).tolist(), qs.tolist())]
 
@@ -347,6 +344,19 @@ def _polish(V, a, Bmat, qs, batch: _Batch):
         f"Riccati residual {r:.3e} after refinement"), res, V, res)
 
 
+def _subspace_split(Z, cplx, d: int, batch: _Batch):
+    """``_subspace_solutions``, in complex arithmetic exactly where ``cplx`` holds."""
+    if not cplx.any() or cplx.all():
+        return _subspace_solutions(Z if cplx.any() else Z.real, d, batch)
+    idx, parts = batch.idx, []
+    for mask, Zm in ((~cplx, Z[~cplx].real), (cplx, Z[cplx])):
+        batch.idx = idx[mask]
+        parts.append((_subspace_solutions(Zm, d, batch), batch.idx))
+    V, idx = (np.concatenate(stacks) for stacks in zip(*parts))
+    batch.idx = idx[order := np.argsort(idx)]
+    return V[order]
+
+
 def _riccati_stack(a, Bmat, qs, batch: _Batch):
     """V, closed loop and residual of the stabilizing branch for each q.
 
@@ -354,7 +364,7 @@ def _riccati_stack(a, Bmat, qs, batch: _Batch):
     check leaves it with that check's error.
     """
     d = Bmat.shape[0]
-    Z, errors = _eig_seeds(_hamiltonians(a, Bmat, qs), qs)
+    Z, cplx, errors = _eig_seeds(_hamiltonians(a, Bmat, qs), qs)
     zero = np.flatnonzero(qs == 0.0)
     if zero.size and np.linalg.eigvals(Bmat).real.max() < 0.0:
         # The stable subspace is then exactly span [I; 0] (V = 0), which a
@@ -362,9 +372,8 @@ def _riccati_stack(a, Bmat, qs, batch: _Batch):
         Z[zero] = np.eye(2 * d, d)
         for i in zero.tolist():
             errors[i] = None
-    (Z,) = batch.drop(errors, Z)
-    V = _subspace_solutions(Z, d, batch)
-    V, res = _polish(V, a, Bmat, qs, batch)
+    Z, cplx = batch.drop(errors, Z, cplx)
+    V, res = _polish(_subspace_split(Z, cplx, d, batch), a, Bmat, qs, batch)
     F = Bmat - 2.0 * a @ V
     return batch.keep(np.linalg.eigvals(F).real.max(axis=-1) < 0.0, lambda q: (
         NoStabilizingSolution(f"closed loop is not Hurwitz (q_coeff={q})")),
@@ -385,13 +394,6 @@ def _drift_shift(V, a, Bmat, b):
         if errors[j] is None:
             errors[j] = SingularSystem(f"drift-shift system residual {resid[j]:.3e}")
     return u, errors
-
-
-def _lambda_terms(V, u, a, b):
-    """u^T a u, tr(a V) and u^T b for each (V, u): the terms of
-    lambda = -u^T a u / 2 + tr(a V) + u^T b."""
-    uau = (u[:, None, :] @ a @ u[:, :, None])[:, 0, 0]
-    return uau, np.trace(a @ V, axis1=-2, axis2=-1), u @ b
 
 
 def _eigenvalue_slope_stack(V, F, u, a, Bmat, b, dqs):
@@ -416,29 +418,26 @@ def _eigenvalue_slope_stack(V, F, u, a, Bmat, b, dqs):
     return dlam, [e or m for e, m in zip(errors, du_errors)]
 
 
-def _stationary_stack(F, a, drift):
-    """Sigma_inf, Lyapunov residual and mean for each Hurwitz F.
-
-    ``drift`` is None (zero mean) or the stack of constant drift terms.
-    """
+def _stationary_stack(F, a):
+    """Sigma_inf solving F Sigma + Sigma F^T + a = 0 for each Hurwitz F."""
     n, d = F.shape[0], F.shape[-1]
     sig, errors = _solve_stack(_kron_sum(F), -a.reshape(d * d, 1), "Lyapunov system")
-    sig = _sym(sig.reshape(n, d, d))
+    return _sym(sig.reshape(n, d, d)), errors
+
+
+def _stationary_law(F, a, sig, drift):
+    """Lyapunov residual and mean (zero if ``drift`` is None) of each law."""
     resid = _max_abs(F @ sig + sig @ np.swapaxes(F, -1, -2) + a)
     if drift is None:
-        return sig, resid, np.zeros((n, d)), errors
-    mean, mean_errors = _solve_stack(F, -drift[..., None], "closed loop")
-    return sig, resid, mean[..., 0], [e or m for e, m in zip(errors, mean_errors)]
+        return resid, np.zeros(F.shape[:-1]), [None] * len(F)
+    mean, errors = _solve_stack(F, -drift[..., None], "closed loop")
+    return resid, mean[..., 0], errors
 
 
-def _convergence_stack(V, alpha: float, betas, sigma_inf):
-    """Both convergence matrices and their ascending eigenvalues per beta."""
-    d = V.shape[-1]
-    shift = (alpha * betas)[:, None, None] * np.eye(d)
-    precision, errors = _solve_stack(sigma_inf, np.eye(d), "stationary covariance")
-    c_cov = _sym(V + shift - 0.5 * sigma_inf)
-    c_prec = _sym(V + shift - 0.5 * precision)
-    return c_cov, c_prec, np.linalg.eigvalsh(c_cov), np.linalg.eigvalsh(c_prec), errors
+def _convergence_form(V, alpha: float, betas, M):
+    """V + alpha*beta*I - M/2 per beta, symmetrized, and its ascending eigenvalues."""
+    c = _sym(V + (alpha * betas)[:, None, None] * np.eye(V.shape[-1]) - 0.5 * M)
+    return c, np.linalg.eigvalsh(c)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +501,9 @@ def stationary_covariance(closed_loop: np.ndarray, a: np.ndarray,
     if max_re >= 0.0:
         raise NotHurwitz(f"closed loop has eigenvalue with real part {max_re:.3e}")
     drift = None if drift_const is None else np.asarray(drift_const, dtype=float)[None]
-    sig, resid, mean, errors = _stationary_stack(F[None], a, drift)
-    _raise_first(errors)
+    sig, errors = _stationary_stack(F[None], a)
+    resid, mean, mean_errors = _stationary_law(F[None], a, sig, drift)
+    _raise_first(errors + mean_errors)
     return StationaryGaussian(mean=mean[0], covariance=sig[0],
                               lyapunov_residual=float(resid[0]))
 
@@ -526,22 +526,24 @@ class QuadraticSolution:
         return self.riccati.V
 
 
-class _Chain(namedtuple("_Chain", "betas errors q V F res u uau tr_av ub lam sig lres "
-                                  "mean c_cov c_prec e_cov e_prec")):
-    """The chain solved on one chunk of ``betas``, stacked: one error slot per
-    beta (None where it solved), one row per solved beta in every other field."""
+class _Chain(namedtuple("_Chain", "model alpha betas errors q V F res u uau tr_av ub lam "
+                                  "sig c_prec e_prec")):
+    """One chunk's chain: an error slot per beta, then a row per solved beta."""
 
     def solutions(self) -> list:
         """Each beta's ``QuadraticSolution``, or its error."""
         out = list(self.errors)
-        for j, i in enumerate([i for i, exc in enumerate(out) if exc is None]):
-            e_cov, e_prec = self.e_cov[j], self.e_prec[j]
-            out[i] = QuadraticSolution(
-                RiccatiSolution(self.V[j], self.F[j], float(self.res[j])),
-                self.u[j], float(self.lam[j]),
-                StationaryGaussian(self.mean[j], self.sig[j], float(self.lres[j])),
-                ConvergenceMatrix(self.c_cov[j], self.c_prec[j], e_cov, e_prec,
-                                  bool(e_cov[-1] < -EIG_MARGIN), bool(e_prec[-1] < -EIG_MARGIN)),
+        solved = [i for i, exc in enumerate(out) if exc is None]
+        a, V, F, sig = self.model.a, self.V, self.F, self.sig
+        lres, mean, errors = _stationary_law(F, a, sig, self.model.b - self.u @ a.T)
+        c_cov, e_cov = _convergence_form(V, self.alpha, self.betas[solved], sig)
+        for j, i in enumerate(solved):
+            out[i] = errors[j] or QuadraticSolution(
+                RiccatiSolution(V[j], F[j], float(self.res[j])), self.u[j], float(self.lam[j]),
+                StationaryGaussian(mean[j], sig[j], float(lres[j])),
+                ConvergenceMatrix(c_cov[j], self.c_prec[j], e_cov[j], self.e_prec[j],
+                                  bool(e_cov[j][-1] < -EIG_MARGIN),
+                                  bool(self.e_prec[j][-1] < -EIG_MARGIN)),
                 float(self.q[j]), (float(self.uau[j]), float(self.tr_av[j]), float(self.ub[j])))
         return out
 
@@ -553,13 +555,16 @@ def _solve_chunk(model: Quadratic, alpha: float, betas: np.ndarray) -> _Chain:
     V, F, res = _riccati_stack(a, Bmat, qs, batch)
     u, errors = _drift_shift(V, a, Bmat, b)
     V, F, res, u = batch.drop(errors, V, F, res, u)
-    uau, tr_av, ub = _lambda_terms(V, u, a, b)
-    sig, lres, mean, stat_errors = _stationary_stack(F, a, b - u @ a.T)
-    *conv, conv_errors = _convergence_stack(V, alpha, betas[batch.idx], sig)
+    # The terms of lambda = -u^T a u / 2 + tr(a V) + u^T b.
+    uau = (u[:, None, :] @ a @ u[:, :, None])[:, 0, 0]
+    tr_av, ub = np.trace(a @ V, axis1=-2, axis2=-1), u @ b
+    sig, stat_errors = _stationary_stack(F, a)
+    precision, conv_errors = _solve_stack(sig, np.eye(model.d), "stationary covariance")
+    c_prec, e_prec = _convergence_form(V, alpha, betas[batch.idx], precision)
     stacks = batch.drop([s or c for s, c in zip(stat_errors, conv_errors)],
                         qs[batch.idx], V, F, res, u, uau, tr_av, ub,
-                        -0.5 * uau + tr_av + ub, sig, lres, mean, *conv)
-    return _Chain(betas, batch.errors, *stacks)
+                        -0.5 * uau + tr_av + ub, sig, c_prec, e_prec)
+    return _Chain(model, alpha, betas, batch.errors, *stacks)
 
 
 def _solve_chains(model: Quadratic, alpha: float, betas) -> Iterator[_Chain]:

@@ -244,6 +244,18 @@ def test_grid_domain_check():
             generator_residual(vp, eigenpair(vp), grid)
 
 
+def test_scalar_default_grids_are_shared_and_read_only():
+    want = {"positive": np.geomspace(0.01, 100.0, 50), "real": np.linspace(-5.0, 5.0, 50)}
+    for kind, model in BASE_MODELS.items():
+        if kind == "quadratic":
+            continue
+        grid = default_grid(vp_of(model))
+        assert grid.tobytes() == want[model.domain].tobytes()
+        assert grid is model.grid()
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+
+
 def test_real_state_accepts_negative_grid():
     vp = vp_of(BASE_MODELS["gbm_vasicek"])
     res = generator_residual(vp, eigenpair(vp), np.array([-2.0, -0.5, 1.0]))

@@ -470,6 +470,19 @@ def test_gigr_region_when_the_edge_slope_vanishes():
         optimal_beta(vp_of(bad, alpha=0.5, relax=True))
 
 
+@pytest.mark.parametrize("cap", [None, (-3.0, 3.0)], ids=["uncapped", "capped"])
+def test_side_optimum_with_no_finite_region_raises(cap):
+    # rho = 1 makes the edge slope s vanish and c0 = 0.9 < 1 leaves no finite
+    # beta; the closed form still names a side (C1 > 0), which must not be
+    # returned as a boundary optimum.
+    m = GbmInverseGarchRate(mu=0.05, sigma=0.5, theta=0.2, a=1.0, delta=1.0, rho=1.0, r0=0.05)
+    assert all(math.isnan(x) for x in m.interval(0.5)[:2])
+    vp = validate(Problem(m, Preference(0.5), Leverage(2.0)), relax=True)
+    assert m.optimum(0.5, vp.r).side is not None
+    with pytest.raises(NoFiniteRegion, match="infinite for all beta"):
+        optimal_beta(vp, cap=cap)
+
+
 def test_garch_cap_beyond_the_finite_region():
     m = Garch(theta=0.08, a=1.0, sigma=0.2)  # finite for beta < 51 at alpha = 1
     with pytest.raises(NoFiniteRegion, match="does not meet the cap"):

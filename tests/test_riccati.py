@@ -1,6 +1,7 @@
 """Stabilizing Riccati solver, drift-shift system, stationary covariance."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,12 +240,20 @@ def test_singular_member_of_a_batched_solve_fails_alone():
     assert np.array_equal(x[0], np.ones((2, 1))) and np.array_equal(x[2], np.full((2, 1), 0.5))
 
 
-def test_grid_matches_single_beta_solves():
+def chunks_of(monkeypatch, n, d):
+    """Shrink the Kronecker budget so that a grid at dimension d is solved in
+    chunks of n betas, which keeps several-chunk grids cheap."""
+    monkeypatch.setattr(riccati, "KRONECKER_ENTRIES", n * d ** 4)
+    assert riccati._chunk_size(d) == n
+
+
+def test_grid_matches_single_beta_solves(monkeypatch):
     rng = _rng()
     d = 4
     m = Quadratic(b=rng.normal(scale=0.1, size=d), Bmat=random_hurwitz(rng, d),
                   sigma=np.linalg.cholesky(random_spd(rng, d)))
-    betas = np.linspace(-2.0, 3.0, 2 * riccati._chunk_size(d) + 3)  # three chunks
+    chunks_of(monkeypatch, 64, d)
+    betas = np.linspace(-2.0, 3.0, 2 * 64 + 3)  # three chunks
     grid = list(solve_quadratic_grid(m, 0.5, betas))
     assert len(grid) == betas.size
     n_failed = 0
@@ -256,11 +265,16 @@ def test_grid_matches_single_beta_solves():
             n_failed += 1
             continue
         assert got.q_coeff == want.q_coeff
-        for x, y in ((got.V, want.V), (got.u, want.u), (got.stationary.covariance,
-                     want.stationary.covariance), (got.convergence.eigs_precision,
-                     want.convergence.eigs_precision)):
+        gs, ws, gc, wc = got.stationary, want.stationary, got.convergence, want.convergence
+        for x, y in ((got.V, want.V), (got.u, want.u), (gs.covariance, ws.covariance),
+                     (gs.mean, ws.mean), (gc.c_covariance, wc.c_covariance),
+                     (gc.eigs_covariance, wc.eigs_covariance),
+                     (gc.eigs_precision, wc.eigs_precision)):
             assert np.allclose(x, y, rtol=1e-12, atol=1e-14)
         assert got.lam == pytest.approx(want.lam, rel=1e-12, abs=1e-14)
+        assert gs.lyapunov_residual == pytest.approx(ws.lyapunov_residual, abs=1e-13)
+        assert gs.lyapunov_residual <= 1e-12 * max(1.0, float(np.max(np.abs(m.a))))
+        assert gc.all_negative_covariance == wc.all_negative_covariance
     assert 0 < n_failed < betas.size
     # No beta of this grid has a stabilizing branch: the steps after the
     # eigenvector seed run on empty stacks.
@@ -285,7 +299,7 @@ def growth_hex(g):
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
-def test_curve_and_slope_match_the_solution_objects(d):
+def test_curve_and_slope_match_the_solution_objects(monkeypatch, d):
     # growth_curve and rate_and_slope read the stacked chain; each value must
     # be, bit for bit, what the per-beta QuadraticSolution of the same grid
     # (or of the same single beta) gives.
@@ -293,7 +307,8 @@ def test_curve_and_slope_match_the_solution_objects(d):
     m = Quadratic(b=rng.normal(scale=0.1, size=d), Bmat=random_hurwitz(rng, d),
                   sigma=np.linalg.cholesky(4.0 * random_spd(rng, d)))
     alpha, r = 0.5, 0.01
-    betas = np.linspace(-2.05, 3.0, 2 * riccati._chunk_size(d) + 3)  # three chunks
+    chunks_of(monkeypatch, 64, d)
+    betas = np.linspace(-2.05, 3.0, 2 * 64 + 3)  # three chunks
     assert np.all(betas != 0.0)
     vp = validate(Problem(m, Preference(alpha), Leverage(1.0), ConstantRate(r)))
     n_failed = 0
@@ -320,7 +335,7 @@ def test_curve_and_slope_match_the_solution_objects(d):
 
 
 def test_curve_points_match_growth_rate_up_to_stack_rounding():
-    # A curve point is solved in a stack of up to 64 betas, growth_rate in a
+    # A curve point is solved in a stack of the whole grid, growth_rate in a
     # stack of one, and the BLAS products of the drift shift round by a
     # member's row in the stack: the two agree in classification, and in
     # value to well below 1e-13 relative.
@@ -344,6 +359,86 @@ def test_curve_points_match_growth_rate_up_to_stack_rounding():
                     assert abs(x - y) <= 1e-13 * abs(y)
                     n_differ += x != y
     assert n_differ > 0  # the gap is real, so the curve docs must state it
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_chunk_size_fits_the_kronecker_budget(d):
+    n = riccati._chunk_size(d)
+    assert n >= 1 and n * d ** 4 <= riccati.KRONECKER_ENTRIES
+    assert n < riccati.SEED_GROUP or n % riccati.SEED_GROUP == 0
+
+
+def counted_chunks(monkeypatch):
+    count = {"chunks": 0}
+    solve_chunk = riccati._solve_chunk
+
+    def counted(*args):
+        count["chunks"] += 1
+        return solve_chunk(*args)
+
+    monkeypatch.setattr(riccati, "_solve_chunk", counted)
+    return count
+
+
+def seeded_model(d, scale=1.0, seed=20261020):
+    rng = np.random.default_rng([seed, d])
+    return Quadratic(b=rng.normal(scale=0.1, size=d), Bmat=random_hurwitz(rng, d),
+                     sigma=np.linalg.cholesky(scale * random_spd(rng, d)))
+
+
+CURVE_BETAS = -3.0 + 0.01 * np.arange(601)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_curve_is_one_stack_at_small_d(monkeypatch, d):
+    count = counted_chunks(monkeypatch)
+    vp = validate(Problem(seeded_model(d), Preference(0.5), Leverage(1.0), ConstantRate(0.01)))
+    assert len(growth_curve(vp, CURVE_BETAS)) == CURVE_BETAS.size
+    assert count["chunks"] == 1
+
+
+def test_curve_memory_stays_within_the_chunk_budget_at_d6(monkeypatch):
+    # At d = 6 a chunk is 50 betas (50 Kronecker matrices of 36 x 36, about
+    # 0.5 MB); the curve's 600 betas off zero are 12 chunks, solved one after
+    # the other.
+    d = 6
+    count = counted_chunks(monkeypatch)
+    vp = validate(Problem(seeded_model(d, 1.0 / (10 * d)), Preference(0.5), Leverage(1.0),
+                          ConstantRate(0.01)))
+    tracemalloc.start()
+    try:
+        points = growth_curve(vp, CURVE_BETAS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(points) == CURVE_BETAS.size and count["chunks"] == 12
+    assert peak < 3 * 2 ** 20  # about 1.1 MB; one stack of all 600 betas takes 7
+
+
+def solution_bytes(sol):
+    """Every field of a QuadraticSolution as bytes, or its error's text."""
+    if isinstance(sol, LetfGrowthError):
+        return f"{type(sol).__name__}: {sol}"
+
+    def flat(x):
+        return b"".join(flat(v) for v in x) if isinstance(x, tuple) else np.asarray(x).tobytes()
+
+    return flat(dataclasses.astuple(sol))
+
+
+def test_solutions_do_not_depend_on_the_chunk_size(monkeypatch):
+    # On this grid some betas have a complex Hamiltonian spectrum and some a
+    # real one, and some have no stabilizing branch.  A batched eig is complex
+    # for its whole stack when any member is; the seed groups keep each V's
+    # rounding the same whether the grid is solved in one chunk or in many.
+    d = 2
+    m = seeded_model(d, seed=7)
+    want = [solution_bytes(s) for s in solve_quadratic_grid(m, 0.5, CURVE_BETAS)]
+    assert 0 < sum(isinstance(w, str) for w in want) < len(want)
+    for n in (64, 128, 320):
+        chunks_of(monkeypatch, n, d)
+        got = [solution_bytes(s) for s in solve_quadratic_grid(m, 0.5, CURVE_BETAS)]
+        assert got == want
 
 
 def unit_model(b):
