@@ -134,10 +134,7 @@ def growth_curve(vp: ValidatedProblem, beta_grid) -> list[GrowthCurvePoint]:
 
     Per-point library errors (e.g. no stabilizing Riccati solution at some
     beta) are collected, not fatal; infinite points are flagged, never
-    interpolated.  Each point is :func:`growth_rate` at its beta, except
-    that the quadratic model solves its Riccati chain in stacks of betas
-    whose BLAS products round by row: its points keep the classification but
-    may differ in the last bits (up to about 2e-14 relative, catalog model).
+    interpolated.  Each point is :func:`growth_rate` at its beta.
     """
     betas = np.asarray(beta_grid, dtype=float)
     if betas.ndim != 1 or betas.size == 0:

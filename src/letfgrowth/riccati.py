@@ -48,18 +48,15 @@ The module needs numpy only.
 
 Every step runs once on a stack of betas: a grid costs a fixed number of
 numpy calls per chunk of ``_chunk_size(d)`` betas, as many as keep a stack
-of d^2 x d^2 Kronecker matrices within 2^16 entries (512 KB), in whole
-groups of SEED_GROUP.  An eig stack is complex when any member is, and
-V = W U^{-1} rounds differently in complex arithmetic, so each group takes
-the complex path exactly when a member needs it.  A failing beta leaves the
-stack with its error; a failed batched solve or eig is rerun per member.
-A chunk's ``_Chain`` holds what the growth rate and its slope read (V, F,
-residual, u, lambda terms, Sigma_inf, precision-form convergence matrix and
-eigenvalues); ``_Chain.solutions``, the one constructor of
-``QuadraticSolution``, adds the mean, Lyapunov residual and covariance
-form.  BLAS rounds the products ``u @ b`` and ``u @ a.T`` by row, so a beta
-solved in a grid may differ in the last bits (about 2e-14 relative on the
-catalog model), never in classification, from the same beta solved alone.
+of d^2 x d^2 Kronecker matrices within 2^16 entries (512 KB).  A failing
+beta leaves the stack with its error; a failed batched solve or eig is
+rerun per member.  A chunk's ``_Chain`` holds what the growth rate and its
+slope read (V, F, residual, u, lambda terms, Sigma_inf, precision-form
+convergence matrix and eigenvalues); ``_Chain.solutions``, the one
+constructor of ``QuadraticSolution``, adds the mean, Lyapunov residual and
+covariance form.  Each row of a stack is computed from its own beta's
+inputs alone, so a beta solved in a grid equals the same beta solved
+alone, bit for bit.
 
 The leverage derivative of lambda comes from the solved chain by Riccati
 sensitivity (``_eigenvalue_slope_stack``): V' solves the Lyapunov equation
@@ -111,7 +108,6 @@ RESIDUAL_TOL = 1e-10
 EIG_MARGIN = 1e-10
 COND_LIMIT = 1e12
 KRONECKER_ENTRIES = 2 ** 16
-SEED_GROUP = 64
 
 
 @dataclass(frozen=True)
@@ -171,9 +167,14 @@ def _max_abs(M: np.ndarray) -> np.ndarray:
 
 def _chunk_size(d: int) -> int:
     """Betas per batched pass: as many as keep a stack of d^2 x d^2 Kronecker
-    matrices within KRONECKER_ENTRIES, rounded down to whole seed groups."""
-    fit = max(1, KRONECKER_ENTRIES // d ** 4)
-    return fit if fit < SEED_GROUP else fit - fit % SEED_GROUP
+    matrices within KRONECKER_ENTRIES."""
+    return max(1, KRONECKER_ENTRIES // d ** 4)
+
+
+def _rows(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x[i] @ M for each row of the stack x, as n separate (1 x d) products:
+    BLAS rounds one (n x d) product by row, differently for n = 1."""
+    return (x[:, None, :] @ M)[:, 0]
 
 
 def _kron_sum(A: np.ndarray) -> np.ndarray:
@@ -265,8 +266,8 @@ def _hamiltonians(a, Bmat, qs):
 
 def _eig_seeds(H, qs):
     """Eigenvectors of each Hamiltonian's d stable eigenvalues from one batched
-    eig (rerun per member if one fails), the members of the SEED_GROUPs with a
-    non-real spectrum or a failure, and an error where it does not split d/d."""
+    eig (rerun per member if one fails), the members whose own spectrum is not
+    real, and an error where it does not split d/d."""
     n, d = len(qs), H.shape[-1] // 2
     errors: list = [None] * n
     try:
@@ -282,11 +283,7 @@ def _eig_seeds(H, qs):
     re = w.real
     stable_first = np.argsort(re, axis=-1)[:, :d]
     Z = np.swapaxes(X[np.arange(n)[:, None], :, stable_first], -1, -2)
-    cplx = np.zeros(n, dtype=bool)
-    if np.iscomplexobj(X):
-        own = (w.imag != 0.0).any(axis=-1) | [exc is not None for exc in errors]
-        cplx = np.logical_or.reduceat(own, np.arange(0, n, SEED_GROUP)).repeat(SEED_GROUP)[:n]
-    return Z, cplx, [exc or (None if k == d else NoStabilizingSolution(
+    return Z, (w.imag != 0.0).any(axis=-1), [exc or (None if k == d else NoStabilizingSolution(
         f"stable eigenspace has dimension {k}, expected {d} (q_coeff={q})"))
         for exc, k, q in zip(errors, (re < 0.0).sum(axis=-1).tolist(), qs.tolist())]
 
@@ -411,10 +408,10 @@ def _eigenvalue_slope_stack(V, F, u, a, Bmat, b, dqs):
                               "Riccati sensitivity system")
     dV = _sym(dV.reshape(n, d, d))
     du, du_errors = _solve_stack(2.0 * V @ a - Bmat.T,
-                                 2.0 * dV @ (b - u @ a.T)[..., None], "2Va - B^T")
+                                 2.0 * dV @ (b - _rows(u, a.T))[..., None], "2Va - B^T")
     du = du[..., 0]
     dlam = (-(du[:, None, :] @ a @ u[:, :, None])[:, 0, 0]
-            + np.trace(a @ dV, axis1=-2, axis2=-1) + du @ b)
+            + np.trace(a @ dV, axis1=-2, axis2=-1) + _rows(du, b))
     return dlam, [e or m for e, m in zip(errors, du_errors)]
 
 
@@ -535,7 +532,7 @@ class _Chain(namedtuple("_Chain", "model alpha betas errors q V F res u uau tr_a
         out = list(self.errors)
         solved = [i for i, exc in enumerate(out) if exc is None]
         a, V, F, sig = self.model.a, self.V, self.F, self.sig
-        lres, mean, errors = _stationary_law(F, a, sig, self.model.b - self.u @ a.T)
+        lres, mean, errors = _stationary_law(F, a, sig, self.model.b - _rows(self.u, a.T))
         c_cov, e_cov = _convergence_form(V, self.alpha, self.betas[solved], sig)
         for j, i in enumerate(solved):
             out[i] = errors[j] or QuadraticSolution(
@@ -557,7 +554,7 @@ def _solve_chunk(model: Quadratic, alpha: float, betas: np.ndarray) -> _Chain:
     V, F, res, u = batch.drop(errors, V, F, res, u)
     # The terms of lambda = -u^T a u / 2 + tr(a V) + u^T b.
     uau = (u[:, None, :] @ a @ u[:, :, None])[:, 0, 0]
-    tr_av, ub = np.trace(a @ V, axis1=-2, axis2=-1), u @ b
+    tr_av, ub = np.trace(a @ V, axis1=-2, axis2=-1), _rows(u, b)
     sig, stat_errors = _stationary_stack(F, a)
     precision, conv_errors = _solve_stack(sig, np.eye(model.d), "stationary covariance")
     c_prec, e_prec = _convergence_form(V, alpha, betas[batch.idx], precision)

@@ -341,7 +341,7 @@ def test_quadratic_optimum_does_not_depend_on_the_bracket(name, alpha):
 @pytest.mark.parametrize("cap", [None, (-3.0, 3.0)], ids=["uncapped", "capped"])
 def test_quadratic_refinement_solves_few_chains(monkeypatch, cap):
     # Riccati chains solved after the scan's growth_curve returns: a few
-    # slope evaluations, each one chain, where a golden section took ~50.
+    # slope evaluations, each one chain.
     count = {"scanned": False, "chains": 0}
     solve_chunk, scan = riccati._solve_chunk, leverage.growth_curve
 

@@ -247,42 +247,6 @@ def chunks_of(monkeypatch, n, d):
     assert riccati._chunk_size(d) == n
 
 
-def test_grid_matches_single_beta_solves(monkeypatch):
-    rng = _rng()
-    d = 4
-    m = Quadratic(b=rng.normal(scale=0.1, size=d), Bmat=random_hurwitz(rng, d),
-                  sigma=np.linalg.cholesky(random_spd(rng, d)))
-    chunks_of(monkeypatch, 64, d)
-    betas = np.linspace(-2.0, 3.0, 2 * 64 + 3)  # three chunks
-    grid = list(solve_quadratic_grid(m, 0.5, betas))
-    assert len(grid) == betas.size
-    n_failed = 0
-    for beta, got in zip(betas, grid):
-        try:
-            want = solve_quadratic_model(m, 0.5, float(beta))
-        except NoStabilizingSolution as exc:
-            assert type(got) is type(exc)
-            n_failed += 1
-            continue
-        assert got.q_coeff == want.q_coeff
-        gs, ws, gc, wc = got.stationary, want.stationary, got.convergence, want.convergence
-        for x, y in ((got.V, want.V), (got.u, want.u), (gs.covariance, ws.covariance),
-                     (gs.mean, ws.mean), (gc.c_covariance, wc.c_covariance),
-                     (gc.eigs_covariance, wc.eigs_covariance),
-                     (gc.eigs_precision, wc.eigs_precision)):
-            assert np.allclose(x, y, rtol=1e-12, atol=1e-14)
-        assert got.lam == pytest.approx(want.lam, rel=1e-12, abs=1e-14)
-        assert gs.lyapunov_residual == pytest.approx(ws.lyapunov_residual, abs=1e-13)
-        assert gs.lyapunov_residual <= 1e-12 * max(1.0, float(np.max(np.abs(m.a))))
-        assert gc.all_negative_covariance == wc.all_negative_covariance
-    assert 0 < n_failed < betas.size
-    # No beta of this grid has a stabilizing branch: the steps after the
-    # eigenvector seed run on empty stacks.
-    m1 = Quadratic(b=[0.0], Bmat=[[-0.3]], sigma=[[1.0]])
-    assert all(isinstance(s, NoStabilizingSolution)
-               for s in solve_quadratic_grid(m1, 0.5, np.linspace(0.1, 0.9, 5)))
-
-
 def growth_from_solution(alpha, beta, r, sol):
     """The classification a QuadraticSolution gives at beta: the precision
     form's top eigenvalue decides, and the rate is alpha r (1 - beta) - lambda
@@ -334,11 +298,9 @@ def test_curve_and_slope_match_the_solution_objects(monkeypatch, d):
         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
 
-def test_curve_points_match_growth_rate_up_to_stack_rounding():
+def test_curve_points_match_growth_rate_bit_for_bit():
     # A curve point is solved in a stack of the whole grid, growth_rate in a
-    # stack of one, and the BLAS products of the drift shift round by a
-    # member's row in the stack: the two agree in classification, and in
-    # value to well below 1e-13 relative.
+    # stack of one; each row of a stack is computed from its own beta alone.
     rng = np.random.default_rng(20261019)
     models = [Quadratic(b=[0.1, -0.05], Bmat=[[-1.0, 0.2], [0.0, -0.8]],
                         sigma=[[0.3, 0.0], [0.1, 0.25]])]
@@ -346,26 +308,18 @@ def test_curve_points_match_growth_rate_up_to_stack_rounding():
         models.append(Quadratic(b=rng.normal(scale=0.1, size=d), Bmat=random_hurwitz(rng, d),
                                 sigma=np.linalg.cholesky(random_spd(rng, d) / (10 * d))))
     betas = -3.0 + 0.01 * np.arange(601)
-    n_differ = 0
     for m in models:
         vp = validate(Problem(m, Preference(0.5), Leverage(1.0), ConstantRate(0.01)))
         for point in growth_curve(vp, betas):
             g = growth_rate(validate(Problem(m, Preference(0.5), Leverage(point.beta),
                                              ConstantRate(0.01))))
-            assert point.growth.classification == g.classification
-            for x, y in ((point.growth.rate, g.rate), (point.growth.condition.lhs,
-                                                       g.condition.lhs)):
-                if y is not None:
-                    assert abs(x - y) <= 1e-13 * abs(y)
-                    n_differ += x != y
-    assert n_differ > 0  # the gap is real, so the curve docs must state it
+            assert growth_hex(point.growth) == growth_hex(g)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_chunk_size_fits_the_kronecker_budget(d):
     n = riccati._chunk_size(d)
     assert n >= 1 and n * d ** 4 <= riccati.KRONECKER_ENTRIES
-    assert n < riccati.SEED_GROUP or n % riccati.SEED_GROUP == 0
 
 
 def counted_chunks(monkeypatch):
@@ -426,19 +380,33 @@ def solution_bytes(sol):
     return flat(dataclasses.astuple(sol))
 
 
-def test_solutions_do_not_depend_on_the_chunk_size(monkeypatch):
-    # On this grid some betas have a complex Hamiltonian spectrum and some a
-    # real one, and some have no stabilizing branch.  A batched eig is complex
-    # for its whole stack when any member is; the seed groups keep each V's
-    # rounding the same whether the grid is solved in one chunk or in many.
-    d = 2
-    m = seeded_model(d, seed=7)
-    want = [solution_bytes(s) for s in solve_quadratic_grid(m, 0.5, CURVE_BETAS)]
-    assert 0 < sum(isinstance(w, str) for w in want) < len(want)
-    for n in (64, 128, 320):
-        chunks_of(monkeypatch, n, d)
-        got = [solution_bytes(s) for s in solve_quadratic_grid(m, 0.5, CURVE_BETAS)]
-        assert got == want
+@pytest.mark.parametrize("chunk", [64, 128, 320, None], ids=["64", "128", "320", "default"])
+def test_grid_matches_single_beta_solves(monkeypatch, chunk):
+    # On the d = 2 grid some betas have a complex Hamiltonian spectrum, some a
+    # real one and some no stabilizing branch.  Every field of each grid
+    # solution, and each error, is the single-beta solve's, at any chunk size.
+    rng = _rng()
+    m4 = Quadratic(b=rng.normal(scale=0.1, size=4), Bmat=random_hurwitz(rng, 4),
+                   sigma=np.linalg.cholesky(random_spd(rng, 4)))
+    m2 = seeded_model(2, seed=7)
+    qs = m2.killing_coeff(0.5, CURVE_BETAS)[0]
+    cplx = riccati._eig_seeds(riccati._hamiltonians(m2.a, m2.Bmat, qs), qs)[1]
+    assert 0 < cplx.sum() < cplx.size
+    if chunk is not None:
+        chunks_of(monkeypatch, chunk, 2)  # d = 4 then takes chunk / 16 betas
+    for m, betas in ((m2, CURVE_BETAS), (m4, np.linspace(-2.0, 3.0, 2 * 64 + 3))):
+        grid = list(solve_quadratic_grid(m, 0.5, betas))
+        want = [next(solve_quadratic_grid(m, 0.5, [beta])) for beta in betas.tolist()]
+        assert [solution_bytes(s) for s in grid] == [solution_bytes(s) for s in want]
+        solved = [s for s in grid if not isinstance(s, LetfGrowthError)]
+        assert 0 < len(solved) < betas.size
+        assert all(s.stationary.lyapunov_residual <= 1e-12 * max(1.0, float(np.max(np.abs(m.a))))
+                   for s in solved)
+    # No beta of this grid has a stabilizing branch: the steps after the
+    # eigenvector seed run on empty stacks.
+    m1 = Quadratic(b=[0.0], Bmat=[[-0.3]], sigma=[[1.0]])
+    assert all(isinstance(s, NoStabilizingSolution)
+               for s in solve_quadratic_grid(m1, 0.5, np.linspace(0.1, 0.9, 5)))
 
 
 def unit_model(b):
