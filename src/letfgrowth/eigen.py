@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -213,9 +213,8 @@ class ExpQuadratic:
 EigenFunction = Union[Constant, Power, ExpLinear, ExpLinearPower, ExpQuadratic]
 
 
-@dataclass(frozen=True)
-class Eigenpair:
-    """Eigenvalue, eigenfunction, and the auxiliary exponent where one exists."""
+class Eigenpair(NamedTuple):
+    """Eigenvalue, eigenfunction and, where one exists, the auxiliary exponent (a named tuple)."""
 
     lam: float
     phi: EigenFunction

@@ -30,8 +30,7 @@ identity exact in floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -54,12 +53,13 @@ __all__ = [
 BOUNDARY_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FinitenessCondition:
+class FinitenessCondition(NamedTuple):
     """The strict inequality lhs > threshold deciding finiteness.
 
     ``near_boundary`` is set when the two sides agree to 1e-12 relative;
-    such points sit on the infinite branch but deserve suspicion.
+    such points sit on the infinite branch but deserve suspicion.  The records
+    built per curve point (this, ``GrowthRate``, ``GrowthCurvePoint``,
+    ``eigen.Eigenpair``) are named tuples: immutable and cheap to build.
     """
 
     description: str
@@ -72,20 +72,18 @@ class FinitenessCondition:
 def _condition(description: str, lhs: float, threshold: float) -> FinitenessCondition:
     scale = max(1.0, abs(lhs), abs(threshold))
     near = abs(lhs - threshold) <= BOUNDARY_REL_TOL * scale
-    return FinitenessCondition(description=description, lhs=lhs, threshold=threshold,
-                               satisfied=(lhs > threshold) and not near,
-                               near_boundary=near)
+    return FinitenessCondition(description, lhs, threshold, (lhs > threshold) and not near, near)
 
 
 _ALWAYS = FinitenessCondition("finite for all admissible parameters", 1.0, 0.0, True)
 
 
-@dataclass(frozen=True)
-class GrowthRate:
+class GrowthRate(NamedTuple):
     """Classified growth rate with its decision condition and decomposition.
 
     ``components`` holds the named additive terms of the closed form; they
-    sum to ``rate`` whenever the classification is finite.
+    sum to ``rate`` whenever the classification is finite.  An immutable
+    named tuple whose ``components`` dict is fresh for each result.
     """
 
     classification: str  # "finite" | "infinite"
@@ -122,8 +120,9 @@ def growth_rate(vp: ValidatedProblem) -> GrowthRate:
     return vp.model.growth_rate(vp.alpha, vp.beta, vp.r)
 
 
-@dataclass(frozen=True)
-class GrowthCurvePoint:
+class GrowthCurvePoint(NamedTuple):
+    """One beta of a curve: its growth rate, or the library error raised there."""
+
     beta: float
     growth: GrowthRate | None
     error: str | None = None

@@ -20,7 +20,8 @@ path both run: exact lognormal GBM over checkpoint gaps; log-Euler GARCH
 (also the reciprocal of inverse GARCH); full-truncation Euler for
 dx = (c0 + c1 x) dt + s sqrt(x) dZ (extended CIR, the Heston variance and
 the reciprocal CIR states of the 3/2 models, the 3/2-SV one floored at
-RECIP_VARIANCE_FLOOR, which caps v at 1e6); the exact joint Vasicek law of
+RECIP_VARIANCE_FLOOR, which caps v at 1e6; every step that its floor clamps
+counts in ``truncation_fraction``); the exact joint Vasicek law of
 (r, int r ds), with the reference's dB for the growth path; log-Euler for
 the inverse-GARCH rate; exact OU steps for the quadratic state.  One table
 maps each kind to its scheme label, desk steps per year and its two paths.
@@ -75,7 +76,7 @@ __all__ = [
 
 STATE_FLOOR = 1e-12
 # The 3/2-SV reciprocal variance w is floored here before v = 1/w is formed,
-# which caps the simulated variance at 1e6.
+# which caps the simulated variance at 1e6; each floored step is a truncation.
 RECIP_VARIANCE_FLOOR = 1e-6
 TRUNCATION_BUDGET = 0.01  # fraction of (path, step) events
 OVERFLOW_BUDGET = 1e-3    # fraction of paths per checkpoint
@@ -440,7 +441,7 @@ def _growth_sv(m, cfg, cols, draw, emit, inverse):
     if inverse:
         # 3/2-SV steps w = 1/v, a CIR process; dw = ... - delta sqrt(w) dZ
         # carries the minus sign, so its normal is the Z increment itself.
-        floor, x0, coeffs = STATE_FLOOR, 1.0 / m.v0, (a + de * de, -th, -de)
+        floor, x0, coeffs = RECIP_VARIANCE_FLOOR, 1.0 / m.v0, (a + de * de, -th, -de)
     else:
         floor, x0, coeffs = 0.0, m.v0, (th, -a, de)
     trunc = 0

@@ -93,6 +93,18 @@ def test_perturbed_eigenvalue_is_detected():
     assert res.max_abs_residual > 1e-3
 
 
+def test_eigenpair_record_fields_defaults_and_immutability():
+    assert Eigenpair._fields == ("lam", "phi", "kappa")
+    assert Eigenpair._field_defaults == {"kappa": None}
+    pair = Eigenpair(-0.03, Power(1.0))
+    assert pair.kappa is None
+    assert pair == Eigenpair(lam=-0.03, phi=Power(1.0), kappa=None)
+    assert Eigenpair(0.1, Constant(), 0.5).kappa == 0.5
+    for name in Eigenpair._fields:
+        with pytest.raises(AttributeError):
+            setattr(pair, name, 0.0)
+
+
 ALPHAS = (0.3, 0.7, 1.0)
 BETAS = (-3.0, 2.0, 3.0)
 

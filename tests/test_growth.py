@@ -8,6 +8,10 @@ from scipy import integrate
 
 from letfgrowth.errors import ConditionUnmet, LetfGrowthError
 from letfgrowth.growth import (
+    _ALWAYS,
+    FinitenessCondition,
+    GrowthCurvePoint,
+    GrowthRate,
     cir_exponential_moment_growth,
     display_growth_value,
     growth_curve,
@@ -251,6 +255,72 @@ def test_components_are_a_fresh_dict_per_result(kind):
         g.components["mutated"] = 1.0
     assert growth_rate(vp).components == want_rate
     assert [p.growth.components for p in growth_curve(vp, betas)] == want_curve
+
+
+# ---------------------------------------------------------------------------
+# Per-point records
+# ---------------------------------------------------------------------------
+
+RECORDS = [
+    (FinitenessCondition, ("description", "lhs", "threshold", "satisfied", "near_boundary"),
+     {"near_boundary": False}, ("x > 0", 1.0, 0.0, True)),
+    (GrowthRate, ("classification", "rate", "condition", "components"), {},
+     ("finite", 0.1, _ALWAYS, {"rate_term": 0.1})),
+    (GrowthCurvePoint, ("beta", "growth", "error"), {"error": None}, (2.0, None)),
+]
+
+
+@pytest.mark.parametrize("cls, names, defaults, args", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_point_record_fields_defaults_and_immutability(cls, names, defaults, args):
+    assert cls._fields == names
+    assert cls._field_defaults == defaults
+    rec = cls(*args)
+    assert rec == cls(**dict(zip(names, args)))
+    assert [getattr(rec, n) for n in names] == list(args) + list(defaults.values())
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+
+
+def test_shared_always_finite_condition_is_read_only():
+    with pytest.raises(AttributeError):
+        _ALWAYS.satisfied = False
+
+
+def test_growth_rate_is_finite_follows_classification():
+    assert GrowthRate("finite", 0.1, _ALWAYS, {"rate_term": 0.1}).is_finite
+    assert not GrowthRate("infinite", None, _ALWAYS, {}).is_finite
+
+
+def _hexed(g):
+    c = g.condition
+    return (g.classification, None if g.rate is None else g.rate.hex(), c.description,
+            float(c.lhs).hex(), float(c.threshold).hex(), c.satisfied, c.near_boundary,
+            {k: float(v).hex() for k, v in g.components.items()})
+
+
+@pytest.mark.parametrize("kind", [k for k in BASE_MODELS if k != "quadratic"])
+def test_scalar_curve_points_equal_growth_rate_in_float_hex(kind):
+    # At alpha = 1 the grid reaches past the finite region of four kinds;
+    # it includes beta = 0.
+    vp = vp_of(BASE_MODELS[kind], alpha=1.0)
+    betas = np.linspace(-60.0, 60.0, 481)
+    assert 0.0 in betas
+    infinite = 0
+    for p in growth_curve(vp, betas):
+        try:
+            g, err = growth_rate(vp.with_beta(p.beta)), None
+        except LetfGrowthError as exc:
+            g, err = None, f"{type(exc).__name__}: {exc}"
+        assert p.error == err
+        if err is None:
+            assert _hexed(p.growth) == _hexed(g)
+            infinite += not g.is_finite
+        else:
+            assert p.growth is None
+    lo, hi, _ = vp.model.interval(vp.alpha)
+    assert (infinite > 0) == (lo > betas[0] or hi < betas[-1])
 
 
 # ---------------------------------------------------------------------------

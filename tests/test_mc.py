@@ -32,6 +32,7 @@ from letfgrowth.models import (
     HestonSV,
     MODEL_KINDS,
     Quadratic,
+    ThreeHalvesSV,
     validate,
 )
 
@@ -142,6 +143,30 @@ def test_scheme_unstable_raises_on_heavy_truncation():
     vp = vp_of(m, relax=True)
     with pytest.raises(SchemeUnstable):
         simulate_growth(vp, cfg_for(horizon=2.0, n_paths=2000))
+
+
+def test_three_halves_sv_counts_every_clamped_step(monkeypatch):
+    # The 3/2-SV stepper floors the reciprocal variance w at
+    # RECIP_VARIANCE_FLOOR before forming v = 1/w.  Recount, on the
+    # stepper's own output, the steps where that floor changes max(w, 0):
+    # each is a truncation, also the ones with 0 <= w < floor.
+    clamped = below_state_floor = 0
+    stepper = mc._sqrt_euler
+
+    def recount(draw, cfg, *args):
+        nonlocal clamped, below_state_floor
+        for out in stepper(draw, cfg, *args):
+            w, wp = out[0], out[1]
+            clamped += int(np.count_nonzero(np.maximum(wp, mc.RECIP_VARIANCE_FLOOR) != wp))
+            below_state_floor += int(np.count_nonzero(w < mc.STATE_FLOOR))
+            yield out
+
+    monkeypatch.setattr(mc, "_sqrt_euler", recount)
+    m = ThreeHalvesSV(mu=0.05, theta=10.0, a=1e-4, delta=0.01, rho=-0.5, v0=1e4)
+    cfg = cfg_for(horizon=1.0, steps_per_year=50, n_paths=2000, seed=7)
+    est = simulate_growth(vp_of(m), cfg)
+    assert clamped > below_state_floor > 0
+    assert round(est.truncation_fraction * cfg.n_paths * cfg.n_steps) == clamped
 
 
 def test_verdict_logic():
