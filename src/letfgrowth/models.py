@@ -754,9 +754,10 @@ class Quadratic(_Model):
 
     def check(self, relax: bool, warnings: list[str]) -> None:
         d = self.d
-        if self.Bmat.shape != (d, d) or self.sigma.shape != (d, d):
-            raise ParameterViolation("Bmat/sigma", "d x d matrices",
-                                     f"b has length {d}, Bmat {self.Bmat.shape}, "
+        if self.b.ndim != 1 or self.Bmat.shape != (d, d) or self.sigma.shape != (d, d):
+            shape = "b a vector, Bmat and sigma d x d"
+            raise ParameterViolation("b/Bmat/sigma", shape, f"{shape} fails: b has shape "
+                                     f"{self.b.shape}, Bmat {self.Bmat.shape}, "
                                      f"sigma {self.sigma.shape}")
         eig_min = float(np.linalg.eigvalsh(self.a).min())
         if not eig_min > 0.0:

@@ -23,14 +23,15 @@ subspace of dimension d exists exactly when a stabilizing solution does.)
 The basis is seeded by eigenvectors (Potter 1966): one batched
 ``np.linalg.eig`` of the stack of Hamiltonians gives each beta's spectrum,
 and the d eigenvectors whose eigenvalues have negative real part span the
-stable subspace.  They are complex where eigenvalues pair up off the real
-axis, but the subspace is closed under conjugation, so V is real up to
-rounding; its real part is kept once its imaginary part and its asymmetry
-are both negligible.  At q = 0 with B Hurwitz the stable subspace is
-exactly span [I; 0], so those betas take that basis (V = 0) instead: a
-defective B has too few eigenvectors to span it.  A Newton step then
-polishes V to full accuracy: with F = B - 2 a V it solves the Sylvester
-equation F^T E + E F = R(V) for the correction E, written as the
+stable subspace.  Where eigenvalues pair up off the real axis the subspace
+is closed under conjugation, so each conjugate pair of eigenvectors
+(v, conj v) is replaced by (Re v, Im conj v), which spans the same real
+subspace (Laub 1979): the basis, and V, are real for every beta.  V is
+kept once its asymmetry is negligible.  At q = 0 with B Hurwitz the stable
+subspace is exactly span [I; 0], so those betas take that basis (V = 0)
+instead: a defective B has too few eigenvectors to span it.  A Newton step
+then polishes V to full accuracy: with F = B - 2 a V it solves the
+Sylvester equation F^T E + E F = R(V) for the correction E, written as the
 d^2 x d^2 linear system (F^T (x) I + I (x) F^T) vec E = vec R.  A V whose
 scaled residual still fails the gate is polished again, at most three
 more times.  The closed loop must then be Hurwitz.  The Lyapunov equation
@@ -39,7 +40,7 @@ Kronecker form.
 
 The eigenvector seed is the only one.  A beta that fails a check -- the
 spectrum does not split d/d, U is ill-conditioned or singular, V is not
-real symmetric, the polish misses the gate, or the closed loop is not
+symmetric, the polish misses the gate, or the closed loop is not
 Hurwitz -- keeps the error of that check, and the errors of the seed and
 of the Hurwitz test name its q_coeff.  The anti-stabilizing branch,
 used by negative tests only, is the stabilizing solution for -B mirrored:
@@ -202,7 +203,7 @@ def _solve_stack(A: np.ndarray, rhs: np.ndarray, what: str):
     except np.linalg.LinAlgError:
         pass
     rhs = np.broadcast_to(rhs, A.shape[:-1] + rhs.shape[-1:])
-    x = np.full(rhs.shape, np.nan, dtype=np.result_type(A, rhs))
+    x = np.full(rhs.shape, np.nan)
     errors: list = [None] * len(A)
     for i in range(len(A)):
         try:
@@ -265,9 +266,10 @@ def _hamiltonians(a, Bmat, qs):
 
 
 def _eig_seeds(H, qs):
-    """Eigenvectors of each Hamiltonian's d stable eigenvalues from one batched
-    eig (rerun per member if one fails), the members whose own spectrum is not
-    real, and an error where it does not split d/d."""
+    """A real basis of each Hamiltonian's stable invariant subspace from one
+    batched eig (rerun per member if one fails), and an error where the
+    spectrum does not split d/d.  A conjugate pair of stable eigenvectors
+    (v, conj v) becomes (Re v, Im conj v), which spans the same subspace."""
     n, d = len(qs), H.shape[-1] // 2
     errors: list = [None] * n
     try:
@@ -281,9 +283,10 @@ def _eig_seeds(H, qs):
                 errors[i] = NoStabilizingSolution(
                     f"eigendecomposition failed (q_coeff={qs[i]}): {exc}")
     re = w.real
-    stable_first = np.argsort(re, axis=-1)[:, :d]
-    Z = np.swapaxes(X[np.arange(n)[:, None], :, stable_first], -1, -2)
-    return Z, (w.imag != 0.0).any(axis=-1), [exc or (None if k == d else NoStabilizingSolution(
+    rows, stable_first = np.arange(n)[:, None], np.argsort(re, axis=-1)[:, :d]
+    Z = np.swapaxes(X[rows, :, stable_first], -1, -2)
+    Z = np.where(w[rows, stable_first].imag[:, None, :] < 0.0, Z.imag, Z.real)
+    return Z, [exc or (None if k == d else NoStabilizingSolution(
         f"stable eigenspace has dimension {k}, expected {d} (q_coeff={q})"))
         for exc, k, q in zip(errors, (re < 0.0).sum(axis=-1).tolist(), qs.tolist())]
 
@@ -300,12 +303,6 @@ def _subspace_solutions(Z, d: int, batch: _Batch):
     asym = _max_abs(V - np.swapaxes(V, -1, -2))
     (V,) = batch.keep(asym <= 1e-6 * np.maximum(1.0, _max_abs(V)), lambda s: (
         NoStabilizingSolution(f"subspace solution not symmetric (skew {s:.3e})")), asym, V)
-    if np.iscomplexobj(V):
-        imag = _max_abs(V.imag)
-        (V,) = batch.keep(imag <= 1e-6 * np.maximum(1.0, _max_abs(V)), lambda s: (
-            NoStabilizingSolution(f"subspace solution not real (imaginary part {s:.3e})")),
-            imag, V)
-        V = V.real
     return _sym(V)
 
 
@@ -341,19 +338,6 @@ def _polish(V, a, Bmat, qs, batch: _Batch):
         f"Riccati residual {r:.3e} after refinement"), res, V, res)
 
 
-def _subspace_split(Z, cplx, d: int, batch: _Batch):
-    """``_subspace_solutions``, in complex arithmetic exactly where ``cplx`` holds."""
-    if not cplx.any() or cplx.all():
-        return _subspace_solutions(Z if cplx.any() else Z.real, d, batch)
-    idx, parts = batch.idx, []
-    for mask, Zm in ((~cplx, Z[~cplx].real), (cplx, Z[cplx])):
-        batch.idx = idx[mask]
-        parts.append((_subspace_solutions(Zm, d, batch), batch.idx))
-    V, idx = (np.concatenate(stacks) for stacks in zip(*parts))
-    batch.idx = idx[order := np.argsort(idx)]
-    return V[order]
-
-
 def _riccati_stack(a, Bmat, qs, batch: _Batch):
     """V, closed loop and residual of the stabilizing branch for each q.
 
@@ -361,7 +345,7 @@ def _riccati_stack(a, Bmat, qs, batch: _Batch):
     check leaves it with that check's error.
     """
     d = Bmat.shape[0]
-    Z, cplx, errors = _eig_seeds(_hamiltonians(a, Bmat, qs), qs)
+    Z, errors = _eig_seeds(_hamiltonians(a, Bmat, qs), qs)
     zero = np.flatnonzero(qs == 0.0)
     if zero.size and np.linalg.eigvals(Bmat).real.max() < 0.0:
         # The stable subspace is then exactly span [I; 0] (V = 0), which a
@@ -369,8 +353,8 @@ def _riccati_stack(a, Bmat, qs, batch: _Batch):
         Z[zero] = np.eye(2 * d, d)
         for i in zero.tolist():
             errors[i] = None
-    Z, cplx = batch.drop(errors, Z, cplx)
-    V, res = _polish(_subspace_split(Z, cplx, d, batch), a, Bmat, qs, batch)
+    (Z,) = batch.drop(errors, Z)
+    V, res = _polish(_subspace_solutions(Z, d, batch), a, Bmat, qs, batch)
     F = Bmat - 2.0 * a @ V
     return batch.keep(np.linalg.eigvals(F).real.max(axis=-1) < 0.0, lambda q: (
         NoStabilizingSolution(f"closed loop is not Hurwitz (q_coeff={q})")),

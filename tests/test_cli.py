@@ -181,6 +181,18 @@ QUAD_TEXT = json.dumps(QUAD)
                  "0 < alpha <= 1 fails: got 1.5", id="alpha_above_one"),
     pytest.param(GBM_TEXT.replace('"beta": 2.0', '"beta": NaN'), False,
                  "beta must be finite, got nan", id="beta_nan"),
+    pytest.param(QUAD_TEXT.replace("[0.1, -0.05]", "[[0.1], [-0.05]]"), True,
+                 "b has shape (2, 1)", id="quadratic_b_column"),
+    pytest.param(json.dumps([GBM]), False, "configuration must be a JSON object",
+                 id="top_level_list"),
+    pytest.param(json.dumps({k: v for k, v in GBM.items() if k != "alpha"}), False,
+                 "missing required key 'alpha'", id="alpha_missing"),
+    pytest.param(json.dumps({**GBM, "model": "gbm"}), False, "'model' must be an object",
+                 id="model_string"),
+    pytest.param(json.dumps({**GBM, "model": {"mu": 0.05, "sigma": 0.2}}), False,
+                 "'model' needs a 'kind' field", id="kind_missing"),
+    pytest.param(json.dumps({**GBM, "model": {"kind": "gbm", "mu": 0.05}}), False,
+                 "model 'gbm' is missing fields: ['sigma']", id="sigma_missing"),
 ])
 def test_config_validation_exit_code(tmp_path, capsys, text, relax, message):
     # Malformed or non-finite configuration values are configuration errors
@@ -215,6 +227,22 @@ def test_malformed_option_exit_code(gbm_cfg, capsys, argv):
     # message, not a traceback.
     assert cli.main(argv + ["--config", str(gbm_cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: --")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["growth", "--beta-grid=0:1"], "--beta-grid expects lo:hi:step, got '0:1'"),
+    (["growth", "--beta-grid=0:1:x"], "--beta-grid expects lo:hi:step, got '0:1:x'"),
+    (["optimal", "--cap=1"], "--cap expects lo:hi, got '1'"),
+    (["optimal", "--cap=a:b"], "--cap expects lo:hi, got 'a:b'"),
+    # Empty parts are skipped; the value after them is still read.
+    (["verify", "--sim=,,t=abc"], "--sim ',,t=abc'"),
+    (["verify", "--sim=paths"], "--sim expects k=v pairs, got 'paths'"),
+    (["verify", "--sim=t=1=2"], "--sim expects k=v pairs, got 't=1=2'"),
+    (["verify", "--sim=t=1,horizon=1"], "unknown --sim keys: ['horizon']"),
+])
+def test_option_format_errors_name_the_value(gbm_cfg, capsys, argv, message):
+    assert cli.main(argv + ["--config", str(gbm_cfg)]) == 2
+    assert message in capsys.readouterr().err
 
 
 # Exit code of every library error a subcommand can raise.

@@ -376,6 +376,44 @@ def test_quadratic_derivative_solves_one_chain(monkeypatch):
     assert count["chains"] == 1
 
 
+def recorded(slope):
+    """``slope`` and the list of the points it is evaluated at, in order."""
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return slope(x)
+
+    return f, seen
+
+
+def test_slope_root_at_a_zero_slope_is_the_scan_maximum():
+    assert leverage._slope_root(lambda x: 1.0 - x, [0.0, 1.0, 2.0], 1) == 1.0
+
+
+def test_slope_root_without_a_sign_change_at_the_neighbour_is_none():
+    # Rising at grid[1] and at grid[2], the neighbour it rises towards.
+    slope, seen = recorded(lambda x: 1.0 + x)
+    assert leverage._slope_root(slope, [0.0, 1.0, 2.0], 1) is None
+    assert seen == [1.0, 2.0]
+
+
+def test_slope_root_bisects_where_the_secant_point_rounds_onto_the_bracket():
+    # Against s(1) = -0.75, s(0) = 1e-300 puts the secant point at
+    # 1 - 1/(1 + 1e-300), which rounds onto the end 0; so does the next one.
+    slope, seen = recorded(lambda x: 1e-300 if x == 0.0 else 0.25 - x)
+    assert leverage._slope_root(slope, [0.0, 1.0], 0) == 0.25
+    assert seen == [0.0, 1.0, 0.5, 0.25]
+
+
+def test_slope_root_stops_once_the_bracket_is_within_root_tol():
+    # One bisection halves a bracket of 1.5 ROOT_TOL; the last point is taken.
+    x1 = 1.5 * leverage.ROOT_TOL
+    slope, seen = recorded(lambda x: 1e-300 if x == 0.0 else -1.0)
+    assert leverage._slope_root(slope, [0.0, x1], 0) == 0.5 * x1
+    assert seen == [0.0, x1, 0.5 * x1]
+
+
 def test_quadratic_no_finite_region():
     m = Quadratic(b=[0.0], Bmat=[[-0.5]], sigma=[[1.0]])
     vp = vp_of(m, alpha=1.0)

@@ -135,6 +135,21 @@ def test_quadratic_requires_spd_diffusion():
         validate(prob(singular))
 
 
+@pytest.mark.parametrize("b, Bmat, sigma", [
+    (np.zeros((2, 2)), -np.eye(2), np.eye(2)),
+    ([[0.1], [-0.05]], -np.eye(2), np.eye(2)),
+    ([0.1, -0.05], -np.eye(3), np.eye(2)),
+    ([0.1, -0.05], -np.eye(2), np.eye(2)[:, :1]),
+], ids=["b_matrix", "b_column", "Bmat_3x3", "sigma_2x1"])
+def test_quadratic_shapes_are_structural(b, Bmat, sigma):
+    # A b that is not a vector, or a Bmat or sigma that is not d x d, is
+    # refused in strict and relaxed mode alike.
+    for relax in (False, True):
+        with pytest.raises(ParameterViolation) as exc:
+            validate(prob(Quadratic(b=b, Bmat=Bmat, sigma=sigma)), relax=relax)
+        assert exc.value.field == "b/Bmat/sigma"
+
+
 def test_rate_positive_unless_relaxed():
     with pytest.raises(ParameterViolation):
         validate(prob(BASE_MODELS["gbm"], r=0.0))

@@ -8,7 +8,13 @@ import pytest
 import scipy.linalg
 
 from letfgrowth import riccati
-from letfgrowth.errors import LetfGrowthError, NoStabilizingSolution, NotHurwitz, SingularSystem
+from letfgrowth.errors import (
+    IllConditioned,
+    LetfGrowthError,
+    NoStabilizingSolution,
+    NotHurwitz,
+    SingularSystem,
+)
 from letfgrowth.growth import _classified, _condition, growth_curve, growth_rate
 from letfgrowth.models import ConstantRate, Leverage, Preference, Problem, Quadratic, validate
 from letfgrowth.riccati import (
@@ -188,10 +194,14 @@ def test_defective_drift_curve_solves_at_beta_one():
     assert point.error is None and point.growth.is_finite
 
 
+# A d = 2 model that solves at every beta of its grid (q != 0 at each).
+SOLVED_MODEL = Quadratic(b=[0.1, -0.05], Bmat=[[-1.0, 0.2], [0.0, -0.8]],
+                         sigma=[[0.3, 0.0], [0.1, 0.25]])
+SOLVED_BETAS = np.linspace(-2.0, 3.0, 24)
+
+
 def test_eig_failure_is_retried_member_by_member(monkeypatch):
-    m = Quadratic(b=[0.1, -0.05], Bmat=[[-1.0, 0.2], [0.0, -0.8]],
-                  sigma=[[0.3, 0.0], [0.1, 0.25]])
-    betas = np.linspace(-2.0, 3.0, 24)  # q != 0 at every beta
+    m, betas = SOLVED_MODEL, SOLVED_BETAS
     want = list(solve_quadratic_grid(m, 0.5, betas))
     assert not any(isinstance(w, LetfGrowthError) for w in want)
     eig = np.linalg.eig
@@ -390,7 +400,7 @@ def test_grid_matches_single_beta_solves(monkeypatch, chunk):
                    sigma=np.linalg.cholesky(random_spd(rng, 4)))
     m2 = seeded_model(2, seed=7)
     qs = m2.killing_coeff(0.5, CURVE_BETAS)[0]
-    cplx = riccati._eig_seeds(riccati._hamiltonians(m2.a, m2.Bmat, qs), qs)[1]
+    cplx = (np.linalg.eigvals(riccati._hamiltonians(m2.a, m2.Bmat, qs)).imag != 0.0).any(axis=-1)
     assert 0 < cplx.sum() < cplx.size
     if chunk is not None:
         chunks_of(monkeypatch, chunk, 2)  # d = 4 then takes chunk / 16 betas
@@ -407,6 +417,90 @@ def test_grid_matches_single_beta_solves(monkeypatch, chunk):
     m1 = Quadratic(b=[0.0], Bmat=[[-0.3]], sigma=[[1.0]])
     assert all(isinstance(s, NoStabilizingSolution)
                for s in solve_quadratic_grid(m1, 0.5, np.linspace(0.1, 0.9, 5)))
+
+
+def test_chain_runs_in_real_arithmetic(monkeypatch):
+    # Some betas of this d = 2 grid have a real Hamiltonian spectrum and some
+    # a stable conjugate pair of eigenvalues; the seed's basis is real either
+    # way, so no complex array reaches a cond or solve of the chain.
+    m2 = seeded_model(2)
+    qs = m2.killing_coeff(0.5, CURVE_BETAS)[0]
+    w = np.linalg.eigvals(riccati._hamiltonians(m2.a, m2.Bmat, qs))
+    split = (w.real < 0.0).sum(axis=-1) == 2
+    cplx = (w.imag != 0.0).any(axis=-1)
+    assert (split & cplx).any() and (split & ~cplx).any()
+    seen = []
+    for name in ("cond", "solve"):
+        def recorded(*args, _f=getattr(np.linalg, name)):
+            seen.extend(np.asarray(x).dtype for x in args)
+            return _f(*args)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    assert any(not isinstance(s, LetfGrowthError)
+               for s in solve_quadratic_grid(m2, 0.5, CURVE_BETAS))
+    assert seen and all(dt == np.float64 for dt in seen)
+
+
+def same_but(i, got, want):
+    """Every solution or error of ``got`` but the i-th is ``want``'s, byte for byte."""
+    return ([solution_bytes(s) for j, s in enumerate(got) if j != i]
+            == [solution_bytes(s) for j, s in enumerate(want) if j != i])
+
+
+def knocked_newton_steps(monkeypatch, member, knock_later):
+    """Wrap the Newton step to move ``member`` of the first stack 1e-3 off
+    its result, and every member of each later (re-polish) stack too when
+    ``knock_later`` is set; returns the size of each stack stepped."""
+    step, sizes = riccati._newton_step, []
+
+    def knocked(V, a, Bmat, qs):
+        V, errors = step(V, a, Bmat, qs)
+        target = member if not sizes else slice(None) if knock_later else None
+        sizes.append(len(V))
+        if target is not None:
+            V[target] += 1e-3 * np.array([[1.0, 0.5], [0.5, 1.0]])
+        return V, errors
+
+    monkeypatch.setattr(riccati, "_newton_step", knocked)
+    return sizes
+
+
+def test_member_left_above_the_gate_is_polished_again(monkeypatch):
+    want = list(solve_quadratic_grid(SOLVED_MODEL, 0.5, SOLVED_BETAS))
+    sizes = knocked_newton_steps(monkeypatch, 5, knock_later=False)
+    got = list(solve_quadratic_grid(SOLVED_MODEL, 0.5, SOLVED_BETAS))
+    assert sizes[0] == SOLVED_BETAS.size and 1 < len(sizes) <= 4 and set(sizes[1:]) == {1}
+    assert same_but(5, got, want)
+    scale = max(1.0, float(np.max(np.abs(SOLVED_MODEL.a)))
+                * max(1.0, float(np.max(np.abs(got[5].V)))) ** 2)
+    assert got[5].riccati.residual <= riccati.RESIDUAL_TOL * scale
+    assert np.allclose(got[5].V, want[5].V, rtol=1e-9, atol=1e-12)
+
+
+def test_member_that_never_passes_the_gate_fails_alone(monkeypatch):
+    want = list(solve_quadratic_grid(SOLVED_MODEL, 0.5, SOLVED_BETAS))
+    sizes = knocked_newton_steps(monkeypatch, 5, knock_later=True)
+    got = list(solve_quadratic_grid(SOLVED_MODEL, 0.5, SOLVED_BETAS))
+    assert sizes == [SOLVED_BETAS.size, 1, 1, 1]
+    assert isinstance(got[5], IllConditioned)
+    assert str(got[5]).startswith("Riccati residual") and "after refinement" in str(got[5])
+    assert same_but(5, got, want)
+
+
+def test_drift_shift_residual_failure_fails_that_beta_alone(monkeypatch):
+    want = list(solve_quadratic_grid(SOLVED_MODEL, 0.5, SOLVED_BETAS))
+    solve_stack = riccati._solve_stack
+
+    def off_by_one(A, rhs, what):
+        x, errors = solve_stack(A, rhs, what)
+        if what == "2Va - B^T":
+            x[7] += 1.0
+        return x, errors
+
+    monkeypatch.setattr(riccati, "_solve_stack", off_by_one)
+    got = list(solve_quadratic_grid(SOLVED_MODEL, 0.5, SOLVED_BETAS))
+    assert isinstance(got[7], SingularSystem)
+    assert str(got[7]).startswith("drift-shift system residual")
+    assert same_but(7, got, want)
 
 
 def unit_model(b):
