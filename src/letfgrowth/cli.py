@@ -33,7 +33,7 @@ from .errors import ConfigError, LetfGrowthError, NumericalError
 from .eigen import default_grid, eigenpair, generator_residual
 from .growth import GrowthCurvePoint, growth_curve, growth_rate
 from .leverage import optimal_beta
-from .mc import SimConfig, desk_config, simulate_growth, verdict_for
+from .mc import SimConfig, _scheme_for, desk_config, simulate_growth, verdict_for
 from .models import (
     ConstantRate,
     GbmVasicek,
@@ -154,11 +154,16 @@ def _parse_sim(spec: str | None, kind: str) -> SimConfig:
         raise ConfigError(f"unknown --sim keys: {sorted(unknown)}")
     try:
         horizon = float(fields.get("t", base.horizon))
-        n_steps = int(fields.get("steps", round(base.n_steps * horizon / base.horizon)))
+        # Without steps, the desk density at that horizon: a stepped kind's
+        # steps per year, an exact kind's one step per checkpoint gap.
+        n_steps = (int(fields["steps"]) if "steps" in fields
+                   else desk_config(kind, horizon=horizon).n_steps)
         n_paths = int(fields.get("paths", base.n_paths))
         sim_seed = int(fields.get("seed", base.seed))
-        return SimConfig(horizon=horizon, n_steps=n_steps, n_paths=n_paths,
-                         seed=sim_seed)
+        cfg = SimConfig(horizon=horizon, n_steps=n_steps, n_paths=n_paths,
+                        seed=sim_seed)
+        _scheme_for(kind, cfg)  # a stepped kind below its floor raises
+        return cfg
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"--sim {spec!r}: {exc}") from exc
 

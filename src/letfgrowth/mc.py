@@ -25,6 +25,8 @@ counts in ``truncation_fraction``); the exact joint Vasicek law of
 (r, int r ds), with the reference's dB for the growth path; log-Euler for
 the inverse-GARCH rate; exact OU steps for the quadratic state.  One table
 maps each kind to its scheme label, desk steps per year and its two paths.
+A stepped scheme needs MIN_STEPS_PER_YEAR steps a year; the Vasicek one,
+exact at any step length, runs one step per checkpoint gap at desk scale.
 
 Determinism
 -----------
@@ -81,6 +83,8 @@ RECIP_VARIANCE_FLOOR = 1e-6
 TRUNCATION_BUDGET = 0.01  # fraction of (path, step) events
 OVERFLOW_BUDGET = 1e-3    # fraction of paths per checkpoint
 VERDICT_REL_TOL = 0.05    # relative floor of the PASS band
+MIN_STEPS_PER_YEAR = 50   # floor of every stepped scheme
+DEFAULT_CHECKPOINTS = 10
 # Paths per fused lane: wide enough to amortize the per-step Python work,
 # narrow enough that a step's temporaries stay in cache.
 LANE_PATHS = 16384
@@ -92,7 +96,8 @@ class SimConfig:
 
     ``t_checkpoints`` must be sorted, nonempty and contained in
     (0, horizon]; each must land on the step grid.  An empty tuple selects
-    ten evenly spaced checkpoints.
+    ten evenly spaced checkpoints.  Only this structure is checked here: a
+    stepped scheme's MIN_STEPS_PER_YEAR is checked when a kind runs it.
     """
 
     horizon: float
@@ -105,8 +110,8 @@ class SimConfig:
     def __post_init__(self):
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
-        if self.n_steps < 50 * self.horizon:
-            raise ValueError("need at least 50 steps per year of horizon")
+        if self.n_steps < 1:
+            raise ValueError("need at least one step")
         if self.n_paths < 1000:
             raise ValueError("need at least 1000 paths")
         if self.n_paths % 2:
@@ -115,7 +120,8 @@ class SimConfig:
             raise ValueError("block size must be even and at least 2")
         if not self.t_checkpoints:
             object.__setattr__(self, "t_checkpoints", tuple(
-                self.horizon * k / 10.0 for k in range(1, 11)))
+                self.horizon * k / DEFAULT_CHECKPOINTS
+                for k in range(1, DEFAULT_CHECKPOINTS + 1)))
         ts = self.t_checkpoints
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])) or ts[0] <= 0.0 \
                 or ts[-1] > self.horizon * (1.0 + 1e-12):
@@ -136,12 +142,14 @@ def desk_config(vp_or_kind, seed: int = 42, horizon: float = 20.0,
                 n_paths: int = 200_000) -> SimConfig:
     """Desk-scale defaults: T = 20y, 2e5 paths, the kind's desk steps/year.
 
-    Exact schemes run 50; stepped ones the fewest within the step-bias budget.
+    Stepped schemes run the fewest steps within the step-bias budget (GBM,
+    which steps by checkpoint gaps whatever the grid, MIN_STEPS_PER_YEAR);
+    a scheme exact at any step length runs one step per checkpoint gap.
     """
     kind = vp_or_kind if isinstance(vp_or_kind, str) else vp_or_kind.model.kind
     per_year = _SCHEMES[kind].steps_per_year
-    return SimConfig(horizon=horizon, n_steps=int(round(per_year * horizon)),
-                     n_paths=n_paths, seed=seed)
+    n_steps = DEFAULT_CHECKPOINTS if per_year is None else int(round(per_year * horizon))
+    return SimConfig(horizon=horizon, n_steps=n_steps, n_paths=n_paths, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -574,7 +582,7 @@ class _Scheme:
     """How the oracle simulates one catalog kind."""
 
     label: str             # GrowthEstimate.scheme
-    steps_per_year: int    # desk_config's step density
+    steps_per_year: int | None  # desk density; None: exact at any step length
     growth: Callable       # (model, cfg, cols, draw, emit, inverse) -> truncations
     martingale: Callable   # (vp, pair, cfg, draw, inverse) -> log M_T per path
     # The family's second model: inverse GARCH, the 3/2 models (through the
@@ -590,7 +598,7 @@ _SCHEMES = {
     "three_halves": _Scheme("reciprocal-cir", 50, _growth_cir, _mart_cir, True),
     "heston_sv": _Scheme("heston-full-truncation", 100, _growth_sv, _mart_sv),
     "three_halves_sv": _Scheme("reciprocal-cir-vol", 50, _growth_sv, _mart_sv, True),
-    "gbm_vasicek": _Scheme("exact-gaussian", 50, _growth_rate, _mart_rate),
+    "gbm_vasicek": _Scheme("exact-gaussian", None, _growth_rate, _mart_rate),
     "gbm_inverse_garch_rate": _Scheme("log-euler-rate", 50, _growth_rate, _mart_rate, True),
     "quadratic": _Scheme("exact-ou-quadratic", 50, _growth_ou, _mart_ou),
 }
@@ -600,8 +608,16 @@ _SCHEMES = {
 # Growth estimation
 # ---------------------------------------------------------------------------
 
+def _scheme_for(kind: str, cfg: SimConfig) -> _Scheme:
+    """The kind's scheme; a stepped one needs MIN_STEPS_PER_YEAR steps a year."""
+    scheme = _SCHEMES[kind]
+    if scheme.steps_per_year is not None and cfg.n_steps < MIN_STEPS_PER_YEAR * cfg.horizon:
+        raise ValueError(f"need at least {MIN_STEPS_PER_YEAR} steps per year of horizon")
+    return scheme
+
+
 def _collect(vp: ValidatedProblem, cfg: SimConfig):
-    scheme = _SCHEMES[vp.model.kind]
+    scheme = _scheme_for(vp.model.kind, cfg)
     cols = {int(s): k for k, s in enumerate(cfg.checkpoint_steps())}
 
     def kernel(draw, put):
@@ -685,12 +701,15 @@ def simulate_growth(vp: ValidatedProblem, cfg: SimConfig) -> GrowthEstimate:
         np.exp(np.subtract(x1, shift, out=wp), out=wp)
         np.exp(np.subtract(x2, shift, out=buf), out=buf)
         np.multiply(0.5, np.add(wp, buf, out=wp), out=wp)
-        mean_w = float(np.mean(wp))
+        # np.mean and np.std(ddof=1) by the same reductions, on no new array.
+        s1 = float(np.add.reduce(wp))
+        mean_w = s1 / n_good
         lm[k] = math.log(mean_w) + shift
-        sd = float(np.std(wp, ddof=1)) if n_good > 1 else 0.0
+        np.subtract(wp, mean_w, out=buf)
+        ss = float(np.add.reduce(np.multiply(buf, buf, out=buf)))
+        sd = math.sqrt(ss / (n_good - 1)) if n_good > 1 else 0.0
         se[k] = sd / (mean_w * math.sqrt(n_good))
-        s1 = float(np.sum(wp))
-        s2 = float(np.sum(np.multiply(wp, wp, out=buf)))
+        s2 = float(np.add.reduce(np.multiply(wp, wp, out=buf)))
         ess[k] = s1 * s1 / s2 if s2 > 0 else 0.0
         if k >= tail:
             np.divide(wp, mean_w, out=g_rows[k - tail])
@@ -757,14 +776,17 @@ def martingale_check(vp: ValidatedProblem, pair: Eigenpair, t: float,
 
     The pair is admissible exactly when M is a true martingale, i.e.
     E[M_t] = 1; the certificate is |mean - 1| <= 3 stderr.  A given
-    ``cfg`` must have ``horizon == t``; None: 2e5 paths, 400 steps/yr, seed 42.
+    ``cfg`` must have ``horizon == t``; None: 2e5 paths, seed 42 and 400
+    steps/yr, or one step over t for a scheme exact at any step length.
     """
+    kind = vp.model.kind
     if cfg is None:
-        cfg = SimConfig(horizon=t, n_steps=max(50, int(round(400 * t))),
-                        n_paths=200_000, seed=42, t_checkpoints=(t,))
+        n_steps = 1 if _SCHEMES[kind].steps_per_year is None else max(50, int(round(400 * t)))
+        cfg = SimConfig(horizon=t, n_steps=n_steps, n_paths=200_000, seed=42,
+                        t_checkpoints=(t,))
     elif cfg.horizon != t:
         raise ValueError(f"cfg.horizon {cfg.horizon} differs from t {t}")
-    scheme = _SCHEMES[vp.model.kind]
+    scheme = _scheme_for(kind, cfg)
 
     def kernel(draw, put):
         put(0, scheme.martingale(vp, pair, cfg, draw, scheme.inverse))

@@ -49,3 +49,13 @@ def test_summary_writes_no_metrics_unless_every_run_is_correct_and_present(defec
         runs = runs[:-2]
     out = bench_pairs.summarize(runs, 3)
     assert out["correct_all"] is False and out["metrics"] == {}
+
+
+@pytest.mark.parametrize("value", ["1", None])
+def test_machine_records_the_bytecode_setting(monkeypatch, value):
+    # Runs without a bytecode cache compile src/ at every set-up.
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    assert bench_pairs.machine()["PYTHONDONTWRITEBYTECODE"] == value

@@ -215,6 +215,8 @@ def test_config_validation_exit_code(tmp_path, capsys, text, relax, message):
     ["verify", "--sim=t=inf"],
     # GBM's 50 desk steps/yr at t=0.5 give dt = 0.02; checkpoint 0.05 misses it.
     ["verify", "--sim=t=0.5,paths=2000"],
+    # GBM is a stepped kind: 10 steps over 20 years are below its 50/yr floor.
+    ["verify", "--sim=steps=10"],
     # Sizes numpy refuses before allocating anything (petabytes, or a point
     # count past any integer).
     ["growth", "--beta-grid=0:1:1e-15"],
@@ -322,6 +324,24 @@ def test_verify_pass_and_outputs(gbm_cfg, tmp_path):
     assert man["sim_resolved"]["paths"] == 20000
     assert man["sim_resolved"]["seed"] == 3 and "seed" not in man
     assert man["relax"] is False
+
+
+VASICEK = {"model": {"kind": "gbm_vasicek", "mu": 0.05, "sigma": 0.2, "theta": 0.06,
+                     "a": 3.0, "delta": 0.05, "rho": -0.3, "r0": 0.02},
+           "alpha": 0.5, "beta": 2.0}
+
+
+@pytest.mark.parametrize("problem, steps", [(GBM, 250), (VASICEK, 10)],
+                         ids=["gbm", "gbm_vasicek"])
+def test_verify_horizon_keeps_the_desk_density(tmp_path, problem, steps):
+    # --sim t= without steps: GBM keeps 50 steps/yr, while the exact
+    # Vasicek scheme keeps one step per checkpoint gap.
+    cfg, out = tmp_path / "problem.json", tmp_path / "v.csv"
+    cfg.write_text(json.dumps(problem))
+    assert cli.main(["verify", "--config", str(cfg), "--sim", "t=5,paths=20000",
+                     "--out", str(out)]) == 0
+    man = json.loads((tmp_path / "v.csv.manifest.json").read_text())
+    assert man["sim_resolved"] == {"t": 5.0, "steps": steps, "paths": 20000, "seed": 42}
 
 
 def test_verify_fail_exit_code(gbm_cfg, monkeypatch):

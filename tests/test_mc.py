@@ -67,8 +67,8 @@ def mart_cfg(t, n_paths, seed=42):
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         SimConfig(horizon=0.0, n_steps=100, n_paths=2000, seed=1)
-    with pytest.raises(ValueError):
-        SimConfig(horizon=10.0, n_steps=100, n_paths=2000, seed=1)  # < 50/yr
+    with pytest.raises(ValueError, match="one step"):
+        SimConfig(horizon=1.0, n_steps=0, n_paths=2000, seed=1)
     with pytest.raises(ValueError):
         SimConfig(horizon=1.0, n_steps=100, n_paths=500, seed=1)
     with pytest.raises(ValueError):
@@ -82,6 +82,93 @@ def test_sim_config_validation():
         SimConfig(horizon=1.0, n_steps=100, n_paths=2000, seed=1, t_checkpoints=(0.005, 1.0))
     cfg = SimConfig(horizon=10.0, n_steps=500, n_paths=2000, seed=1)
     assert cfg.t_checkpoints[-1] == 10.0 and len(cfg.t_checkpoints) == 10
+    # The step density is the scheme's concern, not the config's.
+    assert SimConfig(horizon=10.0, n_steps=10, n_paths=2000, seed=1).dt == 1.0
+
+
+STEPPED_KINDS = sorted(k for k, s in _SCHEMES.items() if s.steps_per_year is not None)
+
+
+@pytest.mark.parametrize("kind", STEPPED_KINDS)
+def test_stepped_kind_below_its_floor_raises(kind):
+    vp = vp_of(BASE_MODELS[kind])
+    cfg = SimConfig(horizon=10.0, n_steps=100, n_paths=2000, seed=1)  # 10/yr
+    with pytest.raises(ValueError, match="at least 50 steps per year"):
+        simulate_growth(vp, cfg)
+    with pytest.raises(ValueError, match="at least 50 steps per year"):
+        martingale_check(vp, eigenpair(vp), 10.0, cfg=replace(cfg, t_checkpoints=(10.0,)))
+
+
+def test_exact_vasicek_runs_one_step_per_checkpoint_gap(monkeypatch):
+    calls = []  # the step lengths of each lane's stepper
+    vasicek = mc._vasicek
+
+    def counted(draw, cfg, *args, **kw):
+        calls.append([])
+        for out in vasicek(draw, cfg, *args, **kw):
+            calls[-1].append(cfg.dt)
+            yield out
+
+    monkeypatch.setattr(mc, "_vasicek", counted)
+    vp = vp_of(BASE_MODELS["gbm_vasicek"])
+    cfg = desk_config(vp, n_paths=20_000)
+    assert cfg.n_steps == len(cfg.t_checkpoints) == 10
+    est = simulate_growth(vp, cfg)
+    assert len(calls) == 2 and all(c == [2.0] * 10 for c in calls)
+    assert verdict_for(est, growth_rate(vp)) == "PASS"
+    calls.clear()
+    mart = martingale_check(vp, eigenpair(vp), 1.0)  # the default: one step over t
+    assert calls and all(c == [1.0] for c in calls)
+    assert mart.within_three_se, (mart.mean, mart.stderr)
+
+
+class _BasisDraw:
+    """Unit normals for ``_vasicek``: column 0 is all zeros (the mean path);
+    column 1 + s d + i holds the i-th unit normal at step s and zeros at
+    every other step, so each output is affine in the columns."""
+
+    def __init__(self, d, n_steps):
+        self.nb, self._step = 1 + d * n_steps, 0
+
+    def normals_matrix(self, d):
+        z = np.zeros((d, self.nb))
+        z[:, 1 + self._step * d:1 + (self._step + 1) * d] = np.eye(d)
+        self._step += 1
+        return z
+
+
+def vasicek_transition(m, level, joint, dt, n_steps):
+    """Mean and covariance of (r, int r ds[, B]) after ``n_steps`` exact
+    steps of length ``dt`` from r0, read off ``_vasicek``'s affine map."""
+    horizon = n_steps * dt
+    cfg = SimConfig(horizon=horizon, n_steps=n_steps, n_paths=1000, seed=0,
+                    t_checkpoints=(horizon,))
+    d = 3 if joint else 2
+    b = 0.0
+    for r, ri, db in mc._vasicek(_BasisDraw(d, n_steps), cfg, m, level, joint):
+        if joint:
+            b = b + db
+    out = np.stack([r, ri, b][:d])
+    lin = out[:, 1:] - out[:, :1]
+    return out[:, 0], lin @ lin.T
+
+
+@pytest.mark.parametrize("joint", [True, False], ids=["growth", "martingale"])
+@pytest.mark.parametrize("dt", [2.0, 0.5])
+def test_vasicek_step_is_exact_at_any_length(joint, dt):
+    # The exact law composes: one step over 2 dt has the mean and covariance
+    # of two dt steps (Chapman-Kolmogorov), to 1e-12 of their norms.  The
+    # growth path draws (r, int r ds, dB); the martingale path (r, int r ds)
+    # at its tilted level.  The second model starts away from its level.
+    for m in (BASE_MODELS["gbm_vasicek"],
+              GbmVasicek(mu=0.05, sigma=0.2, theta=0.015, a=0.5, delta=0.1,
+                         rho=0.6, r0=0.08)):
+        level = (m.theta if joint else m.theta + m.delta * m.sigma * m.rho) / m.a
+        mean1, cov1 = vasicek_transition(m, level, joint, 2.0 * dt, 1)
+        mean2, cov2 = vasicek_transition(m, level, joint, dt, 2)
+        assert np.max(np.abs(mean1 - mean2)) <= 1e-12 * np.max(np.abs(mean1))
+        assert np.max(np.abs(cov1 - cov2)) <= 1e-12 * np.max(np.abs(cov1))
+        assert np.all(np.diag(cov1) > 0.0)
 
 
 def test_seed_determinism_bit_identical():
@@ -367,7 +454,7 @@ DESK_STEPS_PER_YEAR = {
     "three_halves": 50,
     "heston_sv": 100,
     "three_halves_sv": 50,
-    "gbm_vasicek": 50,
+    "gbm_vasicek": None,
     "gbm_inverse_garch_rate": 50,
     "quadratic": 50,
 }
@@ -375,15 +462,17 @@ DESK_STEPS_PER_YEAR = {
 
 @pytest.mark.parametrize("kind", sorted(MODEL_KINDS))
 def test_desk_config_schemes(kind):
-    # Exact-transition schemes run 50 steps/yr at desk scale; the stepped
-    # kinds run the density their coupled step-halving bias allows (below).
+    # The Vasicek scheme is exact at any step length: one step per
+    # checkpoint gap whatever the horizon.  GBM steps by checkpoint gaps
+    # anyway and keeps the 50/yr floor; the other stepped kinds run the
+    # density their coupled step-halving bias allows (below).
     per_year = DESK_STEPS_PER_YEAR[kind]
     scheme = _SCHEMES[kind]
     assert (scheme.label, scheme.steps_per_year) == (SCHEME_LABELS[kind], per_year)
-    assert desk_config(kind).n_steps == 20 * per_year
+    assert desk_config(kind).n_steps == (10 if per_year is None else 20 * per_year)
     vp = vp_of(BASE_MODELS[kind])
     tiny = desk_config(vp, horizon=1.0, n_paths=1000)
-    assert tiny.n_steps == per_year
+    assert tiny.n_steps == (10 if per_year is None else per_year)
     assert simulate_growth(vp, tiny).scheme == SCHEME_LABELS[kind]
 
 

@@ -140,9 +140,12 @@ def machine() -> dict:
                         if ln.startswith("model name")), cpu)
     except OSError:
         pass
+    # Without a bytecode cache each run compiles src/, which moves setup_s and
+    # peak_rss_mb; the runs inherit this environment.
     return {"cpu_model": cpu, "nproc": os.cpu_count(), "kernel": platform.release(),
             **versions, "blas_threads": "1 (perfbench/run.py sets OPENBLAS_NUM_THREADS, "
-                                        "OMP_NUM_THREADS and MKL_NUM_THREADS to 1)"}
+                                        "OMP_NUM_THREADS and MKL_NUM_THREADS to 1)",
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def main(argv=None) -> int:
