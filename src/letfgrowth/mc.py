@@ -32,10 +32,10 @@ Determinism
 -----------
 Paths are laid out in fixed blocks of ``block_size``; block ``j`` draws its
 normals from its own ``Philox(SeedSequence(seed, spawn_key=(j,)))`` stream,
-in the same order and count however blocks are grouped.  Consecutive blocks
-are fused into lanes of at most ``LANE_PATHS`` paths that run the kernel
-body once; every kernel operation acts path by path, so a path's value does
-not depend on its lane.  Utilities are stored checkpoint-major,
+in the same order and count however blocks are grouped.  A lane is a run of
+``LANE_PATHS // block_size`` whole blocks (at least one) that runs the
+kernel body once; every kernel operation acts path by path, so a path's
+value does not depend on its lane.  Utilities are stored checkpoint-major,
 ``(checkpoints, paths)``: paths are always antithetic pairs, all pair
 firsts come first, in block order, and their mates (the negated draws)
 follow in the same order.  Statistics treat pair averages as the
@@ -118,6 +118,8 @@ class SimConfig:
             raise ValueError("antithetic pairing needs an even path count")
         if self.block_size < 2 or self.block_size % 2:
             raise ValueError("block size must be even and at least 2")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not self.t_checkpoints:
             object.__setattr__(self, "t_checkpoints", tuple(
                 self.horizon * k / DEFAULT_CHECKPOINTS
@@ -193,41 +195,21 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _blocks(n_paths: int, block_size: int):
-    for idx, start in enumerate(range(0, n_paths, block_size)):
-        yield idx, start, min(block_size, n_paths - start)
-
-
-def _lanes(n_paths: int, block_size: int):
-    """Consecutive blocks fused into lanes of at most LANE_PATHS paths
-    (a single block wider than that is a lane of its own)."""
-    lane, width = [], 0
-    for blk in _blocks(n_paths, block_size):
-        if lane and width + blk[2] > LANE_PATHS:
-            yield lane
-            lane, width = [], 0
-        lane.append(blk)
-        width += blk[2]
-    if lane:
-        yield lane
-
-
 class _Draw:
-    """Normals for one lane, laid out pair firsts then mates.
+    """Normals for the ``width`` paths from ``start``, a run of whole blocks,
+    laid out pair firsts then mates.
 
-    Each block of the lane draws its share of every request from its own
-    generator, in block order; the second half of the lane mirrors the
-    first.
+    Each block draws its share of every request from its own generator, in
+    block order; the second half mirrors the first.
     """
 
-    def __init__(self, cfg: SimConfig, lane):
-        self._parts = []  # (generator, first column, width)
-        half = 0
-        for bidx, _, nb in lane:
-            self._parts.append((_block_rng(cfg.seed, bidx), half, nb // 2))
-            half += nb // 2
-        self._half = half
-        self.nb = 2 * half
+    def __init__(self, cfg: SimConfig, start: int, width: int):
+        bs = cfg.block_size
+        self._parts = [  # (generator, first column, width)
+            (_block_rng(cfg.seed, (start + col) // bs), col // 2, min(bs, width - col) // 2)
+            for col in range(0, width, bs)]
+        self._half = width // 2
+        self.nb = width
 
     def normals(self) -> np.ndarray:
         z = np.empty(self.nb)
@@ -237,33 +219,29 @@ class _Draw:
         return z
 
     def normals_matrix(self, d: int) -> np.ndarray:
-        z = np.empty((d, self.nb))
-        for rng, col, width in self._parts:
-            z[:, col:col + width] = rng.standard_normal((d, width))
-        np.negative(z[:, :self._half], out=z[:, self._half:])
-        return z
+        return np.stack([self.normals() for _ in range(d)])
 
 
 def _simulate(cfg: SimConfig, rows: int, kernel):
-    """Run ``kernel(draw, put)`` once per lane, ``put(row, values)`` writing
-    one row of the lane's paths straight into its pair-first and mate
-    columns; return the (rows, paths) matrix, pair firsts before mates, and
-    the sum of the kernel's return values."""
+    """Run ``kernel(draw, put)`` once per lane of whole blocks, at most
+    LANE_PATHS paths (or one block) wide, ``put(row, values)`` writing one
+    row of the lane's paths straight into its pair-first and mate columns;
+    return the (rows, paths) matrix, pair firsts before mates, and the sum
+    of the kernel's return values."""
     n = cfg.n_paths
     half = n // 2
+    lane = max(1, LANE_PATHS // cfg.block_size) * cfg.block_size
     vals = np.empty((rows, n))
     total = 0
-    done = 0  # pairs stored so far
-    for lane in _lanes(n, cfg.block_size):
-        draw = _Draw(cfg, lane)
-        h = draw.nb // 2
+    for start in range(0, n, lane):
+        draw = _Draw(cfg, start, min(lane, n - start))
+        h, done = draw.nb // 2, start // 2  # the lane's pairs, and those before it
         firsts, mates = vals[:, done:done + h], vals[:, half + done:half + done + h]
 
         def put(row, values):
             firsts[row] = values[:h]
             mates[row] = values[h:]
         total += kernel(draw, put)
-        done += h
     return vals, total
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import ClassVar, Union
@@ -971,12 +972,16 @@ def validate(problem: Problem | ValidatedProblem, relax: bool = False) -> Valida
 _TOP_LEVEL_KEYS = {"model", "alpha", "beta", "r"}
 
 
-def _numeric(value, key: str, convert=float):
-    """convert(value), or a ConfigError naming the key."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key!r} must be numeric, got {value!r}") from exc
+def _numeric(value, key: str, array: bool = False):
+    """value as a float (a float array when ``array``), or a ConfigError
+    naming the key: JSON strings and booleans are not numbers."""
+    items = np.asarray(value, dtype=object).ravel() if array else (value,)
+    if all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
+        try:
+            return np.asarray(value, dtype=float) if array else float(value)
+        except OverflowError:  # an integer past the float range
+            pass
+    raise ConfigError(f"{key!r} must be numeric, got {value!r}")
 
 
 def _model_from_config(obj: dict) -> ModelSpec:
@@ -1000,8 +1005,7 @@ def _model_from_config(obj: dict) -> ModelSpec:
     if missing:
         raise ConfigError(f"model {kind!r} is missing fields: {missing}")
     if cls is Quadratic:
-        model = Quadratic(**{n: _numeric(obj[n], n, lambda v: np.asarray(v, dtype=float))
-                             for n in field_names})
+        model = Quadratic(**{n: _numeric(obj[n], n, array=True) for n in field_names})
         if "d" in obj and _numeric(obj["d"], "d") != model.d:
             raise ConfigError(
                 f"declared d={obj['d']} but b has length {model.d}")

@@ -13,7 +13,7 @@ _spec.loader.exec_module(bench_pairs)  # tools/ is not a package
 
 
 def run(side, seed, cal, correct=True):
-    return {"side": side, "seed": seed, "correct": correct, "failed": 0,
+    return {"side": side, "seed": seed, "correct": correct, "failed": 0, "steal_ticks": 0,
             "setup_s": 0.17, "pass_cal": cal, "peak_rss_mb": 44.0}
 
 
@@ -49,6 +49,17 @@ def test_summary_writes_no_metrics_unless_every_run_is_correct_and_present(defec
         runs = runs[:-2]
     out = bench_pairs.summarize(runs, 3)
     assert out["correct_all"] is False and out["metrics"] == {}
+
+
+def test_summary_gives_each_sides_steal_median_and_max():
+    runs = pairs([470.0, 480.0, 460.0], [450.0, 470.0, 455.0])
+    for r, ticks in zip(runs, [3, 0, 40, 2, 5, 1]):  # parent, change of each pair
+        r["steal_ticks"] = ticks
+    assert bench_pairs.summarize(runs, 3)["steal_ticks"] == {
+        "parent": {"median": 5, "max": 40}, "change": {"median": 1, "max": 2}}
+    runs[1]["steal_ticks"] = None  # /proc/stat unreadable around one change run
+    assert bench_pairs.summarize(runs, 3)["steal_ticks"] == {
+        "parent": {"median": 5, "max": 40}, "change": None}
 
 
 @pytest.mark.parametrize("value", ["1", None])

@@ -99,6 +99,13 @@ def test_growth_infinite_row(tmp_path):
     assert cli.main(["growth", "--config", str(cfg), "--out", str(out)]) == 0
     row = read_csv(out)[0]
     assert row["rate"] == "inf" and row["finite"] == "0"
+    # An infinite closed form has no relative gap to the oracle's slope.
+    out = tmp_path / "verify.csv"
+    assert cli.main(["verify", "--config", str(cfg), "--sim", "t=5,paths=2000,seed=1",
+                     "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert {(r["analytic_rate"], r["abs_rel_gap"], r["verdict"]) for r in rows} == {
+        ("inf", "nan", "DIVERGED")}
 
 
 def test_optimal_subcommand(gbm_cfg, tmp_path):
@@ -165,6 +172,19 @@ QUAD_TEXT = json.dumps(QUAD)
     pytest.param(GBM_TEXT.replace('"alpha": 0.5', '"alpha": "abc"'), False, "'alpha'",
                  id="alpha_string"),
     pytest.param(GBM_TEXT.replace('"mu": 0.05', '"mu": [1]'), False, "'mu'", id="mu_list"),
+    # JSON strings and booleans are not numbers, even where float() reads them.
+    pytest.param(GBM_TEXT.replace('"mu": 0.05', '"mu": "0.05"'), False,
+                 "'mu' must be numeric, got '0.05'", id="mu_numeric_string"),
+    pytest.param(GBM_TEXT.replace('"alpha": 0.5', '"alpha": true'), False,
+                 "'alpha' must be numeric, got True", id="alpha_boolean"),
+    pytest.param(QUAD_TEXT.replace("[0.1, -0.05]", "[true, 0.0]"), False,
+                 "'b' must be numeric", id="quadratic_b_boolean"),
+    pytest.param(QUAD_TEXT.replace('"kind": "quadratic"', '"kind": "quadratic", "d": true'),
+                 False, "'d' must be numeric, got True", id="quadratic_d_boolean"),
+    pytest.param(GBM_TEXT.replace('"mu": 0.05', '"mu": 1' + "0" * 400), False,
+                 "'mu' must be numeric", id="mu_integer_past_float_range"),
+    pytest.param(QUAD_TEXT.replace("[0.1, -0.05]", "[0.1, 1" + "0" * 400 + "]"), False,
+                 "'b' must be numeric", id="quadratic_b_integer_past_float_range"),
     pytest.param(QUAD_TEXT.replace("[0.1, -0.05]", '[0.1, "a"]'), False, "'b'",
                  id="quadratic_b_string"),
     pytest.param(GBM_TEXT.replace('"mu": 0.05', '"mu": NaN'), False, "mu must be finite",
@@ -217,6 +237,8 @@ def test_config_validation_exit_code(tmp_path, capsys, text, relax, message):
     ["verify", "--sim=t=0.5,paths=2000"],
     # GBM is a stepped kind: 10 steps over 20 years are below its 50/yr floor.
     ["verify", "--sim=steps=10"],
+    # numpy's SeedSequence takes no negative seed.
+    ["verify", "--sim=t=1,paths=2000,seed=-1"],
     # Sizes numpy refuses before allocating anything (petabytes, or a point
     # count past any integer).
     ["growth", "--beta-grid=0:1:1e-15"],

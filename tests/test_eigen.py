@@ -169,6 +169,11 @@ def test_finite_difference_mode_agrees(kind):
     assert res.max_abs_residual < 5e-4
 
 
+def test_exp_quadratic_requires_symmetric_v():
+    with pytest.raises(ValueError, match="V must be symmetric"):
+        ExpQuadratic(u=[0.0, 0.0], V=[[0.7, 0.2], [0.1, -0.3]])
+
+
 def test_derivative_ratios_match_log_phi():
     # The residual certificate reads each family's exact ratios; here they
     # meet central differences of the family's own log_phi = l, through

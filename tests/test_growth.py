@@ -335,6 +335,9 @@ def test_cir_exponential_moment_growth():
     # boundary p = -2 ell / sigma^2 sits on the infinite branch
     gb = cir_exponential_moment_growth(p=-2.0, ell=0.04, mu=0.05, sigma=0.2)
     assert not gb.is_finite and gb.condition.near_boundary
+    for mu, sigma in ((0.0, 0.2), (0.05, -0.2)):
+        with pytest.raises(ValueError, match="mu and sigma must be positive"):
+            cir_exponential_moment_growth(p=1.0, ell=0.04, mu=mu, sigma=sigma)
 
 
 def test_inverse_garch_discount_growth():
@@ -346,6 +349,9 @@ def test_inverse_garch_discount_growth():
     assert exc.value.condition == "theta > (kappa+1)*sigma^2"
     assert str(exc.value) == ("assumption not met: theta > (kappa+1)*sigma^2 "
                               "(got 0.08 vs 0.08000000000000002)")
+    for a, sigma in ((0.0, 0.2), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="a and sigma must be positive"):
+            inverse_garch_discount_growth(c=1.0, theta=0.3, a=a, sigma=sigma)
 
 
 def test_stationary_power_moment_garch():

@@ -14,7 +14,7 @@ from scipy import integrate, stats
 
 from letfgrowth import mc
 from letfgrowth.eigen import eigenpair
-from letfgrowth.errors import SchemeUnstable
+from letfgrowth.errors import AllPathsDiverged, SchemeUnstable
 from letfgrowth.growth import GrowthRate, FinitenessCondition, growth_rate
 from letfgrowth.mc import (
     _SCHEMES,
@@ -73,13 +73,18 @@ def test_sim_config_validation():
         SimConfig(horizon=1.0, n_steps=100, n_paths=500, seed=1)
     with pytest.raises(ValueError):
         SimConfig(horizon=1.0, n_steps=100, n_paths=2001, seed=1)  # odd: pairs need even
-    for block_size in (1, 0, -2):  # 0 and below would fuse lanes without end
+    for block_size in (1, 0, -2):  # 0 and below leave lanes no width
         with pytest.raises(ValueError):
             SimConfig(horizon=1.0, n_steps=100, n_paths=2000, seed=1, block_size=block_size)
     with pytest.raises(ValueError, match="step grid"):  # dt = 0.02 misses t = 0.05
         SimConfig(horizon=0.5, n_steps=25, n_paths=2000, seed=1)
     with pytest.raises(ValueError, match="step grid"):
         SimConfig(horizon=1.0, n_steps=100, n_paths=2000, seed=1, t_checkpoints=(0.005, 1.0))
+    for ts in ((0.5, 0.2), (0.5, 0.5), (0.0, 1.0), (0.5, 1.5)):
+        with pytest.raises(ValueError, match="sorted inside"):
+            SimConfig(horizon=1.0, n_steps=100, n_paths=2000, seed=1, t_checkpoints=ts)
+    with pytest.raises(ValueError, match="non-negative"):  # SeedSequence would refuse it
+        SimConfig(horizon=1.0, n_steps=100, n_paths=2000, seed=-1)
     cfg = SimConfig(horizon=10.0, n_steps=500, n_paths=2000, seed=1)
     assert cfg.t_checkpoints[-1] == 10.0 and len(cfg.t_checkpoints) == 10
     # The step density is the scheme's concern, not the config's.
@@ -221,6 +226,26 @@ def test_quadratic_divergence_flag():
     vp = vp_of(m, alpha=1.0, beta=2.0)
     est = simulate_growth(vp, cfg_for(horizon=4.0, n_paths=20000))
     assert est.diverged
+
+
+def test_no_finite_pair_raises(monkeypatch):
+    vp = vp_of(BASE_MODELS["gbm"])
+    cfg = SimConfig(horizon=1.0, n_steps=50, n_paths=2000, seed=1)
+    vals = np.full((len(cfg.t_checkpoints), cfg.n_paths), np.nan)
+    vals[:, 0] = 0.0  # a finite first whose mate overflowed is no pair
+    monkeypatch.setattr(mc, "_collect", lambda vp, cfg: (vals, 0.0))
+    with pytest.raises(AllPathsDiverged, match="no finite utility path"):
+        simulate_growth(vp, cfg)
+
+
+def test_martingale_paths_all_overflowing_raise(monkeypatch):
+    gbm = _SCHEMES["gbm"]
+    monkeypatch.setitem(_SCHEMES, "gbm", replace(
+        gbm, martingale=lambda vp, pair, cfg, draw, inverse: np.full(draw.nb, np.inf)))
+    vp = vp_of(BASE_MODELS["gbm"])
+    cfg = SimConfig(horizon=1.0, n_steps=50, n_paths=2000, seed=1, t_checkpoints=(1.0,))
+    with pytest.raises(AllPathsDiverged, match="martingale paths all overflowed"):
+        martingale_check(vp, eigenpair(vp), 1.0, cfg)
 
 
 def test_scheme_unstable_raises_on_heavy_truncation():
@@ -513,8 +538,8 @@ def coupled_draw(factor: int, rows: int):
     class CoupledDraw(_Draw):
         lanes = []
 
-        def __init__(self, cfg, lane):
-            super().__init__(cfg, lane)
+        def __init__(self, cfg, start, width):
+            super().__init__(cfg, start, width)
             self.steps, self.rows_left = 0, []
             CoupledDraw.lanes.append(self)
 
@@ -532,9 +557,6 @@ def coupled_draw(factor: int, rows: int):
 
         def normals(self):
             return self._take(1)[0]
-
-        def normals_matrix(self, d):
-            return np.array(self._take(d))
 
     return CoupledDraw
 

@@ -13,7 +13,7 @@ from letfgrowth.errors import (
     MissingRate,
     ParameterViolation,
 )
-from letfgrowth.mc import SimConfig, _Draw, _growth_ou, _lanes, _log_utility, _ou
+from letfgrowth.mc import SimConfig, _Draw, _growth_ou, _log_utility, _ou
 from letfgrowth.models import (
     ConstantRate,
     ExtendedCir,
@@ -71,6 +71,10 @@ def test_valid_baseline_problems():
 def test_validate_idempotent():
     vp = validate(prob(BASE_MODELS["gbm"]))
     assert validate(vp) is vp
+    # Relaxing a strict problem re-validates it; a relaxed one is returned as is.
+    relaxed = validate(vp, relax=True)
+    assert relaxed.relaxed and relaxed.problem is vp.problem
+    assert validate(relaxed, relax=True) is relaxed
 
 
 def test_heston_feller_violation():
@@ -338,15 +342,14 @@ def test_log_price_quadratic_coefficient():
     # - 2 beta (beta-1) int |sigma^T Y|^2 du.
     vp = validate(prob(BASE_MODELS["quadratic"], alpha=0.5, beta=-1.7, r=0.01))
     cfg = SimConfig(horizon=1.0, n_steps=100, n_paths=1000, seed=3, t_checkpoints=(1.0,))
-    lane = next(_lanes(cfg.n_paths, cfg.block_size))
     got = {}
 
     def emit(row, t, state, volint):
         got.update(t=t, state=state, logu=_log_utility(vp, t, state, volint))
 
-    _growth_ou(vp.model, cfg, {cfg.n_steps: 0}, _Draw(cfg, lane), emit, False)
+    _growth_ou(vp.model, cfg, {cfg.n_steps: 0}, _Draw(cfg, 0, cfg.n_paths), emit, False)
     qint = 0.0
-    for Y, s_prev, s in _ou(_Draw(cfg, lane), cfg, vp.model):
+    for Y, s_prev, s in _ou(_Draw(cfg, 0, cfg.n_paths), cfg, vp.model):
         qint += 0.5 * (s_prev + s) * cfg.dt
     np.testing.assert_array_equal(got["state"], np.sum(Y * Y, axis=0))
     beta = -1.7
@@ -366,6 +369,7 @@ def test_load_problem_round_trip():
         vp2 = load_problem(doc)
         assert vp2.model == vp.model
         assert vp2.alpha == vp.alpha and vp2.beta == vp.beta and vp2.r == vp.r
+    assert BASE_MODELS["quadratic"] != 3  # Quadratic.__eq__ defers to the other side
 
 
 def test_unknown_keys_rejected():

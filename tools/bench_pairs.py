@@ -13,7 +13,8 @@ Each pair runs both sides once with the same seed (``--seed-base`` plus the
 pair index), each in a new interpreter started from its tree's root; the
 side that runs first alternates from pair to pair.  The ``steal`` field of
 the ``cpu`` line of /proc/stat is read before and after each run (USER_HZ
-ticks summed over all CPUs).  Medians and quartiles use
+ticks summed over all CPUs); each workload's summary gives each side's
+median and max.  Medians and quartiles use
 ``statistics.quantiles(method="inclusive")``.
 """
 
@@ -109,12 +110,21 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def steal(runs: list[dict]) -> dict | None:
+    """Median and max steal ticks of one side's runs; None if any went unread."""
+    ticks = [r.get("steal_ticks") for r in runs]
+    if not ticks or None in ticks:
+        return None
+    return {"median": statistics.median(ticks), "max": max(ticks)}
+
+
 def summarize(runs: list[dict], n_pairs: int) -> dict:
     sides = {s: [r for r in runs if r["side"] == s] for s in ("parent", "change")}
     ok = all(r["correct"] for r in runs) and len(runs) == 2 * n_pairs
     out = {"pairs": n_pairs, "seeds": [r["seed"] for r in sides["parent"]],
            "correct_all": ok,
-           "failed_operations": sum(r["failed"] or 0 for r in runs), "metrics": {}}
+           "failed_operations": sum(r["failed"] or 0 for r in runs),
+           "steal_ticks": {s: steal(rs) for s, rs in sides.items()}, "metrics": {}}
     if not ok or n_pairs < 2:
         return out
     for name in METRICS:
