@@ -5,8 +5,9 @@ own leverage derivative, finite region in beta and closed-form optimum rule
 (an :class:`Optimum` naming an interior vertex, a boundary side or a flat
 objective); the code here clamps a vertex to the cap and the finite region,
 resolves boundaries, and runs the numerical search for the quadratic model,
-which has no closed-form optimum: a scan over beta, then the root of the
-model's exact leverage derivative next to the scan maximum.
+which has no closed-form optimum: a scan of the unclassified rate over beta,
+the classification of its maximum, then Newton's method on the model's
+exact leverage derivative next to it.
 
 When a finiteness condition excludes part of the leverage range, the search
 is restricted to the finite region; if the optimum lands on the edge of the
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 UNCAPPED_BRACKET = (-50.0, 50.0)
-ROOT_TOL = 1e-12  # bracket width or secant step at which the slope's root is taken
+ROOT_TOL = 1e-12  # bracket width or Newton step at which the slope's root is taken
 
 
 @dataclass(frozen=True)
@@ -114,59 +115,65 @@ def _rate_or_minus_inf(g: GrowthRate | None) -> float:
     return g.rate if g is not None and g.is_finite else -math.inf
 
 
-def _slope_root(slope, grid: list[float], i: int) -> float | None:
-    """Root of ``slope`` next to the scan maximum ``grid[i]``, or None.
+def _hermite_root(x0, s0, c0, x1, s1, c1) -> float:
+    """Root, by bisection, of the cubic Hermite through a slope's values s0, s1
+    (of opposite signs) and derivatives c0, c1 at x0, x1."""
+    h, lo, hi = x1 - x0, 0.0, 1.0
+    for _ in range(53):
+        t = 0.5 * (lo + hi)
+        p = ((s0 * (1.0 + 2.0 * t) + h * c0 * t) * (1.0 - t) ** 2
+             + (s1 * (3.0 - 2.0 * t) + h * c1 * (t - 1.0)) * t * t)
+        lo, hi = (t, hi) if (p > 0.0) == (s0 > 0.0) else (lo, t)
+    return x0 + h * 0.5 * (lo + hi)
 
-    The slope's sign at grid[i] picks the neighbouring grid point to
-    bracket the root with.  A nan slope marks a point past the edge of the
-    finite or solvable region, so the bracket shrinks towards its finite
-    end by bisection until the slope changes sign.  A bracket with a sign
-    change is closed by a safeguarded secant (Illinois), which bisects
-    where the secant point leaves the bracket, and stops once the bracket
-    or the secant step from the last point is within ROOT_TOL.  A slope
-    that keeps its sign up to the edge of the finite region gives the
-    finite point nearest the edge, to float resolution; one that keeps it
-    up to the end of the grid gives None.
+
+def _slope_root(deriv, grid: list[float], i: int) -> float | None:
+    """Root of the slope next to the scan maximum ``grid[i]``, or None;
+    ``deriv(x)`` gives the slope at x and its derivative, the curvature.
+
+    The slope's sign at grid[i] picks the neighbour to bracket the root
+    with.  A nan slope marks a point past the edge of the finite or solvable
+    region, so the bracket shrinks towards its finite end by bisection until
+    the slope changes sign.  The root of the cubic Hermite through the
+    bracket's slopes and curvatures starts Newton's method on the slope,
+    which bisects where a Newton point leaves the bracket.  It stops once
+    the bracket or the Newton step from the last point is within ROOT_TOL,
+    or the bracket is two adjacent floats, and returns that point.  A slope
+    that keeps its sign up to the edge of the finite region gives the finite
+    point nearest it, to float resolution; up to the end of the grid, None.
     """
-    x0, s0 = grid[i], slope(grid[i])
+    x0, (s0, c0) = grid[i], deriv(grid[i])
     if s0 == 0.0:
         return x0
     j = i + 1 if s0 > 0.0 else i - 1
     if math.isnan(s0) or not 0 <= j < len(grid):
         return None
-    x1 = last = grid[j]
-    s1 = slope(x1)
+    x1, (s1, c1) = grid[j], deriv(grid[j])
     if not math.isnan(s1) and (s1 > 0.0) == (s0 > 0.0):
         return None
-    moved = 0  # end the last finite step replaced (-1: x0, 1: x1), for Illinois
-    while abs(x1 - x0) > ROOT_TOL or math.isnan(s1):
+    x, newton = x1, False
+    while True:
+        mid = 0.5 * (x0 + x1)
         if math.isnan(s1):
-            x = 0.5 * (x0 + x1)
+            x, newton = mid, False
             if x in (x0, x1):
-                # The slope keeps its sign up to the edge of the finite
-                # region, found to float resolution; x0 is nearest to it.
-                return x0
+                return x0  # the edge of the finite region, to float resolution
+        elif abs(x1 - x0) <= ROOT_TOL or mid in (x0, x1):
+            return x
+        elif not newton:
+            x, newton = _hermite_root(x0, s0, c0, x1, s1, c1), True
         else:
-            x = x1 - s1 * (x1 - x0) / (s1 - s0)
-            if abs(x - last) <= ROOT_TOL:
-                return last
-            if not min(x0, x1) < x < max(x0, x1):
-                x = 0.5 * (x0 + x1)
-        s = slope(x)
-        last = x
+            step = -s / c if c != 0.0 else math.nan
+            if abs(step) <= ROOT_TOL:
+                return x
+            x = x + step if min(x0, x1) < x + step < max(x0, x1) else mid
+        s, c = deriv(x)
         if s == 0.0:
             return x
-        if math.isnan(s):
-            x1, s1, moved = x, s, 0
-        elif (s > 0.0) != (s0 > 0.0):
-            if moved == 1:
-                s0 *= 0.5
-            x1, s1, moved = x, s, 1
+        if math.isnan(s) or (s > 0.0) != (s0 > 0.0):
+            x1, s1, c1 = x, s, c
         else:
-            if moved == -1:
-                s1 *= 0.5
-            x0, s0, moved = x, s, -1
-    return last
+            x0, s0, c0 = x, s, c
 
 
 # ---------------------------------------------------------------------------
@@ -272,32 +279,40 @@ def optimal_beta(vp: ValidatedProblem,
         return OptimalLeverage(vertex, rate, opt.method, profile=opt.profile,
                                notes=tuple(notes))
 
-    # No closed form (quadratic model): scan, then refine to the root of the
-    # exact slope next to the scan maximum.
+    # No closed form (quadratic model): scan the rate alone, classify its
+    # maximum, then refine to the root of the exact slope next to it.
     lo, hi = cap if cap is not None else UNCAPPED_BRACKET
     if cap is None:
         notes.append(f"uncapped search bracketed on [{lo:g}, {hi:g}]")
     n_scan = max(25, int(round((hi - lo) / 0.25)) + 1)
     grid = [lo + i * (hi - lo) / (n_scan - 1) for i in range(n_scan)]
-    vals = [_rate_or_minus_inf(p.growth) for p in growth_curve(vp, grid)]
+    known: dict = {}  # beta -> (rate, -inf where not finite; slope; curvature)
+
+    def deriv(*betas: float) -> tuple[float, float]:
+        # Slope and curvature at the last beta; one chain solves the new ones.
+        new = [b for b in betas if b not in known]
+        known.update(zip(new, m.rate_and_slope(alpha, new, r)))
+        return known[betas[-1]][1:]
+
+    vals = m.rates(alpha, r, grid)
     best_i = max(range(n_scan), key=vals.__getitem__)
+    deriv(*grid[max(best_i - 1, 0):best_i + 2])
+    if known[grid[best_i]][0] == -math.inf:
+        # The scan maximum is not finite: classify the whole grid.
+        vals = [_rate_or_minus_inf(p.growth) for p in growth_curve(vp, grid)]
+        best_i = max(range(n_scan), key=vals.__getitem__)
+        if vals[best_i] == -math.inf:
+            raise NoFiniteRegion("growth rate infinite or unsolvable on the whole range")
+        deriv(*grid[max(best_i - 1, 0):best_i + 2])
     best_v = vals[best_i]
-    if best_v == -math.inf:
-        raise NoFiniteRegion("growth rate infinite or unsolvable on the whole range")
-    tried = {grid[best_i]: best_v}
-
-    def slope(b: float) -> float:
-        val, s = m.rate_and_slope(alpha, b, r)
-        tried.setdefault(b, val)
-        return s
-
-    beta_star = _slope_root(slope, grid, best_i)
-    if beta_star is None or not tried[beta_star] >= best_v:
+    known[grid[best_i]] = (best_v, *known[grid[best_i]][1:])
+    beta_star = _slope_root(deriv, grid, best_i)
+    if beta_star is None or not known[beta_star][0] >= best_v:
         # The slope keeps its sign up to the end of the grid, or its root is
         # below the scan maximum (the objective is not unimodal there).
-        beta_star = max(tried, key=tried.__getitem__)
+        beta_star = max(known, key=lambda b: known[b][0])
         notes.append("refinement left the scan maximum; best evaluated point returned")
-    rate_star = tried[beta_star]
+    rate_star = known[beta_star][0]
     if cap is not None and (abs(beta_star - lo) < 1e-6 or abs(beta_star - hi) < 1e-6):
         side = "+" if abs(beta_star - hi) < 1e-6 else "-"
         notes.append("scan maximum at the cap edge")

@@ -162,9 +162,9 @@ class _Model:
     ``interval`` (finite region in beta), ``derivative`` and ``optimum`` (of
     the leverage objective) and ``grid`` (default residual grid), some with
     shared defaults here.  A variant without a closed-form optimum
-    (``optimum = None``) supplies ``rate_and_slope`` for the optimizer's
-    search instead.  ``check`` reads the parameter ``bounds`` table.  A
-    variant whose finite region is a half-line states its ``edge``.
+    (``optimum = None``) supplies ``rates`` and ``rate_and_slope`` for the
+    optimizer's search instead.  ``check`` reads the parameter ``bounds``
+    table.  A variant whose finite region is a half-line states its ``edge``.
     """
 
     kind: ClassVar[str]
@@ -774,8 +774,8 @@ class Quadratic(_Model):
 
     @staticmethod
     def killing_coeff(alpha, beta):
-        """q of the killing rate q y^T a y, and dq/dbeta; elementwise in beta."""
-        return 2.0 * alpha * beta * (beta - 1.0), 2.0 * alpha * (2.0 * beta - 1.0)
+        """q of the killing rate q y^T a y, dq/dbeta (elementwise in beta) and d^2q/dbeta^2."""
+        return 2.0 * alpha * beta * (beta - 1.0), 2.0 * alpha * (2.0 * beta - 1.0), 4.0 * alpha
 
     def generator(self, alpha, beta):
         """L f = tr(a Hess f)/2 + (b + B y) . grad f - q y^T a y f on R^d."""
@@ -788,25 +788,24 @@ class Quadratic(_Model):
         sol = solve_quadratic_model(self, alpha, beta)
         return Eigenpair(lam=sol.lam, phi=ExpQuadratic(sol.u, sol.V), kappa=None)
 
+    def _components(self, alpha, r, chain):
+        """The named rate components at the solved betas of a chain, as arrays."""
+        terms = self.drift_terms(alpha, chain.betas[chain.batch.idx], r)
+        terms.update(half_uau=0.5 * chain.uau, trace_aV=-chain.tr_av, u_b=-chain.ub)
+        return terms
+
     def _growth_terms(self, alpha, r, chain):
         """(condition, components) at each beta of a solved Riccati chain, or
         the library error the chain met there."""
-        rows = zip(chain.e_prec[:, -1].tolist(), chain.uau.tolist(),
-                   chain.tr_av.tolist(), chain.ub.tolist())
-        for beta, exc in zip(chain.betas.tolist(), chain.errors):
+        comps = self._components(alpha, r, chain)
+        rows = zip(chain.e_prec[:, -1].tolist(), *(v.tolist() for v in comps.values()))
+        for exc in chain.batch.errors:
             if exc is not None:
                 yield exc
                 continue
-            max_eig, uau, tr_av, ub = next(rows)
-            cond = _condition(
-                "all eigenvalues of V + alpha*beta*I - inv(Sigma_inf)/2 negative "
-                "(lhs = -max eigenvalue)",
-                -max_eig, 0.0)
-            terms = self.drift_terms(alpha, beta, r)
-            terms["half_uau"] = 0.5 * uau
-            terms["trace_aV"] = -tr_av
-            terms["u_b"] = -ub
-            yield cond, terms
+            max_eig, *values = next(rows)
+            yield _condition("all eigenvalues of V + alpha*beta*I - inv(Sigma_inf)/2 negative "
+                             "(lhs = -max eigenvalue)", -max_eig, 0.0), dict(zip(comps, values))
 
     def growth(self, alpha, beta, r):
         """Condition and components from the Riccati chain solved at beta."""
@@ -815,21 +814,37 @@ class Quadratic(_Model):
             raise terms
         return terms
 
-    def rate_and_slope(self, alpha, beta, r):
-        """Growth rate at beta and its beta-derivative from one Riccati chain,
-        or (-inf, nan) where growth is infinite or the chain fails there."""
-        (chain,) = _solve_chains(self, alpha, [beta])
-        (terms,) = self._growth_terms(alpha, r, chain)
-        if not isinstance(terms, LetfGrowthError) and (g := _classified(*terms)).is_finite:
-            dlam, errors = _eigenvalue_slope_stack(
+    def rates(self, alpha, r, betas):
+        """The growth rate at each beta of a grid from the rate stage of the
+        Riccati chain alone, unclassified: ``curve``'s rate, bit for bit,
+        wherever that is finite; -inf where the rate stage fails."""
+        betas = np.asarray(betas, dtype=float)
+        out, moved = np.where(betas == 0.0, alpha * r, -math.inf), np.flatnonzero(betas)
+        start = 0
+        for chain in _solve_chains(self, alpha, betas[moved], stationary=False):
+            out[moved[start + chain.batch.idx]] = sum(self._components(alpha, r, chain).values())
+            start += len(chain.betas)
+        return out.tolist()
+
+    def rate_and_slope(self, alpha, betas, r):
+        """(rate, slope, curvature) at each beta: the growth rate and its first
+        two beta-derivatives from one Riccati chain per chunk, or
+        (-inf, nan, nan) where growth is infinite or the chain fails."""
+        out, nan = [], (-math.inf, math.nan, math.nan)
+        for chain in _solve_chains(self, alpha, betas):
+            dlam, d2lam, errors = _eigenvalue_slope_stack(
                 chain.V, chain.F, chain.u, self.a, self.Bmat, self.b,
-                self.killing_coeff(alpha, chain.betas)[1])
-            if errors[0] is None:
-                return g.rate, -r * alpha - float(dlam[0])
-        return -math.inf, math.nan
+                *self.killing_coeff(alpha, chain.betas[chain.batch.idx])[1:])
+            rows = zip(dlam.tolist(), d2lam.tolist(), errors)
+            for terms in self._growth_terms(alpha, r, chain):
+                dl, d2l, exc = (0, 0, terms) if isinstance(terms, LetfGrowthError) else next(rows)
+                g = None if exc else _classified(*terms)
+                out.append((g.rate, -r * alpha - dl, -d2l) if g and g.is_finite else nan)
+        return out
 
     def derivative(self, alpha, beta, r):
-        return self.rate_and_slope(alpha, beta, r)[1]
+        """The slope of ``rate_and_slope`` at one beta, nan where it is not finite."""
+        return self.rate_and_slope(alpha, [beta], r)[0][1]
 
     def curve(self, alpha, r, betas):
         # One batched Riccati chain for the grid; beta = 0 keeps the

@@ -51,20 +51,26 @@ Every step runs once on a stack of betas: a grid costs a fixed number of
 numpy calls per chunk of ``_chunk_size(d)`` betas, as many as keep a stack
 of d^2 x d^2 Kronecker matrices within 2^16 entries (512 KB).  A failing
 beta leaves the stack with its error; a failed batched solve or eig is
-rerun per member.  A chunk's ``_Chain`` holds what the growth rate and its
-slope read (V, F, residual, u, lambda terms, Sigma_inf, precision-form
-convergence matrix and eigenvalues); ``_Chain.solutions``, the one
-constructor of ``QuadraticSolution``, adds the mean, Lyapunov residual and
-covariance form.  Each row of a stack is computed from its own beta's
-inputs alone, so a beta solved in a grid equals the same beta solved
-alone, bit for bit.
+rerun per member.  A chunk's ``_Chain`` is solved in two stages: the rate
+stage (V, F, residual, u and the lambda terms), all that the growth rate's
+value and slopes read, then the stationary stage (Sigma_inf and the
+precision-form convergence matrix with its eigenvalues), which classifies
+it.  ``_Chain.solutions``, the one constructor of ``QuadraticSolution``,
+adds the mean, Lyapunov residual and covariance form.  Each row of a stack
+is computed from its own beta's inputs alone, so a beta solved in a grid
+equals the same beta solved alone, bit for bit.
 
-The leverage derivative of lambda comes from the solved chain by Riccati
-sensitivity (``_eigenvalue_slope_stack``): V' solves the Lyapunov equation
-F^T V' + V' F = -q' a with the polish's Kronecker operator, then u' one
-linear system.  q and q' = dq/dbeta come from the model's
-``killing_coeff``, the coefficient its ``generator`` kills with; the public
-route to the slope is ``leverage.lambda_derivative``.
+The first two leverage derivatives of lambda come from the solved chain by
+Riccati sensitivity (Kenney & Hewer 1990; ``_eigenvalue_slope_stack``).
+Differentiating the Riccati equation in beta gives the Lyapunov equation
+F^T V' + V' F = -q' a, solved with the polish's Kronecker operator;
+differentiating (2 V a - B^T) u = 2 V b gives (2 V a - B^T) u' =
+2 V' (b - a u); and lambda' = -u'^T a u + tr(a V') + u'^T b.  Once more:
+F^T V'' + V'' F = 4 V' a V' - q'' a with the same operator,
+(2 V a - B^T) u'' = 2 V'' (b - a u) - 4 V' a u', and
+lambda'' = -u''^T a u - u'^T a u' + tr(a V'') + u''^T b.  q, q' and q''
+come from the model's ``killing_coeff``, the coefficient its ``generator``
+kills with; the public route to the slope is ``leverage.lambda_derivative``.
 
 The factor on the lower-left block is -q a, not -2 q a: with it, the scalar
 case a=1, B=-1 gives V = (-1 + sqrt(1 + 2q))/2 and closed loop
@@ -377,26 +383,28 @@ def _drift_shift(V, a, Bmat, b):
     return u, errors
 
 
-def _eigenvalue_slope_stack(V, F, u, a, Bmat, b, dqs):
-    """d lambda / d beta at each solved (V, F, u), with q' = dq/d beta each.
-
-    Riccati sensitivity (Kenney & Hewer 1990): differentiating the Riccati
-    equation in beta gives the Lyapunov equation F^T V' + V' F = -q' a,
-    solved in the Kronecker form of the Newton step; differentiating
-    (2 V a - B^T) u = 2 V b gives (2 V a - B^T) u' = 2 V' (b - a u); and
-    lambda' = -u'^T a u + tr(a V') + u'^T b.
-    """
+def _eigenvalue_slope_stack(V, F, u, a, Bmat, b, dqs, d2q):
+    """d lambda / d beta and d^2 lambda / d beta^2 at each solved (V, F, u), with
+    q' = dq/d beta each and q'' = d^2 q / d beta^2, by the Riccati sensitivity
+    equations of the module docstring.  The second-order solves reuse the
+    first-order matrices, so the same members fail."""
     n, d = V.shape[0], V.shape[-1]
-    dV, errors = _solve_stack(_kron_sum(np.swapaxes(F, -1, -2)),
-                              (-dqs[:, None, None] * a).reshape(n, d * d, 1),
+    K, M, w = _kron_sum(np.swapaxes(F, -1, -2)), 2.0 * V @ a - Bmat.T, b - _rows(u, a.T)
+    dV, errors = _solve_stack(K, (-dqs[:, None, None] * a).reshape(n, d * d, 1),
                               "Riccati sensitivity system")
     dV = _sym(dV.reshape(n, d, d))
-    du, du_errors = _solve_stack(2.0 * V @ a - Bmat.T,
-                                 2.0 * dV @ (b - _rows(u, a.T))[..., None], "2Va - B^T")
+    du, du_errors = _solve_stack(M, 2.0 * dV @ w[..., None], "2Va - B^T")
     du = du[..., 0]
     dlam = (-(du[:, None, :] @ a @ u[:, :, None])[:, 0, 0]
             + np.trace(a @ dV, axis1=-2, axis2=-1) + _rows(du, b))
-    return dlam, [e or m for e, m in zip(errors, du_errors)]
+    rhs = (4.0 * dV @ a @ dV - np.reshape(d2q, (-1, 1, 1)) * a).reshape(n, d * d, 1)
+    d2V = _sym(_solve_stack(K, rhs, "Riccati sensitivity system")[0].reshape(n, d, d))
+    d2u = _solve_stack(M, 2.0 * d2V @ w[..., None] - 4.0 * dV @ a @ du[..., None],
+                       "2Va - B^T")[0][..., 0]
+    d2lam = (-(d2u[:, None, :] @ a @ u[:, :, None])[:, 0, 0]
+             - (du[:, None, :] @ a @ du[:, :, None])[:, 0, 0]
+             + np.trace(a @ d2V, axis1=-2, axis2=-1) + _rows(d2u, b))
+    return dlam, d2lam, [e or m for e, m in zip(errors, du_errors)]
 
 
 def _stationary_stack(F, a):
@@ -507,13 +515,14 @@ class QuadraticSolution:
         return self.riccati.V
 
 
-class _Chain(namedtuple("_Chain", "model alpha betas errors q V F res u uau tr_av ub lam "
-                                  "sig c_prec e_prec")):
-    """One chunk's chain: an error slot per beta, then a row per solved beta."""
+class _Chain(namedtuple("_Chain", "model alpha betas batch q V F res u uau tr_av ub lam "
+                                  "sig c_prec e_prec", defaults=(None, None, None))):
+    """One chunk's chain: its ``_Batch`` (an error slot per beta), then a row
+    per solved beta; the stationary fields stay None after the rate stage."""
 
     def solutions(self) -> list:
         """Each beta's ``QuadraticSolution``, or its error."""
-        out = list(self.errors)
+        out = list(self.batch.errors)
         solved = [i for i, exc in enumerate(out) if exc is None]
         a, V, F, sig = self.model.a, self.V, self.F, self.sig
         lres, mean, errors = _stationary_law(F, a, sig, self.model.b - _rows(self.u, a.T))
@@ -529,7 +538,8 @@ class _Chain(namedtuple("_Chain", "model alpha betas errors q V F res u uau tr_a
         return out
 
 
-def _solve_chunk(model: Quadratic, alpha: float, betas: np.ndarray) -> _Chain:
+def _rate_stage(model: Quadratic, alpha: float, betas: np.ndarray) -> _Chain:
+    """A chunk's chain up to lambda: Riccati solution, drift shift, lambda terms."""
     a, Bmat, b = model.a, model.Bmat, model.b
     qs = model.killing_coeff(alpha, betas)[0]
     batch = _Batch(len(betas))
@@ -539,21 +549,32 @@ def _solve_chunk(model: Quadratic, alpha: float, betas: np.ndarray) -> _Chain:
     # The terms of lambda = -u^T a u / 2 + tr(a V) + u^T b.
     uau = (u[:, None, :] @ a @ u[:, :, None])[:, 0, 0]
     tr_av, ub = np.trace(a @ V, axis1=-2, axis2=-1), _rows(u, b)
-    sig, stat_errors = _stationary_stack(F, a)
+    return _Chain(model, alpha, betas, batch, qs[batch.idx], V, F, res, u, uau, tr_av, ub,
+                  -0.5 * uau + tr_av + ub)
+
+
+def _stationary_stage(chain: _Chain) -> _Chain:
+    """The rest of a chain: the stationary law and the convergence test."""
+    model, batch = chain.model, chain.batch
+    sig, stat_errors = _stationary_stack(chain.F, model.a)
     precision, conv_errors = _solve_stack(sig, np.eye(model.d), "stationary covariance")
-    c_prec, e_prec = _convergence_form(V, alpha, betas[batch.idx], precision)
+    c_prec, e_prec = _convergence_form(chain.V, chain.alpha, chain.betas[batch.idx], precision)
     stacks = batch.drop([s or c for s, c in zip(stat_errors, conv_errors)],
-                        qs[batch.idx], V, F, res, u, uau, tr_av, ub,
-                        -0.5 * uau + tr_av + ub, sig, c_prec, e_prec)
-    return _Chain(model, alpha, betas, batch.errors, *stacks)
+                        *chain[4:13], sig, c_prec, e_prec)
+    return _Chain(*chain[:4], *stacks)
 
 
-def _solve_chains(model: Quadratic, alpha: float, betas) -> Iterator[_Chain]:
-    """The chain of each ``_chunk_size(d)`` betas of a grid, solved lazily."""
+def _solve_chunk(model: Quadratic, alpha: float, betas: np.ndarray) -> _Chain:
+    return _stationary_stage(_rate_stage(model, alpha, betas))
+
+
+def _solve_chains(model: Quadratic, alpha: float, betas, stationary=True) -> Iterator[_Chain]:
+    """The chain of each ``_chunk_size(d)`` betas of a grid, solved lazily; its
+    rate stage alone unless ``stationary``."""
     betas = np.asarray(betas, dtype=float).reshape(-1)
-    step = _chunk_size(model.d)
+    step, solve = _chunk_size(model.d), _solve_chunk if stationary else _rate_stage
     for start in range(0, betas.size, step):
-        yield _solve_chunk(model, alpha, betas[start:start + step])
+        yield solve(model, alpha, betas[start:start + step])
 
 
 def solve_quadratic_grid(model: Quadratic, alpha: float,

@@ -70,3 +70,57 @@ def test_machine_records_the_bytecode_setting(monkeypatch, value):
     else:
         monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
     assert bench_pairs.machine()["PYTHONDONTWRITEBYTECODE"] == value
+
+
+LAYER = "leverage.optimal_beta_ms.quadratic.capped"
+
+
+def test_summary_compares_layer_metrics_of_the_traced_runs_only():
+    runs = pairs([470.0, 480.0, 460.0], [450.0, 470.0, 455.0])
+    for i, (p, c) in enumerate([(3.0, 2.0), (3.4, 3.5), (2.9, 2.5)]):
+        for side, ms in (("parent", p), ("change", c)):
+            runs.append({"side": side, "seed": 9701 + i, "traced": True, "correct": True,
+                         "failed": 0, "steal_ticks": 0, LAYER: ms})
+    out = bench_pairs.summarize(runs, 3, (LAYER,))
+    assert out["correct_all"] and out["seeds"] == [9701, 9702, 9703]
+    layer = out["layers"][LAYER]
+    assert layer["parent_runs"] == [3.0, 3.4, 2.9] and layer["change_runs"] == [2.0, 3.5, 2.5]
+    assert layer["change_lower_in_pairs"] == "2/3"
+    assert layer["change_over_parent_median"] == 2.5 / 3.0
+    assert out["metrics"]["pass_cal"]["parent_runs"] == [470.0, 480.0, 460.0]
+
+
+def test_summary_gives_no_ratio_for_a_layer_the_workload_does_not_exercise():
+    runs = pairs([470.0, 480.0], [450.0, 470.0])
+    runs += [{"side": side, "seed": 9701 + i, "traced": True, "correct": True, "failed": 0,
+              LAYER: 0.0} for i in range(2) for side in ("parent", "change")]
+    layer = bench_pairs.summarize(runs, 2, (LAYER,))["layers"][LAYER]
+    assert layer["change_over_parent_median"] is None and layer["change_lower_in_pairs"] == "0/2"
+
+
+def test_summary_needs_a_traced_run_of_each_side_per_pair_for_layers():
+    runs = pairs([470.0, 480.0, 460.0], [450.0, 470.0, 455.0])
+    runs.append({"side": "parent", "seed": 9701, "traced": True, "correct": True,
+                 "failed": 0, LAYER: 3.0})
+    out = bench_pairs.summarize(runs, 3, (LAYER,))
+    assert out["correct_all"] is False and out["metrics"] == {} and out["layers"] == {}
+
+
+def test_layer_runs_are_traced_and_read_the_layer_metrics(monkeypatch, tmp_path):
+    args = bench_pairs.parse_args(["--workload", "analytic_quadratic:8", "--topic", "t",
+                                   "--change", "c", "--out", "o.json",
+                                   "--layer", LAYER, "--layer", "e2e.wall_s"])
+    assert args.layer == [LAYER, "e2e.wall_s"]
+    calls = []
+
+    class Done:
+        returncode, stderr = 0, ""
+        stdout = 'x = 1\n{"correct": true, "failed": 0, "metrics": {"%s": {"value": 2.5}, ' \
+                 '"e2e.wall_s": {"value": 0.2}}}\n' % LAYER
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda cmd, **kw: calls.append(cmd) or Done)
+    rec = bench_pairs.run_once(tmp_path, "analytic_quadratic", 9701, 32.0, tuple(args.layer))
+    assert calls == [("python3 perfbench/run.py --workload analytic_quadratic --seed 9701 "
+                      "--seconds 32 --trace 1").split()]
+    assert rec[LAYER] == 2.5 and rec["e2e.wall_s"] == 0.2 and rec["correct"]
+    assert "pass_cal" not in rec

@@ -265,6 +265,30 @@ def test_exact_quadratic_slope_matches_fd(d):
     assert inside >= 6 and outside >= 12
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_exact_quadratic_curvature_matches_fd(d):
+    # The second-order Riccati sensitivity against central differences of
+    # the exact slope, on the models and betas of the slope test above.
+    rng = np.random.default_rng(7100 + d)
+    outside = inside = 0
+    for recipe in ("criterion7", "catalog_scale"):
+        for alpha in (0.3, 0.5, 1.0):
+            a, B = SWEEP_RECIPES[recipe](rng, d)
+            vp = vp_of(Quadratic(b=rng.normal(scale=0.1, size=d), Bmat=B,
+                                 sigma=np.linalg.cholesky(a)), alpha=alpha)
+            for beta in (-2.0, -0.6, -0.1, 0.05, 0.2, 0.5, 0.8, 1.05, 1.4, 2.5):
+                ((_, slope, curvature),) = vp.model.rate_and_slope(alpha, [beta], vp.r)
+                if math.isnan(slope):
+                    assert math.isnan(curvature)
+                    continue
+                h = 1e-6 * max(1.0, abs(beta))
+                fd = (lambda_derivative(vp, beta + h) - lambda_derivative(vp, beta - h)) / (2 * h)
+                assert curvature == pytest.approx(fd, rel=1e-6, abs=1e-8)
+                inside += 0.0 < beta < 1.0
+                outside += not 0.0 < beta < 1.0
+    assert inside >= 6 and outside >= 12
+
+
 @pytest.mark.parametrize("vp, beta", [
     pytest.param(vp_of(Garch(theta=0.08, a=0.1, sigma=0.6), alpha=1.0, relax=True), 1.7,
                  id="garch_infinite"),
@@ -340,25 +364,54 @@ def test_quadratic_optimum_does_not_depend_on_the_bracket(name, alpha):
 
 @pytest.mark.parametrize("cap", [None, (-3.0, 3.0)], ids=["uncapped", "capped"])
 def test_quadratic_refinement_solves_few_chains(monkeypatch, cap):
-    # Riccati chains solved after the scan's growth_curve returns: a few
-    # slope evaluations, each one chain.
-    count = {"scanned": False, "chains": 0}
-    solve_chunk, scan = riccati._solve_chunk, leverage.growth_curve
+    # The scan solves no stationary law; after it, whole Riccati chains are
+    # solved for the scan maximum with its neighbours, the Hermite start and
+    # one Newton point.
+    count = {"scanned": False, "chains": 0, "scan_stationary": 0}
+    solve_chunk, stationary, rates = riccati._solve_chunk, riccati._stationary_stage, Quadratic.rates
 
     def counted_chunk(*args):
         count["chains"] += count["scanned"]
         return solve_chunk(*args)
 
-    def counted_scan(*args):
-        points = scan(*args)
+    def counted_stationary(chain):
+        count["scan_stationary"] += not count["scanned"]
+        return stationary(chain)
+
+    def counted_rates(*args):
+        out = rates(*args)
         count["scanned"] = True
-        return points
+        return out
 
     monkeypatch.setattr(riccati, "_solve_chunk", counted_chunk)
-    monkeypatch.setattr(leverage, "growth_curve", counted_scan)
+    monkeypatch.setattr(riccati, "_stationary_stage", counted_stationary)
+    monkeypatch.setattr(Quadratic, "rates", counted_rates)
     opt = optimal_beta(vp_of(BASE_MODELS["quadratic"]), cap=cap)
-    assert opt.method == "concave_search"
-    assert 0 < count["chains"] <= 12
+    assert opt.method == "concave_search" and count["scanned"]
+    assert count["scan_stationary"] == 0
+    assert 0 < count["chains"] <= 3
+
+
+@pytest.mark.parametrize("cap", [None, (-3.0, 3.0)], ids=["uncapped", "capped"])
+def test_infinite_scan_maximum_classifies_the_whole_grid(monkeypatch, cap):
+    # The scan's maximum moved to the left end of the grid and classified
+    # infinite there: the optimizer classifies the whole grid with
+    # growth_curve and finds the same optimum as without the patch.
+    vp = vp_of(BASE_MODELS["quadratic"])
+    want = optimal_beta(vp, cap=cap)
+    lo = (cap or leverage.UNCAPPED_BRACKET)[0]
+    rates, rate_and_slope, curve = Quadratic.rates, Quadratic.rate_and_slope, leverage.growth_curve
+    curves = []
+
+    def classified(self, alpha, betas, r):
+        return [(-math.inf, math.nan, math.nan) if b == lo else rs
+                for b, rs in zip(betas, rate_and_slope(self, alpha, betas, r))]
+
+    monkeypatch.setattr(Quadratic, "rates", lambda *args: [math.inf] + rates(*args)[1:])
+    monkeypatch.setattr(Quadratic, "rate_and_slope", classified)
+    monkeypatch.setattr(leverage, "growth_curve", lambda *args: curves.append(args) or curve(*args))
+    assert optimal_beta(vp, cap=cap) == want
+    assert len(curves) == 1
 
 
 def test_quadratic_derivative_solves_one_chain(monkeypatch):
@@ -388,30 +441,69 @@ def recorded(slope):
 
 
 def test_slope_root_at_a_zero_slope_is_the_scan_maximum():
-    assert leverage._slope_root(lambda x: 1.0 - x, [0.0, 1.0, 2.0], 1) == 1.0
+    assert leverage._slope_root(lambda x: (1.0 - x, -1.0), [0.0, 1.0, 2.0], 1) == 1.0
 
 
 def test_slope_root_without_a_sign_change_at_the_neighbour_is_none():
     # Rising at grid[1] and at grid[2], the neighbour it rises towards.
-    slope, seen = recorded(lambda x: 1.0 + x)
+    slope, seen = recorded(lambda x: (1.0 + x, 1.0))
     assert leverage._slope_root(slope, [0.0, 1.0, 2.0], 1) is None
     assert seen == [1.0, 2.0]
 
 
-def test_slope_root_bisects_where_the_secant_point_rounds_onto_the_bracket():
-    # Against s(1) = -0.75, s(0) = 1e-300 puts the secant point at
-    # 1 - 1/(1 + 1e-300), which rounds onto the end 0; so does the next one.
-    slope, seen = recorded(lambda x: 1e-300 if x == 0.0 else 0.25 - x)
-    assert leverage._slope_root(slope, [0.0, 1.0], 0) == 0.25
-    assert seen == [0.0, 1.0, 0.5, 0.25]
+def test_slope_root_newton_converges_from_the_hermite_start():
+    # A smooth slope with its exact curvature and its root at 0.3: Newton
+    # points from the Hermite start, each error about the square of the last,
+    # until the step is within ROOT_TOL.
+    slope, seen = recorded(lambda x: ((0.3 - x) * math.exp(x), (-0.7 - x) * math.exp(x)))
+    root = leverage._slope_root(slope, [0.0, 0.25, 0.5], 1)
+    assert abs(root - 0.3) <= leverage.ROOT_TOL and root == seen[-1]
+    errors = [abs(x - 0.3) for x in seen[2:]]
+    assert seen[:2] == [0.25, 0.5] and len(errors) == 3 and errors[0] < 1e-4
+    assert errors[1] <= 2.0 * errors[0] ** 2
+
+
+def test_slope_root_bisects_where_the_newton_point_leaves_the_bracket():
+    # A curvature of the wrong sign sends every Newton point out of the
+    # bracket, so each point after the Hermite start halves the bracket.
+    slope, seen = recorded(lambda x: (0.25 - x, 1.0))
+    root = leverage._slope_root(slope, [0.0, 1.0], 0)
+    assert abs(root - 0.25) <= leverage.ROOT_TOL and root == seen[-1]
+    for k in range(3, len(seen)):
+        lo = max(x for x in seen[:k] if x < 0.25)
+        hi = min(x for x in seen[:k] if x > 0.25)
+        assert seen[k] == 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("above", [-1e-3, -1e3])
+def test_slope_root_reaches_a_kinked_slopes_root(above):
+    # A slope of 1 below 0.3 and of ``above`` from there, with zero
+    # curvature: no Newton step exists, and the bracket is bisected until it
+    # is within ROOT_TOL of the kink.
+    root = leverage._slope_root(lambda x: (1.0 if x < 0.3 else above, 0.0), [0.0, 1.0], 0)
+    assert abs(root - 0.3) <= leverage.ROOT_TOL
+
+
+def test_slope_root_stops_at_float_resolution():
+    # Near beta = 1e5 adjacent floats are 1.5e-11 apart, wider than
+    # ROOT_TOL: the bisection ends when the bracket cannot be halved.
+    seen = []
+
+    def slope(x):
+        seen.append(x)
+        assert len(seen) < 60, "bisection past float resolution"
+        return 1.0 if x < 1e5 + 0.3 else -1.0, 0.0
+
+    root = leverage._slope_root(slope, [1e5, 1e5 + 1.0], 0)
+    assert abs(root - (1e5 + 0.3)) <= math.ulp(1e5)
 
 
 def test_slope_root_stops_once_the_bracket_is_within_root_tol():
-    # One bisection halves a bracket of 1.5 ROOT_TOL; the last point is taken.
-    x1 = 1.5 * leverage.ROOT_TOL
-    slope, seen = recorded(lambda x: 1e-300 if x == 0.0 else -1.0)
-    assert leverage._slope_root(slope, [0.0, x1], 0) == 0.5 * x1
-    assert seen == [0.0, x1, 0.5 * x1]
+    # A bracket of ROOT_TOL / 2 from the start: the last point is taken.
+    x1 = 0.5 * leverage.ROOT_TOL
+    slope, seen = recorded(lambda x: (1e-300 if x == 0.0 else -1.0, 0.0))
+    assert leverage._slope_root(slope, [0.0, x1], 0) == x1
+    assert seen == [0.0, x1]
 
 
 def test_quadratic_no_finite_region():

@@ -294,18 +294,46 @@ def test_curve_and_slope_match_the_solution_objects(monkeypatch, d):
         assert growth_hex(point.growth) == growth_hex(
             growth_from_solution(alpha, point.beta, r, sol))
     assert 0 < n_failed < betas.size
+    got = []
     for beta in betas[::7].tolist():
-        want = (-np.inf, np.nan)
+        want = (-np.inf, np.nan, np.nan)
         (sol,) = solve_quadratic_grid(m, alpha, [beta])
         if (not isinstance(sol, LetfGrowthError)
                 and (g := growth_from_solution(alpha, beta, r, sol)).is_finite):
-            dlam, errors = riccati._eigenvalue_slope_stack(
+            dlam, d2lam, errors = riccati._eigenvalue_slope_stack(
                 sol.V[None], sol.riccati.closed_loop[None], sol.u[None], m.a, m.Bmat, m.b,
-                np.array([m.killing_coeff(alpha, beta)[1]]))
+                *m.killing_coeff(alpha, np.array([beta]))[1:])
             if errors[0] is None:
-                want = (g.rate, -r * alpha - float(dlam[0]))
-        got = m.rate_and_slope(alpha, beta, r)
-        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+                want = (g.rate, -r * alpha - float(dlam[0]), -float(d2lam[0]))
+        (one,) = m.rate_and_slope(alpha, [beta], r)
+        assert [float(x).hex() for x in one] == [float(x).hex() for x in want]
+        got.append(one)
+    # A stack of betas gives each beta's values alone, bit for bit.
+    stacked = m.rate_and_slope(alpha, betas[::7], r)
+    assert [[x.hex() for x in t] for t in stacked] == [[x.hex() for x in t] for t in got]
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_scan_rates_match_the_curve_bit_for_bit(d):
+    # The rate stage alone gives growth_curve's rate at every finite point,
+    # the money-market rate at beta = 0, and -inf only where the curve
+    # point carries an error.
+    m = seeded_model(d, scale=4.0)
+    betas = np.linspace(-4.0, 5.0, 37)  # beta = 0 included
+    vp = validate(Problem(m, Preference(0.5), Leverage(1.0), ConstantRate(0.01)))
+    rates = m.rates(0.5, 0.01, betas)
+    seen = {"finite": 0, "infinite": 0, "error": 0}
+    for rate, point in zip(rates, growth_curve(vp, betas)):
+        if point.error is not None:
+            seen["error"] += 1
+        elif point.growth.is_finite:
+            seen["finite"] += 1
+            assert rate.hex() == point.growth.rate.hex()
+        else:
+            seen["infinite"] += 1
+        assert rate != -np.inf or point.error is not None
+    assert rates[16] == 0.5 * 0.01 and betas[16] == 0.0
+    assert seen["finite"] >= 20 and seen["infinite"] > 0 and seen["error"] > 0
 
 
 def test_curve_points_match_growth_rate_bit_for_bit():

@@ -16,6 +16,11 @@ the ``cpu`` line of /proc/stat is read before and after each run (USER_HZ
 ticks summed over all CPUs); each workload's summary gives each side's
 median and max.  Medians and quartiles use
 ``statistics.quantiles(method="inclusive")``.
+
+Each ``--layer METRIC`` (repeatable) makes every pair also run both sides
+with ``--trace 1``, in the same order and with the same seed, and
+summarizes those per-layer metrics as it does ``pass_cal``: one traced run
+moves with the host, a paired median does not.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from pathlib import Path
 
 METRICS = ("setup_s", "pass_cal", "peak_rss_mb")
 COMMAND = ("python3 perfbench/run.py --workload {workload} --seed {seed} "
-           "--seconds {seconds} --trace 0")
+           "--seconds {seconds} --trace {trace}")
 
 
 def parse_args(argv=None):
@@ -50,6 +55,8 @@ def parse_args(argv=None):
     p.add_argument("--change", required=True, help="one sentence: what the change does")
     p.add_argument("--scratch", default=tempfile.gettempdir())
     p.add_argument("--out", required=True)
+    p.add_argument("--layer", action="append", default=[], metavar="METRIC",
+                   help="per-layer metric to compare from --trace 1 runs, repeatable")
     return p.parse_args(argv)
 
 
@@ -86,8 +93,10 @@ def steal_ticks() -> int | None:
     return int(fields[8]) if fields[0] == "cpu" and len(fields) > 8 else None
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    command = COMMAND.format(workload=workload, seed=seed, seconds=f"{seconds:g}")
+def run_once(tree: Path, workload: str, seed: int, seconds: float, layers=()) -> dict:
+    """One run of a side; traced (``--trace 1``) and read for ``layers`` if any."""
+    command = COMMAND.format(workload=workload, seed=seed, seconds=f"{seconds:g}",
+                             trace=int(bool(layers)))
     before, start = steal_ticks(), time.perf_counter()
     out = subprocess.run(command.split(), cwd=tree, capture_output=True, text=True)
     wall, after = time.perf_counter() - start, steal_ticks()
@@ -101,7 +110,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     if result is None:
         rec["stderr_tail"] = out.stderr[-2000:]
         return rec
-    rec.update({name: result["metrics"][name]["value"] for name in METRICS})
+    rec.update({name: result["metrics"][name]["value"] for name in layers or METRICS})
     return rec
 
 
@@ -118,23 +127,31 @@ def steal(runs: list[dict]) -> dict | None:
     return {"median": statistics.median(ticks), "max": max(ticks)}
 
 
-def summarize(runs: list[dict], n_pairs: int) -> dict:
-    sides = {s: [r for r in runs if r["side"] == s] for s in ("parent", "change")}
-    ok = all(r["correct"] for r in runs) and len(runs) == 2 * n_pairs
+def summarize(runs: list[dict], n_pairs: int, layers=()) -> dict:
+    """Pair statistics of the untraced runs' METRICS and the traced runs' ``layers``."""
+    plain = [r for r in runs if not r.get("traced")]
+    traced = [r for r in runs if r.get("traced")]
+    sides = {s: [r for r in plain if r["side"] == s] for s in ("parent", "change")}
+    ok = (all(r["correct"] for r in runs) and len(plain) == 2 * n_pairs
+          and len(traced) == (2 * n_pairs if layers else 0))
     out = {"pairs": n_pairs, "seeds": [r["seed"] for r in sides["parent"]],
            "correct_all": ok,
            "failed_operations": sum(r["failed"] or 0 for r in runs),
            "steal_ticks": {s: steal(rs) for s, rs in sides.items()}, "metrics": {}}
+    if layers:
+        out["layers"] = {}
     if not ok or n_pairs < 2:
         return out
-    for name in METRICS:
-        p = [r[name] for r in sides["parent"]]
-        c = [r[name] for r in sides["change"]]
-        out["metrics"][name] = {
-            "parent": spread(p), "change": spread(c),
-            "change_over_parent_median": statistics.median(c) / statistics.median(p),
-            "change_lower_in_pairs": f"{sum(y < x for x, y in zip(p, c))}/{n_pairs}",
-            "parent_runs": p, "change_runs": c}
+    for key, names, group in (("metrics", METRICS, plain), ("layers", layers, traced)):
+        for name in names:
+            p = [r[name] for r in group if r["side"] == "parent"]
+            c = [r[name] for r in group if r["side"] == "change"]
+            base = statistics.median(p)  # 0 for a layer the workload does not exercise
+            out[key][name] = {
+                "parent": spread(p), "change": spread(c),
+                "change_over_parent_median": statistics.median(c) / base if base else None,
+                "change_lower_in_pairs": f"{sum(y < x for x, y in zip(p, c))}/{n_pairs}",
+                "parent_runs": p, "change_runs": c}
     return out
 
 
@@ -173,23 +190,27 @@ def main(argv=None) -> int:
               "method": "Alternating parent/change pairs with one seed per pair; see "
                         "tools/bench_pairs.py for how the trees are built and steal is read.",
               "command": COMMAND.format(workload="{workload}", seed="{seed}",
-                                        seconds=f"{args.seconds:g}"),
+                                        seconds=f"{args.seconds:g}", trace=0),
+              "layers": args.layer,
               "pair_runner": shlex.join(["python3", "tools/bench_pairs.py", *sys.argv[1:]]),
               "workloads": {}, "runs": []}
+    passes = [(), tuple(args.layer)] if args.layer else [()]  # untraced, then traced
     for spec in args.workload:
         workload, n_pairs = spec.split(":")
         runs = []
         for i in range(int(n_pairs)):
             seed = args.seed_base + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                rec = {"workload": workload, "seed": seed, "pair": i, "side": side,
-                       "first": order[0], **run_once(trees[side], workload, seed, args.seconds)}
-                runs.append(rec)
-                print(json.dumps({k: rec.get(k) for k in ("workload", "pair", "side", "correct",
-                                                          "steal_ticks", *METRICS)}),
-                      flush=True)
-        record["workloads"][workload] = summarize(runs, int(n_pairs))
+            for layers in passes:
+                for side in order:
+                    rec = {"workload": workload, "seed": seed, "pair": i, "side": side,
+                           "first": order[0], "traced": bool(layers),
+                           **run_once(trees[side], workload, seed, args.seconds, layers)}
+                    runs.append(rec)
+                    print(json.dumps({k: rec.get(k) for k in (
+                        "workload", "pair", "side", "traced", "correct", "steal_ticks",
+                        *(layers or METRICS))}), flush=True)
+        record["workloads"][workload] = summarize(runs, int(n_pairs), args.layer)
         record["runs"] += runs
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     shutil.rmtree(work)
