@@ -10,8 +10,11 @@ and estimates lim (1/t) log E[L_t^alpha] as the tail slope of the
 per-checkpoint log-mean utilities.  The growth paths never see alpha, beta
 or a constant rate: at each checkpoint they hand the state term (log X_t,
 or |Y_t|^2 for the quadratic model, whose |sigma_s|^2 is 4 |sigma^T Y_s|^2),
-int |sigma_s|^2 ds and, for the stochastic-rate kinds, int r ds to one
-assembly, which alone forms alpha log L_t.
+int |sigma_s|^2 ds, for the stochastic-rate kinds int r ds and, for the two
+SV kinds, the conditional variance (1 - rho^2) int v ds to one assembly,
+which alone forms alpha log L_t.  The SV kinds draw no reference normal:
+that term of log X_t is Gaussian given the variance path, so the assembly
+adds its exact log moment, alpha^2 beta^2/2 times that variance.
 
 Steppers and schemes
 --------------------
@@ -370,13 +373,17 @@ def _ou(draw: _Draw, cfg: SimConfig, m):
 # truncation events; int |sigma|^2 ds takes the left point.
 # ---------------------------------------------------------------------------
 
-def _log_utility(vp, t, state, volint, rate_int=None):
+def _log_utility(vp, t, state, volint, rate_int=None, cond_var=None):
     """alpha log L_t from the path functionals: the state term (log X_t, or
-    |Y_t|^2 for the quadratic model), int |sigma_s|^2 ds and, with a
-    stochastic rate, int r ds in place of the constant rate's r t."""
+    |Y_t|^2 for the quadratic model), int |sigma_s|^2 ds, with a stochastic
+    rate int r ds in place of the constant rate's r t and, for the SV kinds,
+    the variance of log X_t's undrawn Gaussian term given the path."""
     beta = vp.beta
     financing = (beta - 1.0) * vp.r * t if rate_int is None else (beta - 1.0) * rate_int
-    return vp.alpha * (beta * state - financing - 0.5 * beta * (beta - 1.0) * volint)
+    out = vp.alpha * (beta * state - financing - 0.5 * beta * (beta - 1.0) * volint)
+    if cond_var is not None:
+        out += 0.5 * (vp.alpha * beta) ** 2 * cond_var
+    return out
 
 
 def _growth_gbm(m, cfg, cols, draw, emit, inverse):
@@ -423,7 +430,6 @@ def _growth_cir(m, cfg, cols, draw, emit, inverse):
 def _growth_sv(m, cfg, cols, draw, emit, inverse):
     dt = cfg.dt
     mu, th, a, de, rho = m.mu, m.theta, m.a, m.delta, m.rho
-    rbar = math.sqrt(1.0 - rho * rho)
     if inverse:
         # 3/2-SV steps w = 1/v, a CIR process; dw = ... - delta sqrt(w) dZ
         # carries the minus sign, so its normal is the Z increment itself.
@@ -438,11 +444,12 @@ def _growth_sv(m, cfg, cols, draw, emit, inverse):
         if inverse:  # v is max(w, 0) until here
             v = 1.0 / np.maximum(v, RECIP_VARIANCE_FLOOR)
             sq = np.sqrt(v * dt)
-        zx = draw.normals()
         ivar += v * dt
-        logx += (mu - 0.5 * v) * dt + sq * (rho * zv + rbar * zx)
+        # The reference's sqrt(v dt) sqrt(1 - rho^2) zx is not drawn: its
+        # variance given the path goes to the assembly instead.
+        logx += (mu - 0.5 * v) * dt + sq * rho * zv
         if step in cols:
-            emit(cols[step], step * dt, logx, ivar)
+            emit(cols[step], step * dt, logx, ivar, cond_var=(1.0 - rho * rho) * ivar)
     return trunc
 
 
@@ -574,8 +581,8 @@ _SCHEMES = {
     "inverse_garch": _Scheme("log-euler-reciprocal", 50, _growth_garch, _mart_garch, True),
     "extended_cir": _Scheme("full-truncation", 50, _growth_cir, _mart_cir),
     "three_halves": _Scheme("reciprocal-cir", 50, _growth_cir, _mart_cir, True),
-    "heston_sv": _Scheme("heston-full-truncation", 100, _growth_sv, _mart_sv),
-    "three_halves_sv": _Scheme("reciprocal-cir-vol", 50, _growth_sv, _mart_sv, True),
+    "heston_sv": _Scheme("heston-full-truncation-conditional", 100, _growth_sv, _mart_sv),
+    "three_halves_sv": _Scheme("reciprocal-cir-vol-conditional", 50, _growth_sv, _mart_sv, True),
     "gbm_vasicek": _Scheme("exact-gaussian", None, _growth_rate, _mart_rate),
     "gbm_inverse_garch_rate": _Scheme("log-euler-rate", 50, _growth_rate, _mart_rate, True),
     "quadratic": _Scheme("exact-ou-quadratic", 50, _growth_ou, _mart_ou),
@@ -599,8 +606,8 @@ def _collect(vp: ValidatedProblem, cfg: SimConfig):
     cols = {int(s): k for k, s in enumerate(cfg.checkpoint_steps())}
 
     def kernel(draw, put):
-        def emit(row, t, state, volint, rate_int=None):
-            put(row, _log_utility(vp, t, state, volint, rate_int))
+        def emit(row, t, state, volint, rate_int=None, cond_var=None):
+            put(row, _log_utility(vp, t, state, volint, rate_int, cond_var))
         return scheme.growth(vp.model, cfg, cols, draw, emit, scheme.inverse)
 
     vals, trunc_events = _simulate(cfg, len(cfg.t_checkpoints), kernel)
