@@ -31,12 +31,13 @@ kept once its asymmetry is negligible.  At q = 0 with B Hurwitz the stable
 subspace is exactly span [I; 0], so those betas take that basis (V = 0)
 instead: a defective B has too few eigenvectors to span it.  A Newton step
 then polishes V to full accuracy: with F = B - 2 a V it solves the
-Sylvester equation F^T E + E F = R(V) for the correction E, written as the
-d^2 x d^2 linear system (F^T (x) I + I (x) F^T) vec E = vec R.  A V whose
+Lyapunov equation F^T E + E F = R(V) for the correction E.  A V whose
 scaled residual still fails the gate is polished again, at most three
 more times.  The closed loop must then be Hurwitz.  The Lyapunov equation
-F Sigma + Sigma F^T + a = 0 of the stationary law is solved in the same
-Kronecker form.
+F Sigma + Sigma F^T + a = 0 of the stationary law is solved the same way:
+each A X + X A^T = C, with C symmetrized, is solved for the upper triangle
+of a symmetric X, p = d(d+1)/2 unknowns instead of the d^2 of the
+Kronecker form (Magnus & Neudecker 1980), and X is mirrored back.
 
 The eigenvector seed is the only one.  A beta that fails a check -- the
 spectrum does not split d/d, U is ill-conditioned or singular, V is not
@@ -49,7 +50,7 @@ The module needs numpy only.
 
 Every step runs once on a stack of betas: a grid costs a fixed number of
 numpy calls per chunk of ``_chunk_size(d)`` betas, as many as keep a stack
-of d^2 x d^2 Kronecker matrices within 2^16 entries (512 KB).  A failing
+of p x p half operators within 2^16 entries (512 KB).  A failing
 beta leaves the stack with its error; a failed batched solve or eig is
 rerun per member.  A chunk's ``_Chain`` is solved in two stages: the rate
 stage (V, F, residual, u and the lambda terms), all that the growth rate's
@@ -63,7 +64,7 @@ equals the same beta solved alone, bit for bit.
 The first two leverage derivatives of lambda come from the solved chain by
 Riccati sensitivity (Kenney & Hewer 1990; ``_eigenvalue_slope_stack``).
 Differentiating the Riccati equation in beta gives the Lyapunov equation
-F^T V' + V' F = -q' a, solved with the polish's Kronecker operator;
+F^T V' + V' F = -q' a, solved with the polish's half operator;
 differentiating (2 V a - B^T) u = 2 V b gives (2 V a - B^T) u' =
 2 V' (b - a u); and lambda' = -u'^T a u + tr(a V') + u'^T b.  Once more:
 F^T V'' + V'' F = 4 V' a V' - q'' a with the same operator,
@@ -115,6 +116,7 @@ RESIDUAL_TOL = 1e-10
 EIG_MARGIN = 1e-10
 COND_LIMIT = 1e12
 KRONECKER_ENTRIES = 2 ** 16
+_HALF_PLANS: dict[int, tuple] = {}  # _half_plan(d), by d
 
 
 @dataclass(frozen=True)
@@ -173,9 +175,9 @@ def _max_abs(M: np.ndarray) -> np.ndarray:
 
 
 def _chunk_size(d: int) -> int:
-    """Betas per batched pass: as many as keep a stack of d^2 x d^2 Kronecker
-    matrices within KRONECKER_ENTRIES."""
-    return max(1, KRONECKER_ENTRIES // d ** 4)
+    """Betas per batched pass: as many as keep a stack of p x p half
+    operators, p = d(d+1)/2, within KRONECKER_ENTRIES."""
+    return max(1, KRONECKER_ENTRIES // (d * (d + 1) // 2) ** 2)
 
 
 def _rows(x: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -184,15 +186,45 @@ def _rows(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ M)[:, 0]
 
 
-def _kron_sum(A: np.ndarray) -> np.ndarray:
-    """Stack of A (x) I + I (x) A, the matrix of X -> A X + X A^T acting on
-    the row-major vec(X)."""
+def _half_plan(d: int):
+    """(S, up, lo), built once per d and read-only: A.reshape(n, d*d) @ S, S
+    of 0/1/2 entries, is ``_lyap_op(A)``; up and lo are the row-major vec
+    positions of the upper triangle and of its mirror."""
+    if d not in _HALF_PLANS:
+        i, j = np.triu_indices(d)
+        up, lo, p, eye = i * d + j, j * d + i, i.size, np.eye(d)
+        dup = np.zeros((d * d, p))
+        dup[up, np.arange(p)] = dup[lo, np.arange(p)] = 1.0
+        S = np.stack([((np.kron(E, eye) + np.kron(eye, E))[up] @ dup).reshape(-1)
+                      for E in np.eye(d * d).reshape(d * d, d, d)])
+        for arr in (S, up, lo):
+            arr.flags.writeable = False
+        _HALF_PLANS[d] = S, up, lo
+    return _HALF_PLANS[d]
+
+
+def _lyap_op(A: np.ndarray) -> np.ndarray:
+    """Stack of p x p half operators, p = d(d+1)/2: the Kronecker matrix
+    A (x) I + I (x) A of X -> A X + X A^T restricted to symmetric X by the
+    duplication matrix and read on the upper triangle, for each A."""
     n, d = A.shape[0], A.shape[-1]
-    K = np.zeros((n, d * d, d * d))
-    for i in range(d):
-        K[:, i::d, i::d] += A                             # A X
-        K[:, i * d:(i + 1) * d, i * d:(i + 1) * d] += A   # X A^T
-    return K
+    p = d * (d + 1) // 2
+    return (A.reshape(n, d * d) @ _half_plan(d)[0]).reshape(n, p, p)
+
+
+def _lyap_solve(L: np.ndarray, C: np.ndarray, what: str):
+    """The symmetric X with A X + X A^T = C for each half operator L =
+    _lyap_op(A) of a stack, with one error slot each.
+
+    C is a stack, or one C shared by every member; it is symmetrized before
+    its upper triangle is taken, and each solution is mirrored back.
+    """
+    d = C.shape[-1]
+    _, up, lo = _half_plan(d)
+    x, errors = _solve_stack(L, _sym(C).reshape(C.shape[:-2] + (d * d, 1))[..., up, :], what)
+    X = np.empty((len(L), d * d))
+    X[:, up] = X[:, lo] = x[..., 0]
+    return X.reshape(len(L), d, d), errors
 
 
 def _solve_stack(A: np.ndarray, rhs: np.ndarray, what: str):
@@ -313,13 +345,11 @@ def _subspace_solutions(Z, d: int, batch: _Batch):
 
 
 def _newton_step(V, a, Bmat, qs):
-    """Solve F^T E + E F = R(V), F = B - 2aV, and return sym(V + E)."""
-    n, d = V.shape[0], V.shape[-1]
+    """Solve F^T E + E F = R(V), F = B - 2aV, for symmetric E; return V + E."""
     F = Bmat - 2.0 * a @ V
-    R = _residual_matrix(V, a, Bmat, qs)
-    E, errors = _solve_stack(_kron_sum(np.swapaxes(F, -1, -2)),
-                             R.reshape(n, d * d, 1), "Newton-step Sylvester system")
-    return _sym(V + E.reshape(V.shape)), errors
+    E, errors = _lyap_solve(_lyap_op(np.swapaxes(F, -1, -2)),
+                            _residual_matrix(V, a, Bmat, qs), "Newton-step Sylvester system")
+    return V + E, errors
 
 
 def _polish(V, a, Bmat, qs, batch: _Batch):
@@ -388,17 +418,14 @@ def _eigenvalue_slope_stack(V, F, u, a, Bmat, b, dqs, d2q):
     q' = dq/d beta each and q'' = d^2 q / d beta^2, by the Riccati sensitivity
     equations of the module docstring.  The second-order solves reuse the
     first-order matrices, so the same members fail."""
-    n, d = V.shape[0], V.shape[-1]
-    K, M, w = _kron_sum(np.swapaxes(F, -1, -2)), 2.0 * V @ a - Bmat.T, b - _rows(u, a.T)
-    dV, errors = _solve_stack(K, (-dqs[:, None, None] * a).reshape(n, d * d, 1),
-                              "Riccati sensitivity system")
-    dV = _sym(dV.reshape(n, d, d))
+    L, M, w = _lyap_op(np.swapaxes(F, -1, -2)), 2.0 * V @ a - Bmat.T, b - _rows(u, a.T)
+    dV, errors = _lyap_solve(L, -dqs[:, None, None] * a, "Riccati sensitivity system")
     du, du_errors = _solve_stack(M, 2.0 * dV @ w[..., None], "2Va - B^T")
     du = du[..., 0]
     dlam = (-(du[:, None, :] @ a @ u[:, :, None])[:, 0, 0]
             + np.trace(a @ dV, axis1=-2, axis2=-1) + _rows(du, b))
-    rhs = (4.0 * dV @ a @ dV - np.reshape(d2q, (-1, 1, 1)) * a).reshape(n, d * d, 1)
-    d2V = _sym(_solve_stack(K, rhs, "Riccati sensitivity system")[0].reshape(n, d, d))
+    d2V = _lyap_solve(L, 4.0 * dV @ a @ dV - np.reshape(d2q, (-1, 1, 1)) * a,
+                      "Riccati sensitivity system")[0]
     d2u = _solve_stack(M, 2.0 * d2V @ w[..., None] - 4.0 * dV @ a @ du[..., None],
                        "2Va - B^T")[0][..., 0]
     d2lam = (-(d2u[:, None, :] @ a @ u[:, :, None])[:, 0, 0]
@@ -409,9 +436,7 @@ def _eigenvalue_slope_stack(V, F, u, a, Bmat, b, dqs, d2q):
 
 def _stationary_stack(F, a):
     """Sigma_inf solving F Sigma + Sigma F^T + a = 0 for each Hurwitz F."""
-    n, d = F.shape[0], F.shape[-1]
-    sig, errors = _solve_stack(_kron_sum(F), -a.reshape(d * d, 1), "Lyapunov system")
-    return _sym(sig.reshape(n, d, d)), errors
+    return _lyap_solve(_lyap_op(F), -a, "Lyapunov system")
 
 
 def _stationary_law(F, a, sig, drift):

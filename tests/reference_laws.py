@@ -3,7 +3,9 @@
 The CIR transition density (and its mean), the stationary law of the GARCH
 diffusion's scaled reciprocal, the GARCH stationary power moment and the
 scalar stabilizing Riccati root are closed forms that no library code path
-needs; the tests use them as independent oracles.
+needs; the tests use them as independent oracles.  The full d^2 x d^2
+Kronecker form of the Lyapunov operator is the reference for the library's
+operator on the symmetric half.
 """
 
 import math
@@ -101,3 +103,15 @@ def scalar_stabilizing_v(a: float, B: float, q_coeff: float) -> float:
     if disc < 0.0:
         raise NoStabilizingSolution(f"negative discriminant {disc}")
     return (B + np.sqrt(disc)) / (2.0 * a)
+
+
+def kron_sum(A: np.ndarray) -> np.ndarray:
+    """A (x) I + I (x) A, the matrix of X -> A X + X A^T on the row-major vec(X)."""
+    eye = np.eye(A.shape[-1])
+    return np.kron(A, eye) + np.kron(eye, A)
+
+
+def kron_lyapunov_solve(A: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """X with A X + X A^T = C, from the full Kronecker system in d^2 unknowns."""
+    d = A.shape[-1]
+    return np.linalg.solve(kron_sum(A), C.reshape(d * d)).reshape(d, d)

@@ -1,6 +1,8 @@
 """Pair statistics of tools/bench_pairs.py, which writes the BENCH_*.json records."""
 
 import importlib.util
+import json
+import re
 import statistics
 from pathlib import Path
 
@@ -124,3 +126,27 @@ def test_layer_runs_are_traced_and_read_the_layer_metrics(monkeypatch, tmp_path)
                       "--seconds 32 --trace 1").split()]
     assert rec[LAYER] == 2.5 and rec["e2e.wall_s"] == 0.2 and rec["correct"]
     assert "pass_cal" not in rec
+
+
+BENCH_FILES = sorted(_PATH.parents[1].glob("BENCH_*.json"))
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
+def test_committed_bench_files_record_their_provenance(path):
+    # A speed-up counts only with the command, the parent commit, the
+    # machine and each side's paired pass_cal median behind it.
+    rec = json.loads(path.read_text(encoding="utf-8"))
+    assert isinstance(rec["command"], str) and rec["command"]
+    assert re.fullmatch(r"[0-9a-f]{40}", rec["parent_commit"])
+    assert all(rec["machine"][key] for key in ("python", "numpy", "scipy"))
+    assert rec["workloads"]
+    for name, w in rec["workloads"].items():
+        assert isinstance(w["correct_all"], bool), name
+        assert isinstance(w["failed_operations"], int), name
+        assert w["pairs"] >= 2 and len(w["seeds"]) == w["pairs"], name
+        cal = w["metrics"]["pass_cal"]
+        assert all(cal[side]["median"] > 0.0 for side in ("parent", "change")), name
+
+
+def test_there_are_committed_bench_files():
+    assert BENCH_FILES  # an empty glob would leave the provenance test unrun

@@ -1,6 +1,8 @@
 """Stabilizing Riccati solver, drift-shift system, stationary covariance."""
 
 import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,7 +27,7 @@ from letfgrowth.riccati import (
     stationary_covariance,
 )
 
-from reference_laws import scalar_stabilizing_v
+from reference_laws import kron_lyapunov_solve, kron_sum, scalar_stabilizing_v
 
 
 def _rng():
@@ -250,10 +252,97 @@ def test_singular_member_of_a_batched_solve_fails_alone():
     assert np.array_equal(x[0], np.ones((2, 1))) and np.array_equal(x[2], np.full((2, 1), 0.5))
 
 
+def half_size(d):
+    """Unknowns of a Lyapunov system on the symmetric half: d(d+1)/2."""
+    return d * (d + 1) // 2
+
+
+def vech(X):
+    """The upper triangle of each X of a stack, row-major."""
+    return X[(..., *np.triu_indices(X.shape[-1]))]
+
+
+def symmetric_stack(rng, n, d):
+    X = rng.normal(size=(n, d, d))
+    return X + np.swapaxes(X, -1, -2)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_half_operator_is_the_kronecker_operator_on_symmetric_matrices(d):
+    rng = np.random.default_rng([20261021, d])
+    A, X = rng.normal(size=(7, d, d)), symmetric_stack(rng, 7, d)
+    L = riccati._lyap_op(A)
+    assert L.shape == (7, half_size(d), half_size(d))
+    got = (L @ vech(X)[..., None])[..., 0]
+    assert np.allclose(got, vech(A @ X + X @ np.swapaxes(A, -1, -2)), rtol=1e-14, atol=1e-14)
+    for k in range(7):
+        full = (kron_sum(A[k]) @ X[k].reshape(-1)).reshape(d, d)
+        assert np.allclose(got[k], vech(full), rtol=1e-14, atol=1e-14)
+    # Each member's operator is the one it gets alone, bit for bit.
+    alone = np.concatenate([riccati._lyap_op(A[k:k + 1]) for k in range(7)])
+    assert alone.tobytes() == L.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_half_solve_matches_the_full_kronecker_solve(d):
+    rng = np.random.default_rng([20261022, d])
+    A = np.stack([random_hurwitz(rng, d) for _ in range(7)])
+    C = symmetric_stack(rng, 7, d)
+    X, errors = riccati._lyap_solve(riccati._lyap_op(A), C, "test system")
+    assert errors == [None] * 7
+    assert np.array_equal(X, np.swapaxes(X, -1, -2))
+    for k in range(7):
+        want = kron_lyapunov_solve(A[k], C[k])
+        assert np.max(np.abs(X[k] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_half_plans_are_built_once_and_safe_to_share_across_threads(monkeypatch):
+    # The plans are cached per d and read-only; threads that race to build
+    # one each get operators equal, bit for bit, to a serial build's.
+    rng = np.random.default_rng(20261024)
+    stacks = [rng.normal(size=(5, d, d)) for d in range(1, 7)]
+    want = [riccati._lyap_op(A).tobytes() for A in stacks]
+    assert not riccati._half_plan(3)[0].flags.writeable
+    monkeypatch.setattr(riccati, "_HALF_PLANS", {})
+    got, switch = [[] for _ in range(8)], sys.getswitchinterval()
+
+    def work(out):
+        out.extend(riccati._lyap_op(A).tobytes() for A in stacks)
+
+    threads = [threading.Thread(target=work, args=(out,)) for out in got]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * len(threads) and sorted(riccati._HALF_PLANS) == list(range(1, 7))
+
+
+@pytest.mark.parametrize("pair", [[[0.0, 1.0], [1.0, 0.0]], [[0.5, 0.0], [0.0, -0.5]]])
+def test_half_operator_with_opposite_eigenvalues_is_singular(pair):
+    # Eigenvalues lam and -lam make X -> A X + X A^T singular on symmetric
+    # X (lam + (-lam) = 0); that member alone gets a SingularSystem.
+    rng = np.random.default_rng(20261023)
+    A = np.stack([random_hurwitz(rng, 2), np.array(pair), random_hurwitz(rng, 2)])
+    with pytest.raises(np.linalg.LinAlgError):
+        kron_lyapunov_solve(A[1], np.eye(2))
+    X, errors = riccati._lyap_solve(riccati._lyap_op(A), np.eye(2), "Lyapunov system")
+    assert errors[0] is None and errors[2] is None
+    assert isinstance(errors[1], SingularSystem) and "Lyapunov system is singular" in str(errors[1])
+    assert np.all(np.isnan(X[1]))
+    for k in (0, 2):
+        assert X[k].tobytes() == riccati._lyap_solve(
+            riccati._lyap_op(A[k:k + 1]), np.eye(2), "Lyapunov system")[0][0].tobytes()
+
+
 def chunks_of(monkeypatch, n, d):
-    """Shrink the Kronecker budget so that a grid at dimension d is solved in
+    """Shrink the operator budget so that a grid at dimension d is solved in
     chunks of n betas, which keeps several-chunk grids cheap."""
-    monkeypatch.setattr(riccati, "KRONECKER_ENTRIES", n * d ** 4)
+    monkeypatch.setattr(riccati, "KRONECKER_ENTRIES", n * half_size(d) ** 2)
     assert riccati._chunk_size(d) == n
 
 
@@ -357,7 +446,7 @@ def test_curve_points_match_growth_rate_bit_for_bit():
 @pytest.mark.parametrize("d", range(1, 9))
 def test_chunk_size_fits_the_kronecker_budget(d):
     n = riccati._chunk_size(d)
-    assert n >= 1 and n * d ** 4 <= riccati.KRONECKER_ENTRIES
+    assert n >= 1 and n * half_size(d) ** 2 <= riccati.KRONECKER_ENTRIES
 
 
 def counted_chunks(monkeypatch):
@@ -381,7 +470,7 @@ def seeded_model(d, scale=1.0, seed=20261020):
 CURVE_BETAS = -3.0 + 0.01 * np.arange(601)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 4])
 def test_curve_is_one_stack_at_small_d(monkeypatch, d):
     count = counted_chunks(monkeypatch)
     vp = validate(Problem(seeded_model(d), Preference(0.5), Leverage(1.0), ConstantRate(0.01)))
@@ -390,8 +479,8 @@ def test_curve_is_one_stack_at_small_d(monkeypatch, d):
 
 
 def test_curve_memory_stays_within_the_chunk_budget_at_d6(monkeypatch):
-    # At d = 6 a chunk is 50 betas (50 Kronecker matrices of 36 x 36, about
-    # 0.5 MB); the curve's 600 betas off zero are 12 chunks, solved one after
+    # At d = 6 a chunk is 148 betas (148 half operators of 21 x 21, about
+    # 0.5 MB); the curve's 600 betas off zero are 5 chunks, solved one after
     # the other.
     d = 6
     count = counted_chunks(monkeypatch)
@@ -403,8 +492,8 @@ def test_curve_memory_stays_within_the_chunk_budget_at_d6(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(points) == CURVE_BETAS.size and count["chunks"] == 12
-    assert peak < 3 * 2 ** 20  # about 1.1 MB; one stack of all 600 betas takes 7
+    assert len(points) == CURVE_BETAS.size and count["chunks"] == 5
+    assert peak < 3 * 2 ** 20  # about 1.4 MB; one stack of all 600 betas takes 7
 
 
 def solution_bytes(sol):
@@ -431,7 +520,7 @@ def test_grid_matches_single_beta_solves(monkeypatch, chunk):
     cplx = (np.linalg.eigvals(riccati._hamiltonians(m2.a, m2.Bmat, qs)).imag != 0.0).any(axis=-1)
     assert 0 < cplx.sum() < cplx.size
     if chunk is not None:
-        chunks_of(monkeypatch, chunk, 2)  # d = 4 then takes chunk / 16 betas
+        chunks_of(monkeypatch, chunk, 2)  # d = 4 then takes 9 chunk // 100 betas
     for m, betas in ((m2, CURVE_BETAS), (m4, np.linspace(-2.0, 3.0, 2 * 64 + 3))):
         grid = list(solve_quadratic_grid(m, 0.5, betas))
         want = [next(solve_quadratic_grid(m, 0.5, [beta])) for beta in betas.tolist()]
