@@ -63,6 +63,8 @@ _FIGURES = {
 
 def _fmt(x) -> str:
     """12 significant digits, '.' decimal separator, locale independent."""
+    if isinstance(x, float):
+        return f"{x:.12g}"
     if x is None:
         return ""
     if isinstance(x, str):
@@ -71,12 +73,7 @@ def _fmt(x) -> str:
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    v = float(x)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.12g}"
+    return f"{float(x):.12g}"
 
 
 def _write_csv(out_path: Path | str | None, header: list[str], rows: list[list],
@@ -293,7 +290,9 @@ def _cmd_verify(args) -> int:
                rows, "verify", args.config, [vp],
                {"sim": args.sim,
                 "sim_resolved": {"t": cfg.horizon, "steps": cfg.n_steps,
-                                 "paths": cfg.n_paths, "seed": cfg.seed}})
+                                 "paths": cfg.n_paths, "seed": cfg.seed},
+                "tail_acceleration_se": (None if math.isnan(est.tail_acceleration_se)
+                                         else est.tail_acceleration_se)})
     ok = verdict == "PASS" or (verdict == "DIVERGED" and not analytic.is_finite)
     return 0 if ok else 4
 

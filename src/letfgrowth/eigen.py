@@ -221,8 +221,8 @@ class Eigenpair(NamedTuple):
     kappa: float | None = None
 
 
-def _stable_root_minus(h: float, q: float, context: str) -> float:
-    """sqrt(h**2 + q) - h without cancellation for h > 0.
+def _stable_root_minus(h: float, q: float, context: str) -> tuple[float, float]:
+    """(sqrt(h**2 + q) - h without cancellation for h > 0, sqrt(h**2 + q)).
 
     Uses the identity sqrt(h^2+q) - h = q / (sqrt(h^2+q) + h); the direct
     difference loses most of its digits when |q| << h^2, which happens for
@@ -232,9 +232,7 @@ def _stable_root_minus(h: float, q: float, context: str) -> float:
     if radicand < 0.0:
         raise ComplexKappa(f"negative square-root argument {radicand:.6g} in {context}")
     root = math.sqrt(radicand)
-    if h > 0.0:
-        return q / (root + h)
-    return root - h
+    return (q / (root + h) if h > 0.0 else root - h), root
 
 
 # ---------------------------------------------------------------------------

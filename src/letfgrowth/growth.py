@@ -7,10 +7,10 @@ For a validated problem this module evaluates
 in closed form together with the inequality that decides whether the limit
 is finite, plus standalone growth results used by the oracle suite
 (exponential moments of a mean-reverting square-root process and the
-discounting rate under an inverse-GARCH short rate).  The module is model-agnostic: each model class in
-``models`` supplies its finiteness condition and rate components, and the
-code here classifies them, collects per-point errors along a curve and
-formats the result.
+discounting rate under an inverse-GARCH short rate).  The module is
+model-agnostic: each model class in ``models`` supplies its finiteness
+condition and rate components, with no eigenfunction built, and a curve's
+points in one loop; the code here classifies and formats them.
 
 Classification conventions
 --------------------------
@@ -58,8 +58,8 @@ class FinitenessCondition(NamedTuple):
 
     ``near_boundary`` is set when the two sides agree to 1e-12 relative;
     such points sit on the infinite branch but deserve suspicion.  The records
-    built per curve point (this, ``GrowthRate``, ``GrowthCurvePoint``,
-    ``eigen.Eigenpair``) are named tuples: immutable and cheap to build.
+    built per curve point (this, ``GrowthRate``, ``GrowthCurvePoint``) are
+    named tuples, like ``eigen.Eigenpair``: immutable and cheap to build.
     """
 
     description: str
@@ -142,13 +142,12 @@ def growth_curve(vp: ValidatedProblem, beta_grid) -> list[GrowthCurvePoint]:
         raise ValueError("beta grid must be finite")
     if np.any(np.diff(betas) < 0):
         raise ValueError("beta grid must be sorted ascending")
-    out = []
-    for b, g in zip(betas.tolist(), vp.model.curve(vp.alpha, vp.r, betas)):
-        if isinstance(g, LetfGrowthError):
-            out.append(GrowthCurvePoint(b, None, f"{type(g).__name__}: {g}"))
-        else:
-            out.append(GrowthCurvePoint(b, g))
-    return out
+    return vp.model.curve(vp.alpha, vp.r, betas)
+
+
+def _failed(beta: float, exc: LetfGrowthError) -> GrowthCurvePoint:
+    """The curve point at beta where the library error ``exc`` was raised."""
+    return GrowthCurvePoint(beta, None, f"{type(exc).__name__}: {exc}")
 
 
 def display_growth_value(vp: ValidatedProblem) -> float:

@@ -173,6 +173,9 @@ class GrowthEstimate:
     n_paths: int
     scheme: str
     divergence_reasons: tuple[str, ...] = ()
+    # The tail window's second-half slope less its first-half slope, in se of
+    # that gap (negative: decelerating); nan with fewer than 4 tail checkpoints.
+    tail_acceleration_se: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -716,15 +719,16 @@ def simulate_growth(vp: ValidatedProblem, cfg: SimConfig) -> GrowthEstimate:
     # Acceleration is judged inside the tail window only: the early
     # checkpoints legitimately carry the transient of the transformed-measure
     # prefactor, which an affine tail has already shed.
+    accel = math.nan
     if K - tail >= 4:
         mid = tail + (K - tail) // 2
         c = mid - tail
         s1, se1 = _wls_slope(t[tail:mid], lm[tail:mid], cov[:c, :c])
         s2, se2 = _wls_slope(t[mid:], lm[mid:], cov[c:, c:])
         gap_se = math.hypot(se1, se2)
+        accel = (s2 - s1) / max(gap_se, 1e-300)
         if s2 - s1 > 4.0 * max(gap_se, 1e-12):
-            reasons.append(
-                f"slope accelerating: {s1:.4g} -> {s2:.4g} (+{(s2 - s1) / max(gap_se, 1e-300):.1f} se)")
+            reasons.append(f"slope accelerating: {s1:.4g} -> {s2:.4g} (+{accel:.1f} se)")
 
     return GrowthEstimate(
         t=t, log_mean_utility=lm, stderr=se, ess=ess,
@@ -732,6 +736,7 @@ def simulate_growth(vp: ValidatedProblem, cfg: SimConfig) -> GrowthEstimate:
         diverged=bool(reasons), overflow_fraction=overflow_fraction,
         truncation_fraction=trunc_frac, n_paths=cfg.n_paths,
         scheme=_SCHEMES[vp.model.kind].label, divergence_reasons=tuple(reasons),
+        tail_acceleration_se=accel,
     )
 
 

@@ -41,7 +41,7 @@ from .errors import (
     MissingRate,
     ParameterViolation,
 )
-from .growth import _ALWAYS, FinitenessCondition, GrowthRate, _classified, _condition
+from .growth import _ALWAYS, GrowthCurvePoint, GrowthRate, _classified, _condition, _failed
 from .leverage import ConcavityProfile, Optimum
 from .riccati import _eigenvalue_slope_stack, _solve_chains, solve_quadratic_model
 
@@ -157,14 +157,18 @@ class ConstantRate:
 # ---------------------------------------------------------------------------
 
 class _Model:
-    """Closed forms each variant carries: its own ``generator`` and
-    ``eigenpair``, and ``growth`` (finiteness condition and rate components),
+    """Closed forms each variant carries: its own ``generator``,
+    ``eigenpair``, ``growth`` (finiteness condition and rate components),
     ``interval`` (finite region in beta), ``derivative`` and ``optimum`` (of
     the leverage objective) and ``grid`` (default residual grid), some with
-    shared defaults here.  A variant without a closed-form optimum
-    (``optimum = None``) supplies ``rates`` and ``rate_and_slope`` for the
-    optimizer's search instead.  ``check`` reads the parameter ``bounds``
-    table.  A variant whose finite region is a half-line states its ``edge``.
+    shared defaults here.  A scalar variant states its eigenvalue, exponent
+    (or None) and finiteness inequality (description, lhs, threshold; None
+    if always finite) at a beta once, in ``closed_form``, which ``growth``
+    reads; ``eigenpair`` adds the eigenfunction from ``family``.
+    A variant without a closed-form optimum (``optimum = None``) supplies
+    ``rates`` and ``rate_and_slope`` for the optimizer's search instead.
+    ``check`` reads the parameter ``bounds`` table.  A variant whose finite
+    region is a half-line states its ``edge``.
     """
 
     kind: ClassVar[str]
@@ -178,16 +182,21 @@ class _Model:
         """Rate components besides the eigenvalue term: here constant-rate financing."""
         return {"rate_term": r * alpha * (1.0 - beta)}
 
-    def finiteness(self, alpha: float, beta: float, pair: Eigenpair) -> FinitenessCondition:
-        return _ALWAYS
+    def family(self, alpha: float, beta: float, kappa: float | None):
+        """The eigenfunction at beta given the exponent: here x**(-kappa)."""
+        return Power(-kappa)
+
+    def eigenpair(self, alpha: float, beta: float) -> Eigenpair:
+        lam, kappa, _ = self.closed_form(alpha, beta)
+        return Eigenpair(lam, self.family(alpha, beta, kappa), kappa)
 
     def growth(self, alpha: float, beta: float, r: float | None):
         """(finiteness condition, named additive rate components) at beta:
         the drift terms minus the eigenvalue."""
-        pair = self.eigenpair(alpha, beta)
+        lam, _, finite_if = self.closed_form(alpha, beta)
         terms = self.drift_terms(alpha, beta, r)
-        terms["eigenvalue_term"] = -pair.lam
-        return self.finiteness(alpha, beta, pair), terms
+        terms["eigenvalue_term"] = -lam
+        return (_condition(*finite_if) if finite_if else _ALWAYS), terms
 
     def growth_rate(self, alpha: float, beta: float, r: float | None) -> GrowthRate:
         if not self.stochastic_rate and beta == 0.0:
@@ -195,13 +204,15 @@ class _Model:
             return _classified(_ALWAYS, {"rate_term": alpha * r})
         return _classified(*self.growth(alpha, beta, r))
 
-    def curve(self, alpha: float, r: float | None, betas: np.ndarray):
-        """growth_rate at each beta, or the library error it raises there."""
+    def curve(self, alpha: float, r: float | None, betas: np.ndarray) -> list[GrowthCurvePoint]:
+        """The point of growth_rate at each beta, or of the library error it raises there."""
+        out = []
         for b in betas.tolist():
             try:
-                yield self.growth_rate(alpha, b, r)
+                out.append(GrowthCurvePoint(b, self.growth_rate(alpha, b, r)))
             except LetfGrowthError as exc:  # per-point collection by contract
-                yield exc
+                out.append(_failed(b, exc))
+        return out
 
     def edge(self, alpha: float) -> tuple[float, float] | None:
         """(s, c): growth is finite exactly where s*beta + c > 0; None: everywhere."""
@@ -257,10 +268,13 @@ class Gbm(_Model):
         mu = self.mu
         return _lognormal_generator(alpha, beta, self.sigma, lambda x: mu * x)
 
-    def eigenpair(self, alpha, beta):
+    def closed_form(self, alpha, beta):
         lam = (-alpha * beta * self.mu
                + 0.5 * alpha * (1.0 - alpha) * beta ** 2 * self.sigma ** 2)
-        return Eigenpair(lam=lam, phi=Power(alpha * beta), kappa=None)
+        return lam, None, None
+
+    def family(self, alpha, beta, kappa):
+        return Power(alpha * beta)
 
     def derivative(self, alpha, beta, r):
         return alpha * (self.mu - r) - alpha * (1.0 - alpha) * self.sigma ** 2 * beta
@@ -287,9 +301,12 @@ class _GarchFamily(_Model):
     a: float
     sigma: float
 
-    def eigenpair(self, alpha, beta):
+    def closed_form(self, alpha, beta):
         lam = 0.5 * alpha * (beta * (beta - 1.0)) * self.sigma ** 2
-        return Eigenpair(lam=lam, phi=Constant(), kappa=None)
+        return lam, None, self.finiteness(alpha, beta)
+
+    def family(self, alpha, beta, kappa):
+        return Constant()
 
     def derivative(self, alpha, beta, r):
         return -r * alpha - 0.5 * alpha * self.sigma ** 2 * (2.0 * beta - 1.0)
@@ -315,9 +332,8 @@ class Garch(_GarchFamily):
         th, a = self.theta, self.a
         return _lognormal_generator(alpha, beta, self.sigma, lambda x: th - a * x)
 
-    def finiteness(self, alpha, beta, pair):
-        return _condition(self._finite_if, 2.0 * self.a / self.sigma ** 2 + 1.0,
-                          alpha * beta)
+    def finiteness(self, alpha, beta):
+        return self._finite_if, 2.0 * self.a / self.sigma ** 2 + 1.0, alpha * beta
 
     def edge(self, alpha):
         return (-alpha, 2.0 * self.a / self.sigma ** 2 + 1.0)
@@ -343,9 +359,8 @@ class InverseGarch(_GarchFamily):
         th, a = self.theta, self.a
         return _lognormal_generator(alpha, beta, self.sigma, lambda x: (th - a * x) * x)
 
-    def finiteness(self, alpha, beta, pair):
-        return _condition(self._finite_if, alpha * beta + 2.0 * self.theta / self.sigma ** 2,
-                          1.0)
+    def finiteness(self, alpha, beta):
+        return self._finite_if, alpha * beta + 2.0 * self.theta / self.sigma ** 2, 1.0
 
     def edge(self, alpha):
         return (alpha, 2.0 * self.theta / self.sigma ** 2 - 1.0)
@@ -378,25 +393,24 @@ class ExtendedCir(_Model):
             killing=lambda x: kc / np.asarray(x, float),
             domain=self.domain)
 
-    def eigenpair(self, alpha, beta):
+    def closed_form(self, alpha, beta):
         half_less = 0.5 - self.theta / self.sigma ** 2
         # half_less <= -1/2, so compute sqrt(...) + half_less stably.
         kappa = _stable_root_minus(-half_less, alpha * (beta * (beta - 1.0)),
-                                   "extended CIR exponent")
+                                   "extended CIR exponent")[0]
         lam = self.mu * kappa + 2.0 * self.theta * self.mu / self.sigma ** 2
-        return Eigenpair(lam=lam,
-                         phi=ExpLinearPower(c=2.0 * self.mu / self.sigma ** 2, p=kappa),
-                         kappa=kappa)
+        lhs = alpha * beta + 2.0 * self.theta / self.sigma ** 2 + kappa
+        return lam, kappa, ("alpha*beta + 2*theta/sigma^2 + kappa > 0", lhs, 0.0)
+
+    def family(self, alpha, beta, kappa):
+        return ExpLinearPower(c=2.0 * self.mu / self.sigma ** 2, p=kappa)
 
     def growth(self, alpha, beta, r):
         # The transformed-measure moment itself grows exponentially; its
         # rate is an extra component.
-        pair = self.eigenpair(alpha, beta)
-        lhs = alpha * beta + 2.0 * self.theta / self.sigma ** 2 + pair.kappa
-        terms = self.drift_terms(alpha, beta, r)
-        terms["eigenvalue_term"] = -pair.lam
-        terms["moment_growth_term"] = lhs * self.mu
-        return _condition("alpha*beta + 2*theta/sigma^2 + kappa > 0", lhs, 0.0), terms
+        condition, terms = _Model.growth(self, alpha, beta, r)
+        terms["moment_growth_term"] = condition.lhs * self.mu
+        return condition, terms
 
     def derivative(self, alpha, beta, r):
         return alpha * (self.mu - r)
@@ -424,14 +438,11 @@ class ThreeHalves(_Model):
         return self._linear_killing(0.5 * alpha * beta * (beta - 1.0) * s2,
                                     lambda x: s2 * x ** 3, lambda x: (th - a * x) * x)
 
-    def eigenpair(self, alpha, beta):
+    def closed_form(self, alpha, beta):
         half_plus = 0.5 + self.a / self.sigma ** 2
-        kappa = _stable_root_minus(half_plus, alpha * (beta * (beta - 1.0)), "3/2 exponent")
-        return Eigenpair(lam=self.theta * kappa, phi=Power(-kappa), kappa=kappa)
-
-    def finiteness(self, alpha, beta, pair):
-        lhs = 2.0 * self.a / self.sigma ** 2 + pair.kappa - alpha * beta + 2.0
-        return _condition("2*a/sigma^2 + kappa - alpha*beta + 2 > 0", lhs, 0.0)
+        kappa = _stable_root_minus(half_plus, alpha * (beta * (beta - 1.0)), "3/2 exponent")[0]
+        lhs = 2.0 * self.a / self.sigma ** 2 + kappa - alpha * beta + 2.0
+        return self.theta * kappa, kappa, ("2*a/sigma^2 + kappa - alpha*beta + 2 > 0", lhs, 0.0)
 
     def derivative(self, alpha, beta, r):
         half_plus = 0.5 + self.a / self.sigma ** 2
@@ -466,6 +477,12 @@ class _StochasticVolatility(_Model):
 
     def _generator(self, alpha, beta, variance, drift):
         return self._linear_killing(0.5 * alpha * (1.0 - alpha) * beta * beta, variance, drift)
+
+    def _kappa_root(self, alpha, beta, h, context):
+        """(kappa, sqrt(h^2 + q)) for the shifted speed h, q = alpha(1-alpha) beta^2 delta^2."""
+        minus, root = _stable_root_minus(
+            h, alpha * (1.0 - alpha) * beta ** 2 * self.delta ** 2, context)
+        return minus / self.delta ** 2, root
 
     def drift_terms(self, alpha, beta, r):
         terms = _Model.drift_terms(self, alpha, beta, r)
@@ -515,20 +532,17 @@ class HestonSV(_StochasticVolatility):
         a_t = self._tilted_speed(alpha, beta)
         return self._generator(alpha, beta, lambda v: d2 * v, lambda v: th - a_t * v)
 
-    def eigenpair(self, alpha, beta):
-        q = alpha * (1.0 - alpha) * beta ** 2 * self.delta ** 2
-        kappa = (_stable_root_minus(self._tilted_speed(alpha, beta), q, "Heston exponent")
-                 / self.delta ** 2)
-        return Eigenpair(lam=self.theta * kappa, phi=ExpLinear(kappa), kappa=kappa)
-
-    def finiteness(self, alpha, beta, pair):
-        # Convergence of the exp-moment of the transformed variance process:
-        # sqrt((a - ab*d*r)^2 + a(1-a)b^2 d^2) + (a - ab*d*r) > 0.  Holds
-        # everywhere except the degenerate alpha = 1 corner with
+    def closed_form(self, alpha, beta):
+        # Finite iff the exp-moment of the transformed variance process
+        # converges: sqrt((a - ab*d*r)^2 + a(1-a)b^2 d^2) + (a - ab*d*r) > 0.
+        # Holds everywhere except the degenerate alpha = 1 corner with
         # a <= beta*delta*rho.
         a_t = self._tilted_speed(alpha, beta)
-        root = math.sqrt(a_t ** 2 + alpha * (1.0 - alpha) * beta ** 2 * self.delta ** 2)
-        return _condition(self._finite_if, root + a_t, 0.0)
+        kappa, root = self._kappa_root(alpha, beta, a_t, "Heston exponent")
+        return self.theta * kappa, kappa, (self._finite_if, root + a_t, 0.0)
+
+    def family(self, alpha, beta, kappa):
+        return ExpLinear(kappa)
 
     def edge(self, alpha):
         # At alpha = 1 the root is |a - beta*delta*rho|, so the condition is
@@ -557,16 +571,10 @@ class ThreeHalvesSV(_StochasticVolatility):
         return self._generator(alpha, beta, lambda v: d2 * v ** 3,
                                lambda v: (th - a_t * v) * v)
 
-    def eigenpair(self, alpha, beta):
+    def closed_form(self, alpha, beta):
         shifted = self._tilted_speed(alpha, beta) + 0.5 * self.delta ** 2
-        q = alpha * (1.0 - alpha) * beta ** 2 * self.delta ** 2
-        kappa = _stable_root_minus(shifted, q, "3/2 volatility exponent") / self.delta ** 2
-        return Eigenpair(lam=self.theta * kappa, phi=Power(-kappa), kappa=kappa)
-
-    def finiteness(self, alpha, beta, pair):
-        shifted = self._tilted_speed(alpha, beta) + 0.5 * self.delta ** 2
-        root = math.sqrt(shifted ** 2 + alpha * (1.0 - alpha) * beta ** 2 * self.delta ** 2)
-        return _condition(
+        kappa, root = self._kappa_root(alpha, beta, shifted, "3/2 volatility exponent")
+        return self.theta * kappa, kappa, (
             "(sqrt(...) + (a - alpha*beta*delta*rho + delta^2/2))/delta^2 + 1 > 0",
             (root + shifted) / self.delta ** 2 + 1.0, 0.0)
 
@@ -598,6 +606,10 @@ class _StochasticRate(_Model):
 
     def _tilted_level(self, alpha, beta):
         return self.theta + alpha * beta * self.delta * self.sigma * self.rho
+
+    def _exponent(self, alpha, beta):
+        """alpha (1 - beta) / a, the exponent the killing forces on the rate state."""
+        return alpha * (1.0 - beta) / self.a
 
     def _generator(self, alpha, beta, variance, drift):
         return self._linear_killing(alpha * (beta - 1.0), variance, drift)
@@ -667,15 +679,17 @@ class GbmVasicek(_StochasticRate):
                                lambda r: np.full_like(np.asarray(r, float), d2),
                                lambda r: th_t - a * r)
 
-    def eigenpair(self, alpha, beta):
+    def closed_form(self, alpha, beta):
         # phi(r) = exp(s r); the killing term forces s = alpha (1-beta)/a,
         # then lambda = -delta^2 s^2/2 - (theta + alpha beta delta sigma rho) s,
         # i.e. the rate-level term enters with a minus sign, unlike the
         # published curve.  The residual certificate and the Monte Carlo
         # oracle both confirm this branch.
-        s = alpha * (1.0 - beta) / self.a
-        lam = -0.5 * self.delta ** 2 * s * s - self._tilted_level(alpha, beta) * s
-        return Eigenpair(lam=lam, phi=ExpLinear(-s), kappa=None)
+        s = self._exponent(alpha, beta)
+        return -0.5 * self.delta ** 2 * s * s - self._tilted_level(alpha, beta) * s, None, None
+
+    def family(self, alpha, beta, kappa):
+        return ExpLinear(-self._exponent(alpha, beta))
 
 
 @dataclass(frozen=True)
@@ -702,17 +716,11 @@ class GbmInverseGarchRate(_StochasticRate):
         return self._generator(alpha, beta, lambda r: d2 * r * r,
                                lambda r: (th_t - a * r) * r)
 
-    def eigenpair(self, alpha, beta):
+    def closed_form(self, alpha, beta):
         # phi(r) = r**e with e = alpha (1-beta)/a = -kappa.
-        e = alpha * (1.0 - beta) / self.a
-        lam = (-0.5 * self.delta ** 2 * e * (e - 1.0)
-               - self._tilted_level(alpha, beta) * e)
-        return Eigenpair(lam=lam, phi=Power(e), kappa=-e)
-
-    def finiteness(self, alpha, beta, pair):
-        lhs = (alpha * (1.0 - beta) / self.a
-               + (2.0 / self.delta ** 2) * self._tilted_level(alpha, beta))
-        return _condition(self._finite_if, lhs, 1.0)
+        e, th_t = self._exponent(alpha, beta), self._tilted_level(alpha, beta)
+        lam = -0.5 * self.delta ** 2 * e * (e - 1.0) - th_t * e
+        return lam, -e, (self._finite_if, e + (2.0 / self.delta ** 2) * th_t, 1.0)
 
     def edge(self, alpha):
         # The condition is linear in beta: s*beta + c0 > 1.
@@ -852,12 +860,12 @@ class Quadratic(_Model):
         moved = betas != 0.0
         solved = (terms for chain in _solve_chains(self, alpha, betas[moved])
                   for terms in self._growth_terms(alpha, r, chain))
-        for b, solve in zip(betas.tolist(), moved):
-            if not solve:
-                yield self.growth_rate(alpha, b, r)
-                continue
-            terms = next(solved)
-            yield terms if isinstance(terms, LetfGrowthError) else _classified(*terms)
+        out = []
+        for b, solve in zip(betas.tolist(), moved.tolist()):
+            g = next(solved) if solve else self.growth_rate(alpha, b, r)
+            out.append(_failed(b, g) if isinstance(g, LetfGrowthError)
+                       else GrowthCurvePoint(b, _classified(*g) if solve else g))
+        return out
 
     def grid(self):
         """A lattice over [-5, 5]^d with about GRID_POINTS points in total."""

@@ -345,6 +345,7 @@ def test_verify_pass_and_outputs(gbm_cfg, tmp_path):
     man = json.loads((tmp_path / "v.csv.manifest.json").read_text())
     assert man["sim_resolved"]["paths"] == 20000
     assert man["sim_resolved"]["seed"] == 3 and "seed" not in man
+    assert math.isfinite(man["tail_acceleration_se"])  # five tail checkpoints
     assert man["relax"] is False
 
 
@@ -376,6 +377,22 @@ def test_verify_fail_exit_code(gbm_cfg, monkeypatch):
             n_paths=2000, scheme="s")
     monkeypatch.setattr(cli, "simulate_growth", fake_sim)
     assert cli.main(["verify", "--config", str(gbm_cfg)]) == 4
+
+
+def test_verify_manifest_writes_a_missing_tail_acceleration_as_null(gbm_cfg, monkeypatch,
+                                                                   tmp_path):
+    # Two checkpoints leave no acceleration test: nan, which strict JSON spells null.
+    def fake_sim(vp, cfg):
+        return GrowthEstimate(
+            t=np.array([1.0, 2.0]), log_mean_utility=np.array([0.01, 0.02]),
+            stderr=np.array([1e-4, 1e-4]), ess=np.array([1e4, 1e4]),
+            slope=0.025, slope_stderr=1e-4, diverged=False,
+            overflow_fraction=0.0, truncation_fraction=0.0, n_paths=2000, scheme="s")
+    monkeypatch.setattr(cli, "simulate_growth", fake_sim)
+    out = tmp_path / "v.csv"
+    assert cli.main(["verify", "--config", str(gbm_cfg), "--out", str(out)]) == 0
+    text = (tmp_path / "v.csv.manifest.json").read_text()
+    assert "NaN" not in text and json.loads(text)["tail_acceleration_se"] is None
 
 
 def test_verify_diverged_prints_each_reason(gbm_cfg, monkeypatch, capsys):
@@ -478,3 +495,10 @@ def test_number_format_is_twelve_digits():
     assert cli._fmt(None) == ""
     assert cli._fmt(True) == "1"
     assert cli._fmt(math.inf) == "inf"
+    # format(v, ".12g") spells the non-finite values itself, with no sign on nan.
+    specials = (math.nan, -math.nan, np.float64(-math.nan), -math.inf, np.float32(-math.inf))
+    assert [cli._fmt(v) for v in specials] == ["nan", "nan", "nan", "-inf", "-inf"]
+    assert cli._fmt(np.float64(math.pi)) == "3.14159265359"
+    assert cli._fmt(np.float32(0.1)) == "0.10000000149"
+    assert cli._fmt(np.int64(-7)) == "-7"
+    assert cli._fmt(np.bool_(False)) == "0"

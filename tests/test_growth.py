@@ -18,6 +18,7 @@ from letfgrowth.growth import (
     growth_rate,
     inverse_garch_discount_growth,
 )
+from letfgrowth import models
 from letfgrowth.eigen import eigenpair
 from letfgrowth.models import (
     ExtendedCir,
@@ -321,6 +322,65 @@ def test_scalar_curve_points_equal_growth_rate_in_float_hex(kind):
             assert p.growth is None
     lo, hi, _ = vp.model.interval(vp.alpha)
     assert (infinite > 0) == (lo > betas[0] or hi < betas[-1])
+
+
+SCALAR_SETS = {**{k: m for k, m in BASE_MODELS.items() if k != "quadratic"},
+               # beta in (0, 1) takes this one's exponent root below zero.
+               "extended_cir_complex": ExtendedCir(theta=0.01, mu=0.01, sigma=0.2)}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("name", sorted(SCALAR_SETS))
+def test_eigenpair_and_growth_rate_agree_in_float_hex(name, alpha):
+    # Both read the kind's one closed form: the growth rate's eigenvalue
+    # term is minus eigenpair's lambda, and where the exponent's root is
+    # complex both raise the same error.
+    model = SCALAR_SETS[name]
+    vp = validate(prob(model, alpha=alpha), relax=True)
+    errors = 0
+    for beta in np.linspace(-60.0, 60.0, 481).tolist():
+        p = vp.with_beta(beta)
+        try:
+            pair = eigenpair(p)
+        except LetfGrowthError as exc:
+            errors += 1
+            with pytest.raises(type(exc)) as again:
+                growth_rate(p)
+            assert str(again.value) == str(exc)
+            continue
+        g = growth_rate(p)
+        if model.stochastic_rate or beta != 0.0:  # beta = 0 is the money market
+            assert pair.lam.hex() == (-g.components["eigenvalue_term"]).hex()
+        assert pair.kappa == model.closed_form(alpha, beta)[1]
+    assert (errors > 0) == (name == "extended_cir_complex")
+
+
+FAMILIES = ("Constant", "Power", "ExpLinear", "ExpLinearPower", "Eigenpair")
+
+
+@pytest.mark.parametrize("kind", sorted(k for k in BASE_MODELS if k != "quadratic"))
+def test_growth_path_builds_no_eigenfunction(monkeypatch, kind):
+    # Counted like the quadratic optimizer's Riccati chains: every
+    # eigenfunction family and Eigenpair that models builds is wrapped.
+    count = dict.fromkeys(FAMILIES, 0)
+
+    def counted(name):
+        cls = getattr(models, name)
+
+        def build(*args, **kwargs):
+            count[name] += 1
+            return cls(*args, **kwargs)
+        return build
+
+    for name in FAMILIES:
+        monkeypatch.setattr(models, name, counted(name))
+    vp = vp_of(BASE_MODELS[kind], alpha=0.5)
+    growth_curve(vp, np.linspace(-3.0, 3.0, 61))
+    growth_rate(vp)
+    assert sum(count.values()) == 0
+    pair = eigenpair(vp)
+    assert count["Eigenpair"] == 1 and sum(count.values()) == 2
+    assert pair.phi.name in ("constant", "power", "exp_linear", "exp_linear_power")
 
 
 # ---------------------------------------------------------------------------

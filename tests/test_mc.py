@@ -234,6 +234,28 @@ def test_garch_infinite_branch_flags_divergence():
     assert verdict_for(est, analytic) == "DIVERGED"
 
 
+@pytest.mark.parametrize("seed, fires", [(42, True), (1, False)])
+def test_tail_acceleration_se_is_the_flags_statistic(seed, fires):
+    # On the GARCH infinite branch the acceleration flag fires exactly when
+    # the recorded statistic exceeds 4, and its reason prints that value.
+    vp = vp_of(Garch(theta=0.08, a=1.0, sigma=0.5), alpha=1.0, beta=10.0)
+    est = simulate_growth(vp, SimConfig(horizon=30.0, n_steps=3000, n_paths=4096, seed=seed))
+    accel = [r for r in est.divergence_reasons if r.startswith("slope accelerating")]
+    assert (est.tail_acceleration_se > 4.0) == fires == bool(accel)
+    if fires:
+        assert accel[0].endswith(f"(+{est.tail_acceleration_se:.1f} se)")
+
+
+def test_tail_acceleration_se_needs_four_tail_checkpoints():
+    # Six checkpoints leave three in the tail window: no acceleration test.
+    vp = vp_of(BASE_MODELS["gbm"])
+    cfg = SimConfig(horizon=1.0, n_steps=60, n_paths=2000, seed=1,
+                    t_checkpoints=(0.2, 0.4, 0.6, 0.8, 0.9, 1.0))
+    assert math.isnan(simulate_growth(vp, cfg).tail_acceleration_se)
+    eight = replace(cfg, t_checkpoints=(0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0))
+    assert math.isfinite(simulate_growth(vp, eight).tail_acceleration_se)
+
+
 def test_quadratic_divergence_flag():
     m = Quadratic(b=[0.0], Bmat=[[-0.5]], sigma=[[1.0]])
     vp = vp_of(m, alpha=1.0, beta=2.0)
