@@ -48,6 +48,9 @@ from .models import (
 )
 from .riccati import solve_quadratic_model
 
+# --sim path limit, 500 times the desk count: a call's time grows with paths.
+MAX_SIM_PATHS = 10 ** 8
+
 # Reference scenarios (regression targets; not user-editable): the model
 # class, its parameters besides the swept drift mu, alpha, the constant rate
 # (None for a stochastic-rate model) and the validation mode.  Scenario 1
@@ -156,6 +159,8 @@ def _parse_sim(spec: str | None, kind: str) -> SimConfig:
         n_steps = (int(fields["steps"]) if "steps" in fields
                    else desk_config(kind, horizon=horizon).n_steps)
         n_paths = int(fields.get("paths", base.n_paths))
+        if n_paths > MAX_SIM_PATHS:
+            raise ConfigError(f"--sim {spec!r}: at most {MAX_SIM_PATHS:,} paths")
         sim_seed = int(fields.get("seed", base.seed))
         cfg = SimConfig(horizon=horizon, n_steps=n_steps, n_paths=n_paths,
                         seed=sim_seed)
@@ -269,10 +274,7 @@ def _cmd_verify(args) -> int:
     vp = _load(args)
     cfg = _parse_sim(args.sim, vp.model.kind)
     analytic = growth_rate(vp)
-    try:
-        est = simulate_growth(vp, cfg)
-    except MemoryError as exc:  # numpy refuses the path matrix before allocating it
-        raise ConfigError(f"--sim {args.sim!r}: too many paths: {exc}") from exc
+    est = simulate_growth(vp, cfg)
     verdict = verdict_for(est, analytic)
     rate = analytic.rate if analytic.is_finite else math.inf
     gap = (abs(est.slope - analytic.rate) / max(abs(analytic.rate), 1e-300)
@@ -387,7 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="Monte Carlo oracle vs closed form")
     writes_csv(p)
-    p.add_argument("--sim", default=None, metavar="t=20,steps=2000,paths=200000,seed=42")
+    p.add_argument("--sim", default=None, metavar="t=20,steps=2000,paths=200000,seed=42",
+                   help=f"simulation settings; at most {MAX_SIM_PATHS:,} paths")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("figures", help="reproduce the bundled reference scenarios")

@@ -38,15 +38,15 @@ normals from its own ``Philox(SeedSequence(seed, spawn_key=(j,)))`` stream,
 in the same order and count however blocks are grouped.  A lane is a run of
 ``LANE_PATHS // block_size`` whole blocks (at least one) that runs the
 kernel body once; every kernel operation acts path by path, so a path's
-value does not depend on its lane.  Utilities are stored checkpoint-major,
-``(checkpoints, paths)``: paths are always antithetic pairs, all pair
-firsts come first, in block order, and their mates (the negated draws)
-follow in the same order.  Statistics treat pair averages as the
-independent units and reduce them in that fixed order, so results are
-bit-identical for a given SimConfig.  A call holds one float64 matrix of
-checkpoints x paths plus O(paths) temporaries: lanes write into it in place
-and the pair statistics reuse its head rows.  It keeps no state outside its
-own arrays, so calls from several threads do not interact.
+value does not depend on its lane.  A call holds one float64 block of
+checkpoints x lane paths, which every lane fills in turn: pair firsts
+first, in block order, and their mates (the negated draws) after them.
+Statistics treat pair averages as the independent units.  Each lane is
+reduced to its own per-checkpoint sums and tail Gram matrix, and the lanes
+are merged in lane order, so results are bit-identical for a given
+SimConfig; the lane split moves a multi-lane call's statistics only at the
+rounding level.  A call keeps no state outside its own arrays, so calls
+from several threads do not interact.
 
 Utilities are accumulated in log space and exponentiated against a global
 per-checkpoint shift, so heavy tails show up as a collapsing effective
@@ -228,27 +228,23 @@ class _Draw:
         return np.stack([self.normals() for _ in range(d)])
 
 
-def _simulate(cfg: SimConfig, rows: int, kernel):
+def _simulate(cfg: SimConfig, rows: int, kernel, reduce):
     """Run ``kernel(draw, put)`` once per lane of whole blocks, at most
     LANE_PATHS paths (or one block) wide, ``put(row, values)`` writing one
-    row of the lane's paths straight into its pair-first and mate columns;
-    return the (rows, paths) matrix, pair firsts before mates, and the sum
-    of the kernel's return values."""
+    row of the lane's paths, pair firsts before mates, into a contiguous
+    (rows, lane paths) block that every lane reuses; hand each filled block
+    to ``reduce`` in lane order.  Return the reductions and the sum of the
+    kernel's return values."""
     n = cfg.n_paths
-    half = n // 2
     lane = max(1, LANE_PATHS // cfg.block_size) * cfg.block_size
-    vals = np.empty((rows, n))
-    total = 0
+    buf = np.empty(rows * min(lane, n))
+    reduced, total = [], 0
     for start in range(0, n, lane):
         draw = _Draw(cfg, start, min(lane, n - start))
-        h, done = draw.nb // 2, start // 2  # the lane's pairs, and those before it
-        firsts, mates = vals[:, done:done + h], vals[:, half + done:half + done + h]
-
-        def put(row, values):
-            firsts[row] = values[:h]
-            mates[row] = values[h:]
-        total += kernel(draw, put)
-    return vals, total
+        block = buf[:rows * draw.nb].reshape(rows, draw.nb)
+        total += kernel(draw, block.__setitem__)
+        reduced.append(reduce(block))
+    return reduced, total
 
 
 def _pairs(vals: np.ndarray):
@@ -604,22 +600,66 @@ def _scheme_for(kind: str, cfg: SimConfig) -> _Scheme:
     return scheme
 
 
+def _lane_statistics(block: np.ndarray, tail: int):
+    """One lane's pair statistics: per row its non-finite count, the usable
+    pairs n and, if n > 0, per row the shift (the row maximum), sum w,
+    sum (w - mean w)^2 and sum w^2, w the pair averages of exp(utility -
+    shift); then for the tail rows the mean of g = w / mean w and the Gram
+    matrix of g less that mean."""
+    K, width = block.shape
+    h = width // 2
+    bad = np.empty(K, dtype=np.int64)
+    pair_ok = np.ones(h, dtype=bool)
+    for k, row in enumerate(block):
+        finite = np.isfinite(row)
+        bad[k] = width - np.count_nonzero(finite)
+        pair_ok &= finite[:h] & finite[h:]
+    n = int(np.count_nonzero(pair_ok))
+    if n == 0:
+        return bad, 0, None
+    sums = np.empty((4, K))  # shift, sum w, sum (w - mean w)^2, sum w^2
+    # The tail rows' g = w / mean w go into a contiguous block of the head
+    # rows, which are read by then; row j ends before row tail + j starts.
+    g = block.reshape(-1)[:(K - tail) * n].reshape(K - tail, n)
+    wp, buf = np.empty(n), np.empty(n)
+    for k in range(K):
+        x1, x2 = block[k, :h], block[k, h:]
+        if n < h:
+            x1, x2 = np.compress(pair_ok, x1, out=wp), np.compress(pair_ok, x2, out=buf)
+        shift = max(float(np.max(x1)), float(np.max(x2)))
+        np.exp(np.subtract(x1, shift, out=wp), out=wp)
+        np.exp(np.subtract(x2, shift, out=buf), out=buf)
+        np.multiply(0.5, np.add(wp, buf, out=wp), out=wp)
+        s1 = float(np.add.reduce(wp))
+        np.subtract(wp, s1 / n, out=buf)
+        ss = float(np.add.reduce(np.multiply(buf, buf, out=buf)))
+        sums[:, k] = shift, s1, ss, float(np.add.reduce(np.multiply(wp, wp, out=buf)))
+        if k >= tail:
+            np.divide(wp, s1 / n, out=g[k - tail])
+    g_mean = g.mean(axis=1)
+    g -= g_mean[:, None]
+    return bad, n, (sums, g_mean, np.dot(g, g.T))
+
+
 def _collect(vp: ValidatedProblem, cfg: SimConfig):
+    """The lanes' ``_lane_statistics`` in lane order and the truncation fraction."""
     scheme = _scheme_for(vp.model.kind, cfg)
     cols = {int(s): k for k, s in enumerate(cfg.checkpoint_steps())}
+    K = len(cfg.t_checkpoints)
 
     def kernel(draw, put):
         def emit(row, t, state, volint, rate_int=None, cond_var=None):
             put(row, _log_utility(vp, t, state, volint, rate_int, cond_var))
         return scheme.growth(vp.model, cfg, cols, draw, emit, scheme.inverse)
 
-    vals, trunc_events = _simulate(cfg, len(cfg.t_checkpoints), kernel)
+    lanes, trunc_events = _simulate(cfg, K, kernel,
+                                    lambda block: _lane_statistics(block, K // 2))
     trunc_frac = trunc_events / (cfg.n_paths * cfg.n_steps)
     if trunc_frac > TRUNCATION_BUDGET:
         raise SchemeUnstable(
             f"{100 * trunc_frac:.2f}% of steps truncated a negative state; "
             "refine the grid")
-    return vals, trunc_frac
+    return lanes, trunc_frac
 
 
 def _wls_slope(t: np.ndarray, lm: np.ndarray, cov: np.ndarray):
@@ -652,60 +692,41 @@ def simulate_growth(vp: ValidatedProblem, cfg: SimConfig) -> GrowthEstimate:
     SchemeUnstable
         If full-truncation clamping exceeds its budget.
     """
-    vals, trunc_frac = _collect(vp, cfg)   # (K, paths)
-    firsts, mates = _pairs(vals)           # (K, P) each
-    K, n = vals.shape
+    lanes, trunc_frac = _collect(vp, cfg)
     t = np.asarray(cfg.t_checkpoints)
-
-    # Finiteness row by row, so no boolean array of the matrix's size exists.
-    pair_ok = np.ones(n // 2, dtype=bool)
-    worst = 0
-    for row in vals:
-        finite = np.isfinite(row)
-        worst = max(worst, n - int(np.count_nonzero(finite)))
-        pair_ok &= finite[:n // 2] & finite[n // 2:]
-    overflow_fraction = worst / n
-    n_good = int(np.count_nonzero(pair_ok))
-    all_ok = n_good == pair_ok.size
-    if n_good == 0:
+    K, tail = t.size, t.size // 2
+    overflow_fraction = int(np.max(sum(bad for bad, _, _ in lanes))) / cfg.n_paths
+    lanes = [(n, *stats) for _, n, stats in lanes if n]
+    if not lanes:
         raise AllPathsDiverged("no finite utility path at the checkpoints")
 
-    # The WLS fit and the acceleration test read only the tail checkpoints'
-    # covariance.  Their normalised weights go into a contiguous block of
-    # the head rows, which are read by then; row j of the block ends before
-    # row tail + j of ``vals`` starts.
-    tail = K // 2
-    lm = np.empty(K)
-    se = np.empty(K)
-    ess = np.empty(K)
-    g_rows = (vals.reshape(-1)[:(K - tail) * n_good].reshape(K - tail, n_good)
-              if tail else np.empty((1, n_good)))
-    wp, buf = np.empty(n_good), np.empty(n_good)
-    for k in range(K):
-        x1, x2 = firsts[k], mates[k]
-        if not all_ok:
-            x1, x2 = np.compress(pair_ok, x1, out=wp), np.compress(pair_ok, x2, out=buf)
-        shift = max(float(np.max(x1)), float(np.max(x2)))
-        np.exp(np.subtract(x1, shift, out=wp), out=wp)
-        np.exp(np.subtract(x2, shift, out=buf), out=buf)
-        np.multiply(0.5, np.add(wp, buf, out=wp), out=wp)
-        # np.mean and np.std(ddof=1) by the same reductions, on no new array.
-        s1 = float(np.add.reduce(wp))
-        mean_w = s1 / n_good
-        lm[k] = math.log(mean_w) + shift
-        np.subtract(wp, mean_w, out=buf)
-        ss = float(np.add.reduce(np.multiply(buf, buf, out=buf)))
-        sd = math.sqrt(ss / (n_good - 1)) if n_good > 1 else 0.0
-        se[k] = sd / (mean_w * math.sqrt(n_good))
-        s2 = float(np.add.reduce(np.multiply(wp, wp, out=buf)))
-        ess[k] = s1 * s1 / s2 if s2 > 0 else 0.0
-        if k >= tail:
-            np.divide(wp, mean_w, out=g_rows[k - tail])
+    # Pool the lanes at each row's largest shift (Chan, Golub & LeVeque): a
+    # lane's sums scale by c = exp(its shift - that shift), so its mean is
+    # m = c sum w / n_L, its squared deviations gain n_L (m - mean)^2 and
+    # its g become r g with r = m / mean.  One lane pools to itself exactly.
+    n_good = sum(lane[0] for lane in lanes)
+    shift = np.max([sums[0] for _, sums, _, _ in lanes], axis=0)
+    scales = [np.exp(sums[0] - shift) for _, sums, _, _ in lanes]
+    s1 = sum(c * sums[1] for c, (_, sums, _, _) in zip(scales, lanes))
+    mean_w = s1 / n_good
+    ss = s2 = g_mean = gram = 0.0
+    pooled = []
+    for c, (n, sums, lane_g_mean, lane_gram) in zip(scales, lanes):
+        m = c * sums[1] / n
+        ss = ss + c * c * sums[2] + n * (m - mean_w) ** 2
+        s2 = s2 + c * c * sums[3]
+        r = m[tail:] / mean_w[tail:]
+        g_mean = g_mean + n / n_good * r * lane_g_mean
+        pooled.append((n, r, r * lane_g_mean, lane_gram))
+    for n, r, rg, lane_gram in pooled:
+        gram = gram + np.outer(r, r) * lane_gram + n * np.outer(rg - g_mean, rg - g_mean)
+    lm = np.array([math.log(m) for m in mean_w]) + shift
+    sd = np.sqrt(ss / (n_good - 1)) if n_good > 1 else np.zeros(K)
+    se = sd / (mean_w * math.sqrt(n_good))
+    ess = np.divide(s1 * s1, s2, out=np.zeros(K), where=s2 > 0)
 
-    # np.cov(g_rows, ddof=1) / n_good, centred in place rather than on a copy.
-    g_rows -= g_rows.mean(axis=1)[:, None]
-    cov = np.dot(g_rows, g_rows.T)
-    cov *= np.true_divide(1, n_good - 1)
+    # np.cov(g, ddof=1) / n_good over the tail rows.
+    cov = gram * np.true_divide(1, n_good - 1)
     cov /= n_good  # tail x tail
     slope, slope_se = _wls_slope(t[tail:], lm[tail:], cov)
 
@@ -782,8 +803,8 @@ def martingale_check(vp: ValidatedProblem, pair: Eigenpair, t: float,
         put(0, scheme.martingale(vp, pair, cfg, draw, scheme.inverse))
         return 0
 
-    logm, _ = _simulate(cfg, 1, kernel)
-    firsts, mates = _pairs(logm[0])
+    lanes, _ = _simulate(cfg, 1, kernel, lambda block: _pairs(block[0].copy()))
+    firsts, mates = (np.concatenate(side) for side in zip(*lanes))
     ok = np.isfinite(firsts) & np.isfinite(mates)
     n_good = int(np.count_nonzero(ok))
     if n_good == 0:

@@ -446,7 +446,7 @@ class ThreeHalves(_Model):
 
     def derivative(self, alpha, beta, r):
         half_plus = 0.5 + self.a / self.sigma ** 2
-        root = math.sqrt(half_plus ** 2 + alpha * beta * (beta - 1.0))
+        root = _stable_root_minus(half_plus, alpha * (beta * (beta - 1.0)), "3/2 exponent")[1]
         return -r * alpha - self.theta * alpha * (2.0 * beta - 1.0) / (2.0 * root)
 
     def optimum(self, alpha, r):

@@ -128,6 +128,54 @@ def test_layer_runs_are_traced_and_read_the_layer_metrics(monkeypatch, tmp_path)
     assert "pass_cal" not in rec
 
 
+def write_record(tree, workload, seed, not_exercised):
+    path = tree / ".perfbench" / f"record-{workload}-seed{seed}-trace1.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps({"not_exercised": not_exercised}), encoding="utf-8")
+
+
+def test_layers_idle_needs_every_layer_listed_on_both_sides(tmp_path):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        tree.mkdir()
+    layers = [LAYER, "cli.run_figures_ms.1"]
+    assert not bench_pairs.layers_idle(trees, "oracle_desk", 9701, layers)  # no records
+    write_record(trees["parent"], "oracle_desk", 9701, layers + ["e2e.wall_s"])
+    write_record(trees["change"], "oracle_desk", 9701, layers[:1])
+    assert not bench_pairs.layers_idle(trees, "oracle_desk", 9701, layers)
+    write_record(trees["change"], "oracle_desk", 9701, layers)
+    assert bench_pairs.layers_idle(trees, "oracle_desk", 9701, layers)
+    assert not bench_pairs.layers_idle(trees, "oracle_desk", 9702, layers)
+
+
+@pytest.mark.parametrize("exercised_by", [None, "change"])
+def test_a_workload_exercising_no_layer_is_traced_in_its_first_pair_only(
+        monkeypatch, tmp_path, exercised_by):
+    trees = {side: tmp_path / side for side in ("parent", "change")}
+    for tree in trees.values():
+        tree.mkdir()
+
+    def fake_run(tree, workload, seed, seconds, layers=()):
+        side = tree.name
+        if layers:
+            write_record(tree, workload, seed, [] if side == exercised_by else list(layers))
+            return {"correct": True, "failed": 0, "steal_ticks": 0,
+                    LAYER: 1.0 if side == exercised_by else 0.0}
+        return {**run(side, seed, 470.0 if side == "parent" else 450.0), "side": side}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    runs, out = bench_pairs.run_workload(trees, "oracle_desk", 3, 32.0, 9701, [LAYER])
+    traced = [(r["pair"], r["side"]) for r in runs if r["traced"]]
+    assert len(runs) - len(traced) == 6 and out["correct_all"]
+    assert out["metrics"]["pass_cal"]["change_lower_in_pairs"] == "3/3"
+    if exercised_by is None:
+        assert traced == [(0, "parent"), (0, "change")]
+        assert out["layers"] == {LAYER: "not_exercised"}
+    else:
+        assert len(traced) == 6
+        assert out["layers"][LAYER]["change_runs"] == [1.0, 1.0, 1.0]
+
+
 BENCH_FILES = sorted(_PATH.parents[1].glob("BENCH_*.json"))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from letfgrowth import leverage, riccati
+from letfgrowth import leverage, models, riccati
 from letfgrowth.errors import ComplexKappa, NoFiniteRegion
 from letfgrowth.growth import growth_rate
 from letfgrowth.leverage import lambda_derivative, objective_value, optimal_beta
@@ -239,6 +239,25 @@ def test_exact_vs_fd_derivative():
         exact = lambda_derivative(vp, b)
         fd = fd_derivative(vp, b)
         assert fd == pytest.approx(exact, rel=1e-6, abs=1e-9)
+
+
+def test_three_halves_derivative_reads_the_closed_forms_root(monkeypatch):
+    # The slope at beta takes the square root that the exponent kappa there
+    # rests on, so the two cannot sit on roots one ulp apart.
+    roots = []
+    stable_root = models._stable_root_minus
+
+    def recorded(h, q, context):
+        roots.append(stable_root(h, q, context)[1])
+        return stable_root(h, q, context)
+    monkeypatch.setattr(models, "_stable_root_minus", recorded)
+    m, r = BASE_MODELS["three_halves"], 0.01
+    for alpha in (0.3, 0.5, 0.8, 1.0):
+        for beta in np.linspace(-3.0, 3.0, 601).tolist():
+            roots.clear()
+            m.closed_form(alpha, beta)
+            want = -r * alpha - m.theta * alpha * (2.0 * beta - 1.0) / (2.0 * roots[0])
+            assert m.derivative(alpha, beta, r).hex() == want.hex(), (alpha, beta)
 
 
 @pytest.mark.parametrize("d", range(1, 7))

@@ -263,14 +263,13 @@ def test_quadratic_divergence_flag():
     assert est.diverged
 
 
-def test_no_finite_pair_raises(monkeypatch):
+def test_no_finite_pair_raises():
     vp = vp_of(BASE_MODELS["gbm"])
     cfg = SimConfig(horizon=1.0, n_steps=50, n_paths=2000, seed=1)
     vals = np.full((len(cfg.t_checkpoints), cfg.n_paths), np.nan)
     vals[:, 0] = 0.0  # a finite first whose mate overflowed is no pair
-    monkeypatch.setattr(mc, "_collect", lambda vp, cfg: (vals, 0.0))
     with pytest.raises(AllPathsDiverged, match="no finite utility path"):
-        simulate_growth(vp, cfg)
+        simulate_on(vp, cfg, vals)
 
 
 def test_martingale_paths_all_overflowing_raise(monkeypatch):
@@ -727,9 +726,11 @@ def test_golden_streams(name):
     # oracle that preceded the lanes, except the growth fields of the seven
     # heston_sv and three_halves_sv entries, re-recorded by name when those
     # kinds stopped drawing the reference's normal (conditional Monte
-    # Carlo); their martingale fields kept.  Every per-checkpoint quantity
-    # and the martingale estimate must match bit for bit.  The slope's
-    # covariance is summed in another order, so it gets a tolerance.
+    # Carlo); their martingale fields kept.  heston_sv/lanes, the one case of
+    # several lanes, was re-recorded by name when each lane came to be
+    # reduced on its own and merged.  Every per-checkpoint quantity and the
+    # martingale estimate must match bit for bit.  The slope's covariance is
+    # summed in another order, so it gets a tolerance.
     want = json.loads(GOLDEN_FILE.read_text())[name]
     got = golden_record(*golden_cases()[name])
     for key in ("slope", "slope_stderr"):
@@ -773,11 +774,13 @@ def test_concurrent_calls_match_serial():
             assert (got.mean, got.stderr) == (want_m.mean, want_m.stderr)
 
 
-def test_pair_statistics_hold_one_utility_matrix():
-    # Lanes write into the (checkpoints, paths) utility matrix and the pair
-    # statistics reuse it, so a call holds that matrix plus O(paths) arrays.
+def test_pair_statistics_hold_one_lane_block():
+    # Every lane fills one reused (checkpoints, lane paths) block and is
+    # reduced to its own statistics, so a call across several lanes holds
+    # that block plus O(paths) arrays, never a (checkpoints, paths) matrix.
     ts = tuple(20.0 * k / 100 for k in range(1, 101))
-    cfg = SimConfig(horizon=20.0, n_steps=1000, n_paths=20_000, seed=3, t_checkpoints=ts)
+    cfg = SimConfig(horizon=20.0, n_steps=1000, n_paths=40_000, seed=3, t_checkpoints=ts)
+    assert len(lane_columns(cfg)) == 3
     vp = vp_of(BASE_MODELS["gbm"])
     simulate_growth(vp, cfg)  # first-call costs stay outside the trace
     tracemalloc.start()
@@ -787,7 +790,42 @@ def test_pair_statistics_hold_one_utility_matrix():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * len(ts) * cfg.n_paths * 8
+    assert peak <= 1.2 * len(ts) * mc.LANE_PATHS * 8 + 64 * cfg.n_paths
+
+
+def lane_columns(cfg):
+    """Each lane's columns of the (checkpoints, paths) matrix of a whole
+    call: all pair firsts in lane order, then all mates in the same order."""
+    lane = max(1, mc.LANE_PATHS // cfg.block_size) * cfg.block_size
+    half = cfg.n_paths // 2
+    return [np.r_[s // 2:(s + w) // 2, half + s // 2:half + (s + w) // 2]
+            for s in range(0, cfg.n_paths, lane) for w in [min(lane, cfg.n_paths - s)]]
+
+
+def edit_lanes(mp, cfg, edit):
+    """Hand each lane block and its columns to ``edit`` before its statistics."""
+    stats, columns = mc._lane_statistics, iter(lane_columns(cfg))
+
+    def edited(block, tail):
+        edit(next(columns), block)
+        return stats(block, tail)
+    mp.setattr(mc, "_lane_statistics", edited)
+
+
+def utility_matrix(vp, cfg):
+    """The (checkpoints, paths) utilities that one call's lanes reduce."""
+    vals = np.empty((len(cfg.t_checkpoints), cfg.n_paths))
+    with pytest.MonkeyPatch.context() as mp:
+        edit_lanes(mp, cfg, lambda cols, block: vals.__setitem__((slice(None), cols), block))
+        simulate_growth(vp, cfg)
+    return vals
+
+
+def simulate_on(vp, cfg, vals):
+    """simulate_growth with each lane's utilities taken from ``vals``."""
+    with pytest.MonkeyPatch.context() as mp:
+        edit_lanes(mp, cfg, lambda cols, block: block.__setitem__(slice(None), vals[:, cols]))
+        return simulate_growth(vp, cfg)
 
 
 def reference_pair_statistics(vals, t):
@@ -827,26 +865,56 @@ def reference_pair_statistics(vals, t):
 
 
 @pytest.mark.parametrize("n_bad, n_checkpoints", [(1, 10), (40, 10), (40, 1)])
-def test_non_finite_pairs_match_reference_statistics(monkeypatch, n_bad, n_checkpoints):
+def test_non_finite_pairs_match_reference_statistics(n_bad, n_checkpoints):
     # No golden case overflows, so inf and nan are injected into a seeded
-    # matrix: as pair firsts, as mates and as both of one pair.
+    # matrix: as pair firsts, as mates and as both of one pair.  Its 4,000
+    # paths are one lane, whose statistics are the reference's bit for bit.
     cfg = SimConfig(horizon=2.0, n_steps=200, n_paths=4000, seed=11,
                     t_checkpoints=tuple(2.0 * k / n_checkpoints
                                         for k in range(1, n_checkpoints + 1)))
     vp = vp_of(BASE_MODELS["heston_sv"])
-    vals, _ = mc._collect(vp, cfg)
+    vals = utility_matrix(vp, cfg)
     rng = np.random.default_rng(n_bad)
     K, n = vals.shape
     cols = rng.choice(n, size=n_bad, replace=False)
     vals[rng.integers(0, K, size=n_bad), cols] = rng.choice([np.inf, -np.inf, np.nan], size=n_bad)
     vals[K - 1, [n // 2 - 1, n - 1]] = np.nan
     want = reference_pair_statistics(vals.copy(), np.asarray(cfg.t_checkpoints))
-    monkeypatch.setattr(mc, "_collect", lambda vp, cfg: (vals.copy(), 0.0))
-    est = simulate_growth(vp, cfg)
+    est = simulate_on(vp, cfg, vals)
     assert est.overflow_fraction.hex() == want["overflow_fraction"].hex()
     assert est.diverged == want["diverged"] == (n_bad > 1)
     for key in ("log_mean_utility", "stderr", "ess"):
         assert getattr(est, key).tobytes() == want[key].tobytes(), key
+    for key in ("slope", "slope_stderr"):
+        assert getattr(est, key) == pytest.approx(want[key], rel=1e-12, abs=1e-300), key
+
+
+@pytest.mark.parametrize("n_checkpoints", [10, 100])
+def test_merged_lanes_match_reference_statistics(n_checkpoints):
+    # Three lanes of 16,384, 16,384 and 7,232 paths: non-finite values in
+    # the first two, and no finite pair at all in the third.  The merged
+    # statistics match the whole matrix's up to rounding.
+    cfg = SimConfig(horizon=2.0, n_steps=200, n_paths=40_000, seed=11, block_size=1024,
+                    t_checkpoints=tuple(2.0 * k / n_checkpoints
+                                        for k in range(1, n_checkpoints + 1)))
+    vp = vp_of(BASE_MODELS["heston_sv"])
+    vals = utility_matrix(vp, cfg)
+    lanes = lane_columns(cfg)
+    assert [c.size for c in lanes] == [16_384, 16_384, 7_232]
+    rng = np.random.default_rng(n_checkpoints)
+    K = vals.shape[0]
+    for cols in lanes[:2]:
+        hit = rng.choice(cols, size=20, replace=False)
+        vals[rng.integers(0, K, size=20), hit] = rng.choice([np.inf, -np.inf, np.nan], size=20)
+    h = lanes[2].size // 2  # even pairs lose their first, odd pairs their mate
+    vals[0, lanes[2][:h:2]] = np.nan
+    vals[K - 1, lanes[2][h + 1::2]] = -np.inf
+    want = reference_pair_statistics(vals.copy(), np.asarray(cfg.t_checkpoints))
+    est = simulate_on(vp, cfg, vals)
+    assert est.overflow_fraction == want["overflow_fraction"]
+    assert est.diverged == want["diverged"]
+    for key in ("log_mean_utility", "stderr", "ess"):
+        np.testing.assert_allclose(getattr(est, key), want[key], rtol=1e-13, atol=0, err_msg=key)
     for key in ("slope", "slope_stderr"):
         assert getattr(est, key) == pytest.approx(want[key], rel=1e-12, abs=1e-300), key
 

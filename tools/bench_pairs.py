@@ -20,7 +20,11 @@ median and max.  Medians and quartiles use
 Each ``--layer METRIC`` (repeatable) makes every pair also run both sides
 with ``--trace 1``, in the same order and with the same seed, and
 summarizes those per-layer metrics as it does ``pass_cal``: one traced run
-moves with the host, a paired median does not.
+moves with the host, a paired median does not.  When, after a workload's
+first pair, both sides' run records (``.perfbench/record-<workload>-
+seed<n>-trace1.json``) list every requested layer as not exercised, that
+workload's remaining pairs run untraced and its layers read
+``"not_exercised"``.
 """
 
 from __future__ import annotations
@@ -127,22 +131,25 @@ def steal(runs: list[dict]) -> dict | None:
     return {"median": statistics.median(ticks), "max": max(ticks)}
 
 
-def summarize(runs: list[dict], n_pairs: int, layers=()) -> dict:
-    """Pair statistics of the untraced runs' METRICS and the traced runs' ``layers``."""
+def summarize(runs: list[dict], n_pairs: int, layers=(), idle: bool = False) -> dict:
+    """Pair statistics of the untraced runs' METRICS and the traced runs'
+    ``layers``; ``idle``: only the first pair was traced, and no side
+    exercised any of the layers."""
     plain = [r for r in runs if not r.get("traced")]
     traced = [r for r in runs if r.get("traced")]
     sides = {s: [r for r in plain if r["side"] == s] for s in ("parent", "change")}
     ok = (all(r["correct"] for r in runs) and len(plain) == 2 * n_pairs
-          and len(traced) == (2 * n_pairs if layers else 0))
+          and len(traced) == (2 * (1 if idle else n_pairs) if layers else 0))
     out = {"pairs": n_pairs, "seeds": [r["seed"] for r in sides["parent"]],
            "correct_all": ok,
            "failed_operations": sum(r["failed"] or 0 for r in runs),
            "steal_ticks": {s: steal(rs) for s, rs in sides.items()}, "metrics": {}}
     if layers:
-        out["layers"] = {}
+        out["layers"] = dict.fromkeys(layers, "not_exercised") if idle else {}
     if not ok or n_pairs < 2:
         return out
-    for key, names, group in (("metrics", METRICS, plain), ("layers", layers, traced)):
+    for key, names, group in (("metrics", METRICS, plain),
+                              ("layers", () if idle else layers, traced)):
         for name in names:
             p = [r[name] for r in group if r["side"] == "parent"]
             c = [r[name] for r in group if r["side"] == "change"]
@@ -153,6 +160,42 @@ def summarize(runs: list[dict], n_pairs: int, layers=()) -> dict:
                 "change_lower_in_pairs": f"{sum(y < x for x, y in zip(p, c))}/{n_pairs}",
                 "parent_runs": p, "change_runs": c}
     return out
+
+
+def layers_idle(trees: dict, workload: str, seed: int, layers) -> bool:
+    """Whether both sides' traced run records at ``seed`` list every layer
+    as not exercised."""
+    for tree in trees.values():
+        path = tree / ".perfbench" / f"record-{workload}-seed{seed}-trace1.json"
+        try:
+            listed = json.loads(path.read_text(encoding="utf-8"))["not_exercised"]
+        except (OSError, ValueError, KeyError):
+            return False
+        if not set(layers) <= set(listed):
+            return False
+    return True
+
+
+def run_workload(trees: dict, workload: str, n_pairs: int, seconds: float, seed_base: int,
+                 layers=()) -> tuple[list[dict], dict]:
+    """Alternating pairs of one workload: its runs and their summary."""
+    runs, idle = [], False
+    passes = [(), tuple(layers)] if layers else [()]  # untraced, then traced
+    for i in range(n_pairs):
+        seed = seed_base + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for traced in passes:
+            for side in order:
+                rec = {"workload": workload, "seed": seed, "pair": i, "side": side,
+                       "first": order[0], "traced": bool(traced),
+                       **run_once(trees[side], workload, seed, seconds, traced)}
+                runs.append(rec)
+                print(json.dumps({k: rec.get(k) for k in (
+                    "workload", "pair", "side", "traced", "correct", "steal_ticks",
+                    *(traced or METRICS))}), flush=True)
+        if i == 0 and layers and layers_idle(trees, workload, seed, layers):
+            idle, passes = True, [()]
+    return runs, summarize(runs, n_pairs, layers, idle)
 
 
 def machine() -> dict:
@@ -194,23 +237,10 @@ def main(argv=None) -> int:
               "layers": args.layer,
               "pair_runner": shlex.join(["python3", "tools/bench_pairs.py", *sys.argv[1:]]),
               "workloads": {}, "runs": []}
-    passes = [(), tuple(args.layer)] if args.layer else [()]  # untraced, then traced
     for spec in args.workload:
         workload, n_pairs = spec.split(":")
-        runs = []
-        for i in range(int(n_pairs)):
-            seed = args.seed_base + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for layers in passes:
-                for side in order:
-                    rec = {"workload": workload, "seed": seed, "pair": i, "side": side,
-                           "first": order[0], "traced": bool(layers),
-                           **run_once(trees[side], workload, seed, args.seconds, layers)}
-                    runs.append(rec)
-                    print(json.dumps({k: rec.get(k) for k in (
-                        "workload", "pair", "side", "traced", "correct", "steal_ticks",
-                        *(layers or METRICS))}), flush=True)
-        record["workloads"][workload] = summarize(runs, int(n_pairs), args.layer)
+        runs, record["workloads"][workload] = run_workload(
+            trees, workload, int(n_pairs), args.seconds, args.seed_base, args.layer)
         record["runs"] += runs
         Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     shutil.rmtree(work)
